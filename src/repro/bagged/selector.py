@@ -210,6 +210,7 @@ class BaggedCVSelector(BandwidthSelector):
             self.kernel.name,
             backend=backend_name,
             dtype=str(self.backend_options.get("dtype", "default")),
+            engine=str(self.backend_options.get("engine", "numpy")),
         )
 
     def _sweep_one(
@@ -450,7 +451,7 @@ class BaggedCVSelector(BandwidthSelector):
                 "subsamples": [o.to_diagnostics() for o in outcomes],
             },
         }
-        return SelectionResult(
+        result = SelectionResult(
             bandwidth=h_opt,
             score=score,
             method=self.method,
@@ -465,3 +466,5 @@ class BaggedCVSelector(BandwidthSelector):
             diagnostics=diagnostics,
             resilience=report,
         )
+        result.diagnostics["boundary_minimum"] = result.is_boundary_minimum()
+        return result

@@ -5,10 +5,10 @@ sequential C, CUDA — and until this package the repo only had the first:
 every backend bottomed out in the same interpreted/numpy sort +
 prefix-sum kernel.  :mod:`repro.compiled` adds the second rung: a
 numba-jitted scalar-loop implementation of the per-block window sums,
-**byte-identical to numpy in float64**, with a float32 fast path under a
-documented tolerance contract, selected once at import by a clean
-capability probe (``REPRO_COMPILED=0`` is the escape hatch) and falling
-back silently to the numpy reference when numba is absent.
+**byte-identical to numpy's binned path in float64**, with a float32
+fast path under a documented tolerance contract, selected once at import
+by a clean capability probe (``REPRO_COMPILED=0`` is the escape hatch)
+and falling back silently to the numpy reference when numba is absent.
 
 Layout::
 
@@ -22,7 +22,8 @@ Everything downstream — blockwise planning, resilience
 checkpoints, serving fingerprints, obs spans — composes unchanged,
 because the engine swap happens inside
 :func:`repro.core.fastgrid.fastgrid_row_contributions` and the float64
-bits do not move.
+bits do not move from the binned path's (the sorted path, which large
+numpy-engine sweeps take instead, is a separate fingerprint family).
 """
 
 from repro.compiled.api import (

@@ -16,9 +16,10 @@ Both accept ``require_jit=True`` to turn the silent capability fallback
 into a typed ``REPRO_COMPILED_UNAVAILABLE`` failure, and both warm the
 JIT *before* the sweep so compilation latency lands in the
 ``compiled.jit_warmup`` span, never inside a block.  Float64 results are
-byte-identical to ``numpy``/``blocked`` respectively — the serving cache
-keys them under the same fingerprint family
-(:func:`repro.serving.cache.canonical_backend`).
+byte-identical to the binned path of ``numpy``/``blocked`` respectively
+— the serving cache keys them under the same fingerprint family
+(:func:`repro.serving.cache.canonical_backend`) within one window-sum
+path (:func:`repro.serving.cache.sweep_path`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ algorithm is byte-for-byte the numpy reference.
 
 Byte-identity discipline (float64)
 ----------------------------------
-The compiled float64 curves must be **bit-for-bit** the numpy backend's,
-because the serving cache keys both under one fingerprint family.  Every
+The compiled float64 curves must be **bit-for-bit** the numpy engine's
+binned path's, because the serving cache keys both under one fingerprint
+family.  Every
 arithmetic choice below therefore mirrors the numpy formulation exactly:
 
 * **Binning** replicates ``np.searchsorted(boundaries, d, side="left")``

@@ -24,10 +24,11 @@ corresponds to one of the paper's execution substrates:
 ``compiled``     the fast grid with the numba-jitted per-block
                  kernel (registered lazily by
                  :mod:`repro.compiled.backend`); float64 curves
-                 byte-identical to ``numpy``, silent numpy fallback
-                 when the JIT is unavailable
+                 byte-identical to ``numpy``'s binned path, silent
+                 numpy fallback when the JIT is unavailable
 ``blocked-``     the budget-planned out-of-core sweep driving the
-``compiled``     jitted kernel; byte-identical to ``blocked``
+``compiled``     jitted kernel; byte-identical to ``blocked``'s
+                 binned path
 ===============  ==================================================
 
 The ``blocked``/``blocked-shm`` backends also accept ``engine="compiled"``

@@ -23,16 +23,27 @@ Two interchangeable implementations live here:
   each simulated GPU thread executes in :mod:`repro.cuda_port`, and the
   testing ground truth for the vectorised path.
 * :func:`cv_scores_fastgrid` — a vectorised formulation of the *same
-  summations*: instead of walking each sorted row with a pointer, each
-  distance is binned against the (already sorted) bandwidth grid with
-  ``searchsorted`` and the per-power window sums are built with weighted
-  ``bincount`` + ``cumsum`` over bins.  Algebraically identical output —
-  the property tests assert agreement with the dense path for every
-  polynomial kernel — but it replaces the per-row python loop with
-  whole-chunk array ops (the "vectorise the inner loop" guide idiom).
+  summations*, with two window-sum paths behind one row-block seam
+  (:func:`fastgrid_row_contributions`), chosen by
+  :func:`window_sum_path` from whole-sample facts only:
+
+  - **binned** (O(n²)): each distance is binned against the (already
+    sorted) bandwidth grid with ``searchsorted`` and the per-power window
+    sums are built with weighted ``bincount`` + ``cumsum`` over bins;
+  - **sorted** (O(n log n + n·k·log n)): in one dimension every window
+    ``{l : |x_i − x_l| <= R·h}`` is a contiguous run of the sample sorted
+    once, so each window sum ``Σ y_l·|x_i − x_l|^p`` is a difference of
+    prefix sums of ``u^q`` and ``y·u^q`` (Langrené & Warin's fast sum
+    updating in d = 1), with ``u`` measured from a local anchor so the
+    binomial re-centring stays well conditioned.
+
+  The two agree within the per-kernel tolerance contract in DESIGN.md;
+  float32 sweeps and the compiled engine always take the binned path.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,6 +62,7 @@ __all__ = [
     "fastgrid_block_sums",
     "fastgrid_row_contributions",
     "require_fast_grid_kernel",
+    "window_sum_path",
 ]
 
 #: Interchangeable per-block window-sum implementations.  ``numpy`` is the
@@ -222,6 +234,374 @@ def _window_sums_for_block(
     return num, den
 
 
+# -- the sort-once path ------------------------------------------------------
+
+#: Crossover of :func:`window_sum_path`: the sorted path runs when
+#: ``n >= SORTED_MIN_N_PER_K * k`` and ``n >= SORTED_MIN_N``.  Measured on
+#: a 2-core x86-64 host (numpy, one thread) across the fast-grid kernels:
+#: above both bounds the sorted path wins for every kernel (tricube, the
+#: costliest, last); below ``SORTED_MIN_N`` its fixed per-octave set-up
+#: costs more than the whole O(n²) binned sweep.  See DESIGN.md.
+SORTED_MIN_N_PER_K: float = 10.0
+SORTED_MIN_N: int = 500
+
+
+def window_sum_path(
+    n: int,
+    k: int,
+    kernel: str | Kernel,
+    dtype: str = "float64",
+    engine: str = "numpy",
+) -> str:
+    """Which window-sum implementation a numpy-engine sweep runs.
+
+    ``"sorted"`` (prefix sums over the sample sorted once, O(n·k·log n))
+    or ``"binned"`` (every pairwise distance binned against the grid,
+    O(n²)).  The choice depends only on whole-sample facts — never on a
+    block's row count — so every row matrix stays partition-invariant.
+    The compiled engine and float32 sweeps always keep the binned bits.
+    """
+    kern = get_kernel(kernel)
+    if (
+        engine == "numpy"
+        and np.dtype(dtype) == np.float64
+        and kern.supports_fast_grid
+        and n >= SORTED_MIN_N
+        and n >= SORTED_MIN_N_PER_K * k
+    ):
+        return "sorted"
+    return "binned"
+
+
+def _segmented_cumsum(
+    values: np.ndarray, seg: np.ndarray, longest: int
+) -> np.ndarray:
+    """Inclusive prefix sums of ``values`` (R×n) restarting at each segment.
+
+    A Hillis–Steele doubling scan: ⌈log₂ longest⌉ whole-array passes, each
+    adding in the partial sum ``step`` positions back when it lies in the
+    same segment.  Every sum touches only its own segment, so rounding
+    stays relative to local magnitudes (a global ``cumsum`` differenced
+    at segment starts would not).
+    """
+    out = values.copy()
+    step = 1
+    while step < longest:
+        same = seg[step:] == seg[:-step]
+        out[:, step:] += np.where(same, out[:, :-step], 0.0)
+        step *= 2
+    return out
+
+
+class _Octave:
+    """Locally anchored prefix sums for grid columns within a factor of 2.
+
+    The sorted sample is cut into cells of width ``R·h_max`` of the
+    octave; each non-empty cell is one segment, anchored at its middle
+    element (an exact data value, so ``x − anchor`` is an exact
+    difference for nearby points).  A window of half-width ``R·h`` with
+    ``h > h_max/2`` then spans at most 3 segments, and the binomial
+    re-centring below works with ``|u| ≤ R·h_max`` and
+    ``|anchor − x_i| ≤ 2·R·h_max`` — a bounded loss of digits.  Only
+    non-empty segments exist, so the bookkeeping is O(n) however small
+    ``h`` is relative to the spread.
+    """
+
+    def __init__(
+        self, xs: np.ndarray, ys: np.ndarray, cols: slice, width: float,
+        top: int,
+    ):
+        n = xs.shape[0]
+        self.cols = cols
+        cell = np.floor((xs - xs[0]) / width)
+        new = np.empty(n, dtype=bool)
+        new[0] = True
+        np.not_equal(cell[1:], cell[:-1], out=new[1:])
+        self.seg_start = np.flatnonzero(new)
+        self.seg = np.cumsum(new) - 1
+        seg_stop = np.append(self.seg_start[1:], n)
+        self.anchor = xs[(self.seg_start + seg_stop - 1) // 2]
+        u = xs - self.anchor[self.seg]
+        moments = [np.ones(n, dtype=np.float64)]
+        for _ in range(top):
+            moments.append(moments[-1] * u)
+        moments += [ys * m for m in moments]
+        prefix = _segmented_cumsum(
+            np.stack(moments), self.seg,
+            int(np.max(seg_stop - self.seg_start)),
+        )
+        self.totals = prefix[:, seg_stop - 1]
+        # Column t + 1 holds the inclusive prefix at sorted position t and
+        # column 0 is zero, so the exclusive prefix at ``a`` is column ``a``
+        # — or column 0 when ``a`` opens its segment.
+        self.zprefix = np.concatenate(
+            [np.zeros((prefix.shape[0], 1), dtype=np.float64), prefix], axis=1
+        )
+        self.excl_col = np.arange(n)
+        self.excl_col[self.seg_start] = 0
+
+    def exclusive(self, a: np.ndarray) -> np.ndarray:
+        """Moment sums over ``a``'s segment strictly before position ``a``."""
+        return self.zprefix[:, self.excl_col[a]]
+
+    def inclusive(self, a: np.ndarray) -> np.ndarray:
+        """Moment sums over ``a``'s segment up to and including ``a``."""
+        return self.zprefix[:, a + 1]
+
+
+class _SortedSample:
+    """The whole sample sorted once, with per-octave prefix sums.
+
+    Built once per ``(x, y, grid, kernel)`` and reused by every row block
+    (see :func:`_sorted_sample`); :meth:`window_sums` then costs
+    O(rows·k·log n) per block.
+    """
+
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, grid: np.ndarray, kern: Kernel
+    ):
+        self.x = x.copy()
+        self.y = y.copy()
+        self.grid = grid.copy()
+        self.kernel = kern
+        order = np.argsort(x, kind="stable")
+        self.xs = x[order]
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(order.shape[0])
+        self.powers = [t.power for t in kern.poly_terms]
+        self.top = max(self.powers)
+        # The binned path's own membership threshold, bit for bit.
+        self.cutoff = grid * kern.support_radius
+        ys = y[order]
+        self.octaves = []
+        lo = 0
+        for j in range(1, grid.shape[0] + 1):
+            if j == grid.shape[0] or grid[j] > 2.0 * grid[lo]:
+                self.octaves.append(
+                    _Octave(self.xs, ys, slice(lo, j), self.cutoff[j - 1],
+                            self.top)
+                )
+                lo = j
+
+    def matches(
+        self, x: np.ndarray, y: np.ndarray, grid: np.ndarray, kern: Kernel
+    ) -> bool:
+        return (
+            kern.name == self.kernel.name
+            and x.shape == self.x.shape
+            and grid.shape == self.grid.shape
+            and np.array_equal(x.view(np.uint64), self.x.view(np.uint64))
+            and np.array_equal(y.view(np.uint64), self.y.view(np.uint64))
+            and np.array_equal(grid, self.grid)
+        )
+
+    def _window_bounds(
+        self, xi: np.ndarray, cut: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions ``[lo, hi)`` of ``{l : |x_i − x_l| <= cut}``.
+
+        ``searchsorted`` on ``x_i ± cut`` can miss the binned predicate by
+        a rounding step at the edges; each bound then hops over whole runs
+        of equal values (duplicates) until it agrees with the predicate.
+        The predicate is monotone along each side of ``x_i`` and ``x_i``
+        itself is always inside, so ``lo <= rank(i) < hi``.
+        """
+        xs = self.xs
+        n = xs.shape[0]
+        lo = np.searchsorted(xs, xi - cut, side="left")
+        hi = np.searchsorted(xs, xi + cut, side="right")
+        mismatch = (
+            (np.abs(xi - xs[lo]) > cut)
+            | (np.abs(xi - xs[hi - 1]) > cut)
+            | ((lo > 0) & (np.abs(xi - xs[lo - 1]) <= cut))
+            | ((hi < n) & (np.abs(xi - xs[np.minimum(hi, n - 1)]) <= cut))
+        )
+        todo = np.flatnonzero(mismatch)
+        if not todo.size:
+            return lo, hi
+        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
+        flat_x = np.broadcast_to(xi, lo.shape).reshape(-1)
+        flat_cut = np.broadcast_to(cut, lo.shape).reshape(-1)
+        while todo.size:
+            xt, ct = flat_x[todo], flat_cut[todo]
+            a, b = flat_lo[todo], flat_hi[todo]
+            grow = (a > 0) & (np.abs(xt - xs[a - 1]) <= ct)
+            a[grow] = np.searchsorted(xs, xs[a[grow] - 1], "left")
+            shrink = np.abs(xt - xs[a]) > ct
+            a[shrink] = np.searchsorted(xs, xs[a[shrink]], "right")
+            moved = grow | shrink
+            grow = b < n
+            grow[grow] = np.abs(xt[grow] - xs[b[grow]]) <= ct[grow]
+            b[grow] = np.searchsorted(xs, xs[b[grow]], "right")
+            shrink = np.abs(xt - xs[b - 1]) > ct
+            b[shrink] = np.searchsorted(xs, xs[b[shrink] - 1], "left")
+            moved |= grow | shrink
+            flat_lo[todo], flat_hi[todo] = a, b
+            todo = todo[moved]
+        return lo, hi
+
+    def _shift(
+        self, oc: _Octave, seg: np.ndarray, raw: np.ndarray, xi: np.ndarray
+    ) -> list[np.ndarray]:
+        """Re-centre anchored moment sums on ``x_i``.
+
+        ``raw`` stacks ``Σu^r`` then ``Σy·u^r`` (r = 0..top) about the
+        anchor of ``seg``; the result lists ``Σ(x_l − x_i)^p`` then
+        ``Σy_l·(x_l − x_i)^p`` for each kernel power p, by Horner's rule
+        in ``δ = anchor − x_i`` over the binomial expansion.
+        """
+        delta = oc.anchor[seg] - xi
+        half = self.top + 1
+        out = []
+        for base in (0, half):
+            for p in self.powers:
+                acc = raw[base]
+                for r in range(1, p + 1):
+                    # In place after the first step: these are (rows, k)
+                    # arrays and the allocations would dominate.
+                    acc = acc * delta if r == 1 else np.multiply(
+                        acc, delta, out=acc
+                    )
+                    coef = math.comb(p, r)
+                    acc += raw[base + r] if coef == 1 else coef * raw[base + r]
+                out.append(acc)
+        return out
+
+    def _left_moments(
+        self, oc: _Octave, xi: np.ndarray, lo: np.ndarray, pos: np.ndarray
+    ) -> list[np.ndarray]:
+        """:meth:`_shift` sums over sorted positions ``[lo, pos)``.
+
+        ``X[pos] − X[lo] + Σ_{seg(lo) <= s < seg(pos)} total[s]`` with ``X``
+        the exclusive in-segment prefix, every piece re-centred from its
+        own segment's anchor.  An empty range has ``lo = pos`` and so
+        cancels exactly.
+        """
+        s_lo = oc.seg[lo]
+        s_pos = oc.seg[pos]
+        sums = [
+            t - h
+            for t, h in zip(
+                self._shift(oc, s_pos, oc.exclusive(pos), xi),
+                self._shift(oc, s_lo, oc.exclusive(lo), xi),
+            )
+        ]
+        self._add_totals(oc, xi, sums, s_pos - 1, s_pos - s_lo, -1)
+        return sums
+
+    def _right_moments(
+        self, oc: _Octave, xi: np.ndarray, pos: np.ndarray, hi: np.ndarray
+    ) -> list[np.ndarray]:
+        """:meth:`_shift` sums over sorted positions ``[pos, hi)``, hi > pos.
+
+        ``I[hi − 1] − X[pos] + Σ_{seg(pos) <= s < seg(hi − 1)} total[s]``
+        with ``I`` the inclusive in-segment prefix.
+        """
+        s_pos = oc.seg[pos]
+        s_last = oc.seg[hi - 1]
+        sums = [
+            t - h
+            for t, h in zip(
+                self._shift(oc, s_last, oc.inclusive(hi - 1), xi),
+                self._shift(oc, s_pos, oc.exclusive(pos), xi),
+            )
+        ]
+        self._add_totals(oc, xi, sums, s_pos, s_last - s_pos, 1)
+        return sums
+
+    def _add_totals(
+        self,
+        oc: _Octave,
+        xi: np.ndarray,
+        sums: list[np.ndarray],
+        first: np.ndarray,
+        span: np.ndarray,
+        step: int,
+    ) -> None:
+        """Add the whole segments ``first + step·d`` for ``0 <= d < span``.
+
+        ``first`` is per row, so each segment total is a per-row gather;
+        a window half never covers more than one whole segment except
+        through rounding of the cell edges.
+        """
+        last_seg = oc.seg_start.shape[0] - 1
+        for d in range(int(span.max(initial=0))):
+            seg = np.clip(first + step * d, 0, last_seg)
+            covered = d < span
+            for acc, part in zip(
+                sums, self._shift(oc, seg, oc.totals[:, seg], xi)
+            ):
+                acc += np.where(covered, part, 0.0)
+
+    def window_sums(
+        self, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(num, den, count)`` for rows ``[start, stop)``, all ``(m, k)``.
+
+        ``num``/``den`` are the binned path's quantities (self included);
+        ``count`` is the exact window population, self included.
+        """
+        pos = self.rank[start:stop, None]
+        xi = self.xs[pos]
+        m = pos.shape[0]
+        k = self.grid.shape[0]
+        num = np.zeros((m, k), dtype=np.float64)
+        den = np.zeros((m, k), dtype=np.float64)
+        count = np.zeros((m, k), dtype=np.int64)
+        n_pow = len(self.powers)
+        for oc in self.octaves:
+            cut = self.cutoff[None, oc.cols]
+            lo, hi = self._window_bounds(xi, cut)
+            count[:, oc.cols] = hi - lo
+            left = self._left_moments(oc, xi, lo, pos)
+            right = self._right_moments(oc, xi, pos, hi)
+            h_cols = self.grid[None, oc.cols]
+            for t, term in enumerate(self.kernel.poly_terms):
+                sign = -1.0 if term.power % 2 else 1.0
+                if term.power == 0:
+                    s_d = (hi - lo).astype(np.float64)
+                else:
+                    s_d = right[t] + sign * left[t]
+                s_yd = right[n_pow + t] + sign * left[n_pow + t]
+                scale = term.coefficient / (
+                    int_power(h_cols, term.power) if term.power else 1.0
+                )
+                num[:, oc.cols] += scale * s_yd
+                den[:, oc.cols] += scale * s_d
+        return num, den, count
+
+
+_LAST_SORTED: _SortedSample | None = None
+
+
+def _sorted_sample(
+    x: np.ndarray, y: np.ndarray, grid: np.ndarray, kern: Kernel
+) -> _SortedSample:
+    """The sorted sample for these inputs, reusing the last one built.
+
+    Row blocks of one sweep arrive as separate calls (from the chunk loop,
+    the blocked planners, pool workers, fleet leases); the sort and prefix
+    sums are built once and matched on exact input bytes afterwards.
+    """
+    global _LAST_SORTED
+    cached = _LAST_SORTED
+    if cached is not None and cached.matches(x, y, grid, kern):
+        return cached
+    built = _SortedSample(x, y, grid, kern)
+    _LAST_SORTED = built
+    return built
+
+
+def _forget_sorted() -> None:
+    """Drop the reused sorted sample once a whole sweep is done with it.
+
+    It holds O(n·top) prefix sums per octave; a finished sweep should not
+    keep them alive until the next one.
+    """
+    global _LAST_SORTED
+    _LAST_SORTED = None
+
+
 def fastgrid_row_contributions(
     x: np.ndarray,
     y: np.ndarray,
@@ -260,18 +640,26 @@ def fastgrid_row_contributions(
     np_dtype = np.dtype(dtype)
     x = np.asarray(x)
     y = np.asarray(y)
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ValidationError(
-            f"invalid row block [{start}, {stop}) for n={x.shape[0]}"
-        )
+    _check_block(x.shape[0], start, stop)
     x_block = x[start:stop]
     y_block = y[start:stop]
     tracer = current_tracer()
+    path = window_sum_path(x.shape[0], grid.shape[0], kern, dtype, engine)
+    count = None
     with tracer.span("block", start=start, stop=stop):
         if engine == "compiled":
             from repro.compiled.api import window_sums as _compiled_sums
 
             num, den = _compiled_sums(x_block, x, y, grid, kern, np_dtype)
+        elif path == "sorted":
+            with tracer.span("sort", rows=stop - start):
+                sample = _sorted_sample(
+                    np.ascontiguousarray(x, dtype=np.float64),
+                    np.ascontiguousarray(y, dtype=np.float64),
+                    grid, kern,
+                )
+            with tracer.span("sweep", rows=stop - start):
+                num, den, count = sample.window_sums(start, stop)
         else:
             num, den = _window_sums_for_block(
                 x_block, x, y, grid, kern, np_dtype
@@ -287,6 +675,10 @@ def fastgrid_row_contributions(
                 den -= c0
 
             valid = den > 0.0
+            if count is not None:
+                # A self-only window leaves a rounding residual in the
+                # sorted path's ``den``; its integer population does not.
+                valid &= count > 1
             if tracer.enabled:
                 tracer.counter(
                     "numeric.empty_windows",
@@ -296,6 +688,25 @@ def fastgrid_row_contributions(
             resid = np.where(valid, y_block[:, None] - g_loo, 0.0)
             out: np.ndarray = resid * resid
     return out
+
+
+def _check_block(n: int, start: int, stop: int) -> None:
+    if not 0 <= start < stop <= n:
+        raise ValidationError(f"invalid row block [{start}, {stop}) for n={n}")
+
+
+def _chunk_rows(n: int, k: int, kern: Kernel, dtype: str, engine: str) -> int:
+    """Rows per chunk so one chunk's working set fits the chunk budget.
+
+    The binned path holds O(rows·n) distance/bin temporaries; the sorted
+    path only O(rows·k), dominated by the stacked moment gathers.
+    """
+    if window_sum_path(n, k, kern, dtype, engine) == "sorted":
+        top = max(t.power for t in kern.poly_terms)
+        return suggest_chunk_rows(
+            k, working_arrays=8 * (top + 1) + 4 * len(kern.poly_terms) + 16
+        )
+    return suggest_chunk_rows(n, working_arrays=4 + len(kern.poly_terms))
 
 
 def fastgrid_block_sums(
@@ -319,13 +730,26 @@ def fastgrid_block_sums(
     The within-block reduction is the canonical strict row-order fold, so
     two partitions whose block boundaries coincide produce identical bits
     (bit-exactness across *different* partitions needs the row matrices
-    from :func:`fastgrid_row_contributions` folded globally).
+    from :func:`fastgrid_row_contributions` folded globally).  A block
+    larger than one chunk's memory budget runs as row sub-chunks folded in
+    order into the same accumulator — the identical fold, so the bits do
+    not depend on the sub-chunk size, and a many-thousand-row device tile
+    never materialises its whole rows×n distance slab at once.
     """
-    return fold_rows(
-        fastgrid_row_contributions(
-            x, y, bandwidths, kernel_name, start, stop, dtype, engine
+    kern = require_fast_grid_kernel(kernel_name)
+    n = int(np.shape(x)[0])
+    _check_block(n, start, stop)
+    total = np.zeros(len(bandwidths), dtype=np.float64)
+    rows = _chunk_rows(n, len(bandwidths), kern, dtype, engine)
+    for lo in range(start, stop, rows):
+        fold_rows(
+            fastgrid_row_contributions(
+                x, y, bandwidths, kernel_name, lo, min(lo + rows, stop),
+                dtype, engine,
+            ),
+            total,
         )
-    )
+    return total
 
 
 def cv_scores_fastgrid(
@@ -340,12 +764,14 @@ def cv_scores_fastgrid(
 ) -> np.ndarray:
     """Vectorised fast grid search over a whole bandwidth grid.
 
-    Computes ``CV_lc(h)`` for every ``h`` in ``bandwidths`` in
-    O(n² log k + n·k) — the vectorised counterpart of the paper's
-    O(n² log n) sorted sweep (the grid, already sorted, plays the role of
-    the sorted distance array).  Memory is bounded by processing row
-    chunks; pass ``dtype="float32"`` to mirror the paper's
-    single-precision GPU arithmetic.
+    Computes ``CV_lc(h)`` for every ``h`` in ``bandwidths``: in
+    O(n log n + n·k·log n) on the sorted path, which large float64 samples
+    take (:func:`window_sum_path`), else in O(n² log k + n·k) on the binned
+    path — the vectorised counterpart of the paper's O(n² log n) sorted
+    sweep (the grid, already sorted, plays the role of the sorted distance
+    array).  Memory is bounded by processing row chunks; pass
+    ``dtype="float32"`` to mirror the paper's single-precision GPU
+    arithmetic.
 
     Accumulation is the canonical strict row-order fold carried across
     chunk boundaries, so the returned curve is bit-for-bit independent of
@@ -357,14 +783,13 @@ def cv_scores_fastgrid(
     kern = require_fast_grid_kernel(kernel)
     engine = _resolve_engine(engine)
     n = x.shape[0]
-    rows = chunk_rows or suggest_chunk_rows(
-        n, working_arrays=4 + len(kern.poly_terms)
-    )
+    rows = chunk_rows or _chunk_rows(n, grid.shape[0], kern, dtype, engine)
     tracer = current_tracer()
     sq_sums = np.zeros(grid.shape[0], dtype=np.float64)
     with tracer.span(
         "fastgrid", n=n, k=grid.shape[0], kernel=kern.name, dtype=dtype,
         chunk_rows=rows, engine=engine,
+        path=window_sum_path(n, grid.shape[0], kern, dtype, engine),
     ):
         if not tracer.enabled:
             for sl in chunk_slices(n, rows):
@@ -393,4 +818,5 @@ def cv_scores_fastgrid(
             tracer.record_max(
                 "numeric.kahan_compensation", float(np.max(np.abs(comp)))
             )
+    _forget_sorted()
     return sq_sums / n

@@ -89,10 +89,16 @@ class SelectionResult:
         A boundary minimum suggests the grid range should be widened (or,
         at the lower edge, that the data favour less smoothing than the
         grid allows) — the natural trigger for the §IV-A refinement loop.
+        The edges are ``diagnostics["grid_minimum"/"grid_maximum"]`` when
+        the selector recorded them (a bagged result's ``bandwidths`` are
+        per-subsample votes, not the grid), else the evaluated bandwidths.
         """
-        if self.bandwidths.size < 2:
-            return False
-        lo, hi = float(self.bandwidths.min()), float(self.bandwidths.max())
+        lo = self.diagnostics.get("grid_minimum")
+        hi = self.diagnostics.get("grid_maximum")
+        if lo is None or hi is None:
+            if self.bandwidths.size < 2:
+                return False
+            lo, hi = float(self.bandwidths.min()), float(self.bandwidths.max())
         return bool(
             np.isclose(self.bandwidth, lo, rtol=rtol)
             or np.isclose(self.bandwidth, hi, rtol=rtol)

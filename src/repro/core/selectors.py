@@ -179,10 +179,12 @@ class GridSearchSelector(BandwidthSelector):
 
         cache = self.cache
         dtype = str(self.backend_options.get("dtype", "default"))
+        engine_name = str(self.backend_options.get("engine", "numpy"))
 
         def key_for(values: np.ndarray, backend_name: str) -> str:
             return curve_fingerprint(
-                x, y, values, self.kernel.name, backend=backend_name, dtype=dtype
+                x, y, values, self.kernel.name, backend=backend_name,
+                dtype=dtype, engine=engine_name,
             )
 
         def cached_evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
@@ -282,7 +284,7 @@ class GridSearchSelector(BandwidthSelector):
         backend_used = self.backend_name
         if engine is not None and engine.report.backend_used:
             backend_used = engine.report.backend_used
-        return SelectionResult(
+        result = SelectionResult(
             bandwidth=best_h,
             score=best_score,
             method=self.method,
@@ -297,6 +299,8 @@ class GridSearchSelector(BandwidthSelector):
             diagnostics=diagnostics,
             resilience=engine.report if engine is not None else None,
         )
+        result.diagnostics["boundary_minimum"] = result.is_boundary_minimum()
+        return result
 
 
 class NumericalOptimizationSelector(BandwidthSelector):

@@ -17,8 +17,10 @@ when its POSIX segments vanish (``REPRO_SHM_SEGMENT``), then to the
 serial terminal.  The compiled engine gets the same treatment: losing
 the JIT (``REPRO_COMPILED_UNAVAILABLE`` — numba missing, disabled, or
 chaos-killed) is structural, and the numpy/blocked fallbacks produce
-byte-identical float64 curves, so ``compiled -> numpy`` and
-``blocked-compiled -> blocked -> numpy`` are lossless spurs.
+byte-identical float64 curves on the binned path (on the sorted path,
+curves within its tolerance contract, DESIGN.md §16), so
+``compiled -> numpy`` and ``blocked-compiled -> blocked -> numpy`` are
+lossless spurs.
 
 Decisions match on the stable ``REPRO_*`` error *codes* (see
 :mod:`repro.exceptions`), not on class identity, so refactoring the

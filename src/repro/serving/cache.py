@@ -59,9 +59,12 @@ __all__ = [
     "canonical_backend",
     "curve_fingerprint",
     "selection_fingerprint",
+    "sweep_path",
 ]
 
-_FORMAT_VERSION = 1
+#: v2: keys carry the window-sum path (``sorted``/``binned``), so entries
+#: written before the sorted path existed never serve a sorted-path sweep.
+_FORMAT_VERSION = 2
 
 #: Artifact namespaces (file prefixes / stats keys).
 _KINDS = ("selection", "curve", "blocks")
@@ -71,15 +74,48 @@ _KINDS = ("selection", "curve", "blocks")
 
 #: Backends whose results are byte-identical to an already-fingerprinted
 #: family representative.  The compiled engine's float64 output carries
-#: the same bits as the numpy reference (the differential wall proves
-#: it), so a warm entry written by either implementation serves the
-#: other — including the capability fallback on a numba-less replica.
+#: the same bits as the numpy engine's binned path (the differential wall
+#: proves it), so a warm entry written by either implementation serves
+#: the other — including the capability fallback on a numba-less replica
+#: — whenever both run binned; the keys also carry :func:`sweep_path`.
 #: Only the NEW backend names are mapped: re-keying the existing ones
 #: would invalidate every cache already on disk.
 _BACKEND_FAMILY: dict[str, str] = {
     "compiled": "numpy",
     "blocked-compiled": "blocked",
 }
+
+
+#: Backends whose sweeps run the numpy engine, hence may take the sorted
+#: window-sum path (:func:`repro.core.fastgrid.window_sum_path`); every
+#: other backend — python, gpusim*, compiled* — keeps the binned bits.
+_SORTED_CAPABLE: frozenset[str] = frozenset(
+    {"numpy", "multicore", "blocked", "blocked-shm", "distributed"}
+)
+
+
+def sweep_path(
+    n: int,
+    k: int,
+    kernel_name: str,
+    *,
+    backend: str = "numpy",
+    dtype: str = "float64",
+    engine: str = "numpy",
+) -> str:
+    """The window-sum path (``"sorted"`` or ``"binned"``) a sweep runs.
+
+    Its bits differ between the two paths (within the tolerance contract
+    in DESIGN.md), so both fingerprints below carry it: a warm entry is
+    only ever served to a request that would recompute the same bits.
+    """
+    from repro.core.fastgrid import window_sum_path
+
+    if backend not in _SORTED_CAPABLE:
+        return "binned"
+    if dtype == "default":
+        dtype = "float64"
+    return window_sum_path(n, k, kernel_name, dtype, engine)
 
 
 def canonical_backend(backend: str) -> str:
@@ -101,6 +137,7 @@ def curve_fingerprint(
     *,
     backend: str = "numpy",
     dtype: str = "float64",
+    engine: str = "numpy",
 ) -> str:
     """Key for one exact CV curve: data, grid, kernel, and arithmetic.
 
@@ -108,12 +145,17 @@ def curve_fingerprint(
     order and precision (the gpusim path accumulates in float32); two
     backends' curves for the same data are *close*, not identical, and a
     bit-for-bit cache must not conflate them.  Byte-identical backends
-    are the exception: they share a key via :func:`canonical_backend`.
+    are the exception: they share a key via :func:`canonical_backend` —
+    within one window-sum path (:func:`sweep_path`), which is keyed too.
     """
+    path = sweep_path(
+        len(x), len(bandwidths), kernel_name, backend=backend, dtype=dtype,
+        engine=engine,
+    )
     backend = canonical_backend(backend)
     base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
     digest = hashlib.sha256()
-    digest.update(f"curve|v{_FORMAT_VERSION}|{backend}|".encode())
+    digest.update(f"curve|v{_FORMAT_VERSION}|{backend}|{path}|".encode())
     digest.update(base.encode())
     return digest.hexdigest()
 
@@ -135,14 +177,24 @@ def selection_fingerprint(
     (``refine_rounds``, ``n_restarts``, ...); entries are serialised via
     ``repr`` in sorted key order, which is deterministic for the scalar
     option values the selectors accept.  Byte-identical backends share a
-    key via :func:`canonical_backend`.
+    key via :func:`canonical_backend`, within one window-sum path
+    (:func:`sweep_path`; a bagged selection sweeps subsamples of
+    ``options["subsample_size"]`` points, so that size decides it).
     """
+    opts = options or {}
+    swept = opts.get("subsample_size") if method == "bagged" else None
+    path = sweep_path(
+        int(swept or len(x)), len(bandwidths), kernel_name, backend=backend,
+        dtype=str(opts.get("dtype", dtype)),
+        engine=str(opts.get("engine", "numpy")),
+    )
     backend = canonical_backend(backend)
     base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
     digest = hashlib.sha256()
-    digest.update(f"selection|v{_FORMAT_VERSION}|{method}|{backend}|".encode())
+    digest.update(
+        f"selection|v{_FORMAT_VERSION}|{method}|{backend}|{path}|".encode()
+    )
     digest.update(base.encode())
-    opts = options or {}
     for key in sorted(opts):
         digest.update(f"{key}={opts[key]!r}|".encode())
     return digest.hexdigest()
