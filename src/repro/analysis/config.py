@@ -57,16 +57,11 @@ class LintConfig:
     #: The distributed coordinator is the fleet's classification layer:
     #: dispatch threads route arbitrary transport failures into the
     #: delivery queue for code-based retry/degrade decisions.
-    #: The compiled capability probe is the same shape one layer down: it
-    #: classifies *any* numba import failure (missing module, broken LLVM
-    #: bindings, ABI mismatch) into a typed ``Capability`` verdict whose
-    #: ``reason`` preserves the original error — nothing is swallowed.
     resilience_modules: tuple[str, ...] = (
         "resilience/*.py",
         "serving/scheduler.py",
         "serving/server.py",
         "distributed/coordinator.py",
-        "compiled/capability.py",
     )
     #: SRV001: event-loop modules where blocking calls stall all requests.
     serving_modules: tuple[str, ...] = ("serving/*.py",)

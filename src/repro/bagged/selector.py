@@ -210,7 +210,6 @@ class BaggedCVSelector(BandwidthSelector):
             self.kernel.name,
             backend=backend_name,
             dtype=str(self.backend_options.get("dtype", "default")),
-            engine=str(self.backend_options.get("engine", "numpy")),
         )
 
     def _sweep_one(
@@ -371,6 +370,9 @@ class BaggedCVSelector(BandwidthSelector):
 
     def select(self, x: np.ndarray, y: np.ndarray) -> SelectionResult:
         x, y = check_paired_samples(x, y)
+        # An unregistered name is a caller error (REPRO_BACKEND) before
+        # any subsample is drawn, with resilience on or off.
+        get_backend(self.backend_name)
         n = int(x.shape[0])
         start = time.perf_counter()
         tracer = current_tracer()

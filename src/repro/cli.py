@@ -27,6 +27,12 @@ from typing import Sequence
 
 __all__ = ["main", "build_parser"]
 
+#: ``--backend`` choices shared by ``select``, ``trace`` and ``serve``.
+BACKEND_CHOICES = (
+    "numpy", "python", "multicore", "blocked", "blocked-shm", "gpusim",
+    "gpusim-tiled", "distributed",
+)
+
 
 def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
     if not text:
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="numpy",
-        choices=["numpy", "python", "multicore", "compiled", "blocked", "blocked-shm", "blocked-compiled", "gpusim", "gpusim-tiled", "distributed"],
+        choices=BACKEND_CHOICES,
     )
     sel.add_argument(
         "--workers",
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="numpy",
-        choices=["numpy", "python", "multicore", "compiled", "blocked", "blocked-shm", "blocked-compiled", "gpusim", "gpusim-tiled", "distributed"],
+        choices=BACKEND_CHOICES,
     )
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="numpy",
-        choices=["numpy", "python", "multicore", "compiled", "blocked", "blocked-shm", "blocked-compiled", "gpusim", "gpusim-tiled", "distributed"],
+        choices=BACKEND_CHOICES,
     )
     srv.add_argument(
         "--no-model",
@@ -613,7 +619,6 @@ def _cmd_workers(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(_: argparse.Namespace) -> int:
-    import repro.compiled.backend  # noqa: F401 - registers the compiled pair
     import repro.cuda_port  # noqa: F401 - registers the gpusim backend
     import repro.distributed.backend  # noqa: F401 - registers "distributed"
     from repro.bench import PROGRAMS
@@ -643,11 +648,8 @@ def _cmd_info(_: argparse.Namespace) -> int:
         f"{budget:,} B ({budget / 1024**2:.0f} MiB, {source}) for the "
         "blocked/blocked-shm sweep",
     )
-    from repro.compiled import capability
     from repro.utils.calibration import calibration_source, host_bytes_per_second
 
-    cap = capability()
-    print("compiled engine:", f"{cap.implementation} ({cap.reason})")
     rate = host_bytes_per_second()
     print(
         "host bandwidth :",

@@ -17,22 +17,18 @@ corresponds to one of the paper's execution substrates:
 ``gpusim``       the paper's CUDA program executed on the GPU
                  simulator (registered lazily by
                  :mod:`repro.cuda_port` to avoid an import cycle)
+``gpusim-``      the same program over O(t·n) device tiles, past
+``tiled``        the 4 GB wall (also from :mod:`repro.cuda_port`)
 ``distributed``  the blockwise sweep leased out to a worker fleet
                  over JSON-over-HTTP (registered lazily by
                  :mod:`repro.distributed.backend`); byte-identical
                  to ``blocked`` and degrades to it losslessly
-``compiled``     the fast grid with the numba-jitted per-block
-                 kernel (registered lazily by
-                 :mod:`repro.compiled.backend`); float64 curves
-                 byte-identical to ``numpy``'s binned path, silent
-                 numpy fallback when the JIT is unavailable
-``blocked-``     the budget-planned out-of-core sweep driving the
-``compiled``     jitted kernel; byte-identical to ``blocked``'s
-                 binned path
 ===============  ==================================================
 
-The ``blocked``/``blocked-shm`` backends also accept ``engine="compiled"``
-to run their existing partition/fold machinery over the jitted kernel.
+Every backend but ``python`` computes its fast-grid rows through one
+seam, :func:`~repro.core.fastgrid.fastgrid_row_contributions`, whose
+window-sum path :func:`~repro.core.fastgrid.window_sum_path` picks from
+``(n, k, kernel, dtype)`` alone.
 
 Backends automatically fall back to the dense O(k·n²) evaluation for
 kernels without a polynomial form (Cosine, Gaussian), matching paper
@@ -87,24 +83,12 @@ def get_backend(name: str) -> GridBackend:
     if name == "distributed" and name not in BACKEND_REGISTRY:
         # The fleet coordinator registers itself at import time.
         import repro.distributed.backend  # noqa: F401
-    if name in ("compiled", "blocked-compiled") and name not in BACKEND_REGISTRY:
-        # The compiled engine registers itself at import time.
-        import repro.compiled.backend  # noqa: F401
 
     try:
         return BACKEND_REGISTRY[name]
     except KeyError:
         known = ", ".join(
-            sorted(
-                set(BACKEND_REGISTRY)
-                | {
-                    "gpusim",
-                    "gpusim-tiled",
-                    "distributed",
-                    "compiled",
-                    "blocked-compiled",
-                }
-            )
+            sorted(set(BACKEND_REGISTRY) | {"gpusim", "gpusim-tiled", "distributed"})
         )
         raise BackendError(f"unknown backend {name!r}; known: {known}") from None
 
@@ -218,7 +202,6 @@ def _blocked_backend(
     memory_budget: int | float | str | None = None,
     block_rows: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
     **_: object,
 ) -> np.ndarray:
     dense = _wants_dense(kernel)
@@ -233,7 +216,6 @@ def _blocked_backend(
         return cv_scores_blocked(
             x, y, bandwidths, get_kernel(kernel).name,
             memory_budget=memory_budget, block_rows=block_rows, dtype=dtype,
-            engine=engine,
         )
 
 
@@ -247,7 +229,6 @@ def _blocked_shm_backend(
     block_rows: int | None = None,
     workers: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
     **_: object,
 ) -> np.ndarray:
     dense = _wants_dense(kernel)
@@ -260,7 +241,7 @@ def _blocked_shm_backend(
         return cv_scores_blocked_shm(
             x, y, bandwidths, get_kernel(kernel).name,
             memory_budget=memory_budget, block_rows=block_rows,
-            workers=workers, dtype=dtype, engine=engine,
+            workers=workers, dtype=dtype,
         )
 
 

@@ -83,16 +83,12 @@ def cv_scores_blocked(
     memory_budget: int | float | str | None = None,
     block_rows: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Out-of-core CV scores: one budget-sized row block at a time.
 
     Peak memory is the plan's ``predicted_peak_bytes`` (asserted against
     tracemalloc in the test suite); the result is bit-for-bit the
     ``numpy`` backend's at every block size, including B = 1 and B >= n.
-    ``engine="compiled"`` swaps the per-block window sums for the jitted
-    kernel without moving a float64 bit (the ``blocked-compiled``
-    backend).
     """
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)
@@ -101,10 +97,7 @@ def cv_scores_blocked(
     k = int(grid.shape[0])
     tracer = current_tracer()
     total = np.zeros(k, dtype=np.float64)
-    with tracer.span(
-        "blocked-sweep", n=n, k=k, kernel=kern.name, dtype=dtype,
-        engine=engine,
-    ):
+    with tracer.span("blocked-sweep", n=n, k=k, kernel=kern.name, dtype=dtype):
         with tracer.span("plan") as pspan:
             plan = plan_for(
                 n,
@@ -120,7 +113,7 @@ def cv_scores_blocked(
                 "block-sweep", index=index, start=bstart, stop=bstop
             ):
                 contrib = fastgrid_row_contributions(
-                    x, y, grid, kern.name, bstart, bstop, dtype, engine
+                    x, y, grid, kern.name, bstart, bstop, dtype
                 )
                 with tracer.span("reduce", rows=bstop - bstart):
                     fold_rows(contrib, total)
@@ -131,35 +124,25 @@ def cv_scores_blocked(
 
 
 def shm_block_rows(
-    kernel_name: str,
-    start: int,
-    stop: int,
-    dtype: str = "float64",
-    engine: str = "numpy",
+    kernel_name: str, start: int, stop: int, dtype: str = "float64"
 ) -> tuple[int, int]:
     """Fill rows ``[start, stop)`` of the workspace's ``out`` matrix.
 
     The blocked-shm work unit: inputs come from the attached workspace
     (zero-copy), the contribution rows land in the shared n×k matrix,
-    and only the row range crosses the pipe.  Forked workers inherit the
-    parent's jitted kernels, so ``engine="compiled"`` costs no per-worker
-    recompilation.
+    and only the row range crosses the pipe.
     """
     workspace = current_workspace()
     contrib = fastgrid_row_contributions(
         workspace["x"], workspace["y"], workspace["grid"],
-        kernel_name, start, stop, dtype, engine,
+        kernel_name, start, stop, dtype,
     )
     workspace["out"][start:stop, :] = contrib
     return start, stop
 
 
 def shm_block_sums(
-    kernel_name: str,
-    start: int,
-    stop: int,
-    dtype: str = "float64",
-    engine: str = "numpy",
+    kernel_name: str, start: int, stop: int, dtype: str = "float64"
 ) -> np.ndarray:
     """Block k-vector partial read from the attached workspace.
 
@@ -171,7 +154,7 @@ def shm_block_sums(
     workspace = current_workspace()
     return fastgrid_block_sums(
         workspace["x"], workspace["y"], workspace["grid"],
-        kernel_name, start, stop, dtype, engine,
+        kernel_name, start, stop, dtype,
     )
 
 
@@ -185,7 +168,6 @@ def cv_scores_blocked_shm(
     block_rows: int | None = None,
     workers: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Blockwise sweep fanned over a shared-memory worker pool.
 
@@ -202,8 +184,7 @@ def cv_scores_blocked_shm(
     k = int(grid.shape[0])
     tracer = current_tracer()
     with tracer.span(
-        "blocked-shm-sweep", n=n, k=k, kernel=kern.name, dtype=dtype,
-        engine=engine,
+        "blocked-shm-sweep", n=n, k=k, kernel=kern.name, dtype=dtype
     ):
         with tracer.span("plan") as pspan:
             plan = plan_for(
@@ -224,8 +205,7 @@ def cv_scores_blocked_shm(
         try:
             blocks = plan.blocks()
             args_list = [
-                (kern.name, bstart, bstop, dtype, engine)
-                for bstart, bstop in blocks
+                (kern.name, bstart, bstop, dtype) for bstart, bstop in blocks
             ]
             with WorkerPool(
                 workers,

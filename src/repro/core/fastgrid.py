@@ -38,7 +38,7 @@ Two interchangeable implementations live here:
     binomial re-centring stays well conditioned.
 
   The two agree within the per-kernel tolerance contract in DESIGN.md;
-  float32 sweeps and the compiled engine always take the binned path.
+  float32 sweeps always take the binned path.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from repro.utils.numeric import fold_rows, int_power
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 
 __all__ = [
-    "FASTGRID_ENGINES",
     "cv_scores_fastgrid",
     "cv_scores_fastgrid_python",
     "fastgrid_block_sums",
@@ -64,22 +63,6 @@ __all__ = [
     "require_fast_grid_kernel",
     "window_sum_path",
 ]
-
-#: Interchangeable per-block window-sum implementations.  ``numpy`` is the
-#: vectorised reference; ``compiled`` routes through
-#: :mod:`repro.compiled` (numba-jitted scalar loops, byte-identical in
-#: float64, silently numpy-backed when the JIT is unavailable).
-FASTGRID_ENGINES: tuple[str, ...] = ("numpy", "compiled")
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in FASTGRID_ENGINES:
-        raise ValidationError(
-            f"unknown fast-grid engine {engine!r}; "
-            f"known: {', '.join(FASTGRID_ENGINES)}"
-        )
-    return engine
-
 
 def require_fast_grid_kernel(kernel: str | Kernel) -> Kernel:
     """Resolve ``kernel`` and check it is eligible for the fast grid search.
@@ -210,10 +193,13 @@ def _window_sums_for_block(
                 d_pow = None  # weight 1 per element
                 yw = np.broadcast_to(y, (m, n)).ravel()
             else:
-                # int_power, not dist**p: numpy's SIMD pow differs from
-                # scalar libm by an ulp, so the exactly-rounded multiply
-                # chain is the only form the compiled engine can mirror
-                # byte-for-byte (see utils.numeric.int_power).
+                # int_power, not dist**p: numpy's pow takes a SIMD or a
+                # scalar libm route by CPU and array layout, an ulp apart
+                # on some inputs.  The exactly-rounded multiply chain has
+                # one answer on every route, so a row's bits do not depend
+                # on the block, worker or host that computed it, and the
+                # float32 sweep stays bit-identical to the gpusim programs
+                # that run this same path (see utils.numeric.int_power).
                 d_pow = int_power(dist, term.power)
                 yw = (y[None, :] * d_pow).ravel()
             hist_d = np.bincount(
@@ -251,20 +237,18 @@ def window_sum_path(
     k: int,
     kernel: str | Kernel,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> str:
-    """Which window-sum implementation a numpy-engine sweep runs.
+    """Which window-sum implementation a fast-grid sweep runs.
 
     ``"sorted"`` (prefix sums over the sample sorted once, O(n·k·log n))
     or ``"binned"`` (every pairwise distance binned against the grid,
     O(n²)).  The choice depends only on whole-sample facts — never on a
     block's row count — so every row matrix stays partition-invariant.
-    The compiled engine and float32 sweeps always keep the binned bits.
+    float32 sweeps always keep the binned bits.
     """
     kern = get_kernel(kernel)
     if (
-        engine == "numpy"
-        and np.dtype(dtype) == np.float64
+        np.dtype(dtype) == np.float64
         and kern.supports_fast_grid
         and n >= SORTED_MIN_N
         and n >= SORTED_MIN_N_PER_K * k
@@ -610,7 +594,6 @@ def fastgrid_row_contributions(
     start: int,
     stop: int,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Per-observation squared-residual k-vectors for rows ``[start, stop)``.
 
@@ -628,14 +611,8 @@ def fastgrid_row_contributions(
     This is the unit of work for the out-of-core blockwise engine: the
     block's working set is O(B·n + B·k) while the full sweep never
     materialises anything n×n.
-
-    ``engine`` selects the window-sum implementation (see
-    :data:`FASTGRID_ENGINES`); the leave-one-out correction and residual
-    reduction below are shared, so ``engine="compiled"`` changes only how
-    ``(num, den)`` are produced — and not a single float64 bit of them.
     """
     kern = require_fast_grid_kernel(kernel_name)
-    engine = _resolve_engine(engine)
     grid = np.asarray(bandwidths, dtype=float)
     np_dtype = np.dtype(dtype)
     x = np.asarray(x)
@@ -644,14 +621,10 @@ def fastgrid_row_contributions(
     x_block = x[start:stop]
     y_block = y[start:stop]
     tracer = current_tracer()
-    path = window_sum_path(x.shape[0], grid.shape[0], kern, dtype, engine)
+    path = window_sum_path(x.shape[0], grid.shape[0], kern, dtype)
     count = None
     with tracer.span("block", start=start, stop=stop):
-        if engine == "compiled":
-            from repro.compiled.api import window_sums as _compiled_sums
-
-            num, den = _compiled_sums(x_block, x, y, grid, kern, np_dtype)
-        elif path == "sorted":
+        if path == "sorted":
             with tracer.span("sort", rows=stop - start):
                 sample = _sorted_sample(
                     np.ascontiguousarray(x, dtype=np.float64),
@@ -695,13 +668,13 @@ def _check_block(n: int, start: int, stop: int) -> None:
         raise ValidationError(f"invalid row block [{start}, {stop}) for n={n}")
 
 
-def _chunk_rows(n: int, k: int, kern: Kernel, dtype: str, engine: str) -> int:
+def _chunk_rows(n: int, k: int, kern: Kernel, dtype: str) -> int:
     """Rows per chunk so one chunk's working set fits the chunk budget.
 
     The binned path holds O(rows·n) distance/bin temporaries; the sorted
     path only O(rows·k), dominated by the stacked moment gathers.
     """
-    if window_sum_path(n, k, kern, dtype, engine) == "sorted":
+    if window_sum_path(n, k, kern, dtype) == "sorted":
         top = max(t.power for t in kern.poly_terms)
         return suggest_chunk_rows(
             k, working_arrays=8 * (top + 1) + 4 * len(kern.poly_terms) + 16
@@ -717,7 +690,6 @@ def fastgrid_block_sums(
     start: int,
     stop: int,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Squared-residual sums over observations ``[start, stop)``.
 
@@ -740,12 +712,12 @@ def fastgrid_block_sums(
     n = int(np.shape(x)[0])
     _check_block(n, start, stop)
     total = np.zeros(len(bandwidths), dtype=np.float64)
-    rows = _chunk_rows(n, len(bandwidths), kern, dtype, engine)
+    rows = _chunk_rows(n, len(bandwidths), kern, dtype)
     for lo in range(start, stop, rows):
         fold_rows(
             fastgrid_row_contributions(
                 x, y, bandwidths, kernel_name, lo, min(lo + rows, stop),
-                dtype, engine,
+                dtype,
             ),
             total,
         )
@@ -760,7 +732,6 @@ def cv_scores_fastgrid(
     *,
     chunk_rows: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Vectorised fast grid search over a whole bandwidth grid.
 
@@ -781,20 +752,18 @@ def cv_scores_fastgrid(
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)
     kern = require_fast_grid_kernel(kernel)
-    engine = _resolve_engine(engine)
     n = x.shape[0]
-    rows = chunk_rows or _chunk_rows(n, grid.shape[0], kern, dtype, engine)
+    rows = chunk_rows or _chunk_rows(n, grid.shape[0], kern, dtype)
     tracer = current_tracer()
     sq_sums = np.zeros(grid.shape[0], dtype=np.float64)
     with tracer.span(
         "fastgrid", n=n, k=grid.shape[0], kernel=kern.name, dtype=dtype,
-        chunk_rows=rows, engine=engine,
-        path=window_sum_path(n, grid.shape[0], kern, dtype, engine),
+        chunk_rows=rows, path=window_sum_path(n, grid.shape[0], kern, dtype),
     ):
         if not tracer.enabled:
             for sl in chunk_slices(n, rows):
                 contrib = fastgrid_row_contributions(
-                    x, y, grid, kern.name, sl.start, sl.stop, dtype, engine
+                    x, y, grid, kern.name, sl.start, sl.stop, dtype
                 )
                 fold_rows(contrib, sq_sums)
         else:
@@ -805,7 +774,7 @@ def cv_scores_fastgrid(
             comp = np.zeros_like(sq_sums)
             for sl in chunk_slices(n, rows):
                 contrib = fastgrid_row_contributions(
-                    x, y, grid, kern.name, sl.start, sl.stop, dtype, engine
+                    x, y, grid, kern.name, sl.start, sl.stop, dtype
                 )
                 for row in contrib:
                     acc = sq_sums + row

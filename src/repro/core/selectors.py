@@ -179,12 +179,11 @@ class GridSearchSelector(BandwidthSelector):
 
         cache = self.cache
         dtype = str(self.backend_options.get("dtype", "default"))
-        engine_name = str(self.backend_options.get("engine", "numpy"))
 
         def key_for(values: np.ndarray, backend_name: str) -> str:
             return curve_fingerprint(
                 x, y, values, self.kernel.name, backend=backend_name,
-                dtype=dtype, engine=engine_name,
+                dtype=dtype,
             )
 
         def cached_evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
@@ -212,6 +211,9 @@ class GridSearchSelector(BandwidthSelector):
         x, y = check_paired_samples(x, y)
         grid = self._grid_for(x)
         start = time.perf_counter()
+        # Resolve the name before any sweep: an unregistered backend is a
+        # caller error (REPRO_BACKEND), never a fault to degrade around.
+        backend = get_backend(self.backend_name)
 
         if self.resilience is not None:
             from repro.resilience.engine import ResilientEngine
@@ -237,7 +239,6 @@ class GridSearchSelector(BandwidthSelector):
 
         else:
             engine = None
-            backend = get_backend(self.backend_name)
 
             def evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
                 return np.asarray(

@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateDataError",
     "SelectionError",
     "BackendError",
-    "CompiledUnavailableError",
     "GpuSimError",
     "DeviceMemoryError",
     "ConstantMemoryError",
@@ -110,21 +109,6 @@ class BackendError(ReproError):
     """A computation backend is unknown or unavailable."""
 
     code = "REPRO_BACKEND"
-
-
-class CompiledUnavailableError(BackendError):
-    """The JIT-compiled hot path is unavailable (numba missing or disabled).
-
-    Raised only when a caller *demanded* the compiled implementation
-    (``require_jit=True``, or a chaos-injected JIT loss): the default
-    behaviour is a silent, capability-probed fallback to the numpy
-    implementation, which is byte-identical in float64.  Structural, not
-    transient — no retry can install numba — so the resilience chain
-    degrades ``compiled → numpy`` (and ``blocked-compiled → blocked``)
-    losslessly.
-    """
-
-    code = "REPRO_COMPILED_UNAVAILABLE"
 
 
 class GpuSimError(ReproError):

@@ -14,13 +14,7 @@ and the sequential fast grid always completes.  So::
 The shared-memory variant sits on its own spur: ``blocked-shm`` degrades
 first to ``blocked`` (same block partials, so the fallback is bit-exact)
 when its POSIX segments vanish (``REPRO_SHM_SEGMENT``), then to the
-serial terminal.  The compiled engine gets the same treatment: losing
-the JIT (``REPRO_COMPILED_UNAVAILABLE`` — numba missing, disabled, or
-chaos-killed) is structural, and the numpy/blocked fallbacks produce
-byte-identical float64 curves on the binned path (on the sorted path,
-curves within its tolerance contract, DESIGN.md §16), so
-``compiled -> numpy`` and ``blocked-compiled -> blocked -> numpy`` are
-lossless spurs.
+serial terminal.
 
 Decisions match on the stable ``REPRO_*`` error *codes* (see
 :mod:`repro.exceptions`), not on class identity, so refactoring the
@@ -69,10 +63,6 @@ _CHAIN_SPURS: dict[str, tuple[str, ...]] = {
     # The fleet coordinator folds the same block partials as `blocked`,
     # so losing the fleet degrades losslessly to the local sweep.
     "distributed": ("distributed", "blocked", "numpy"),
-    # The compiled engine's float64 partials are byte-identical to the
-    # numpy reference, so losing the JIT degrades losslessly too.
-    "compiled": ("compiled", "numpy"),
-    "blocked-compiled": ("blocked-compiled", "blocked", "numpy"),
 }
 
 #: Transient faults: retry on the same backend.
@@ -102,7 +92,6 @@ DEGRADABLE_CODES = frozenset(
         "REPRO_SHM_SEGMENT",
         "REPRO_RETRY_EXHAUSTED",
         "REPRO_DIST_FLEET_LOST",
-        "REPRO_COMPILED_UNAVAILABLE",
     }
 )
 

@@ -28,8 +28,7 @@ property the chaos suite in ``tests/resilience/`` asserts.
 Backends fall into two execution shapes:
 
 * **block-sweep** (``numpy``, ``multicore``, ``gpusim-tiled``,
-  ``blocked``, ``blocked-shm``, ``compiled``, ``blocked-compiled``): the
-  engine owns the row loop; the
+  ``blocked``, ``blocked-shm``): the engine owns the row loop; the
   backend determines how one block is computed (in-process, on the pool,
   on the simulated device with tile-buffer residency, or on a
   shared-memory pool with budget-planned block sizes);
@@ -86,19 +85,11 @@ _POOL_FATAL_CODES = frozenset({"REPRO_WORKER_CRASH", "REPRO_BLOCK_TIMEOUT"})
 
 #: Backends the engine can drive block-by-block (resumable).
 _BLOCK_BACKENDS = frozenset(
-    {
-        "numpy",
-        "multicore",
-        "gpusim-tiled",
-        "blocked",
-        "blocked-shm",
-        "compiled",
-        "blocked-compiled",
-    }
+    {"numpy", "multicore", "gpusim-tiled", "blocked", "blocked-shm"}
 )
 
 #: The blockwise family sizes its blocks from the memory-budget planner.
-_BUDGETED_BACKENDS = frozenset({"blocked", "blocked-shm", "blocked-compiled"})
+_BUDGETED_BACKENDS = frozenset({"blocked", "blocked-shm"})
 
 
 def default_block_rows(n: int) -> int:
@@ -365,13 +356,6 @@ class ResilientEngine:
             block_rows = min(default_block_rows(n), plan.block_rows)
         elif block_rows is None:
             block_rows = default_block_rows(n)
-        if candidate in ("compiled", "blocked-compiled"):
-            from repro.compiled.api import warmup as compiled_warmup
-
-            # Compile (or fallback-warm) before the wave loop, so JIT
-            # latency lands in the `compiled.jit_warmup` span rather than
-            # inflating the first block's retry deadline.
-            compiled_warmup(dtype)
         blocks = [(s, min(s + block_rows, n)) for s in range(0, n, block_rows)]
         self.report.blocks_total += len(blocks)
 
@@ -569,20 +553,6 @@ class ResilientEngine:
         if candidate == "gpusim-tiled":
             return lambda: self._tiled_block(
                 x, y, grid, kern, options, start, stop
-            )
-
-        if candidate in ("compiled", "blocked-compiled"):
-            from repro.compiled.api import compiled_block_sums
-
-            # Identical float64 partials to the numpy unit — and the sweep
-            # fingerprint carries no backend, so blocks checkpointed here
-            # resume bit-for-bit under the degraded numpy/blocked
-            # candidate (and vice versa).
-            return lambda: np.asarray(
-                compiled_block_sums(
-                    x, y, grid, kern.name, start, stop, dtype
-                ),
-                dtype=np.float64,
             )
 
         return lambda: np.asarray(

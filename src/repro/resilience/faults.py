@@ -22,10 +22,6 @@ whether the ``i``-th event at that site fails.  Instrumented sites:
 ``bagged.subsample``  one subsample sweep of the bagged selector
                     (crash or timeout; the deterministic re-draw on
                     retry is what the bagged chaos suite exercises)
-``compiled.jit``    one compiled-engine block (kind ``nojit`` raises
-                    :class:`~repro.exceptions.CompiledUnavailableError`
-                    — a mid-run JIT loss, degrading losslessly to the
-                    byte-identical numpy/blocked fallback)
 ==================  =====================================================
 
 Two trigger mechanisms, combinable per spec:
@@ -60,7 +56,6 @@ import numpy as np
 
 from repro.exceptions import (
     BlockTimeoutError,
-    CompiledUnavailableError,
     DeviceMemoryError,
     KernelExecutionError,
     SharedSegmentError,
@@ -93,14 +88,11 @@ KNOWN_SITES = (
     "shm.segment",
     "shm.worker",
     "bagged.subsample",
-    "compiled.jit",
 )
 
 #: Fault kinds and the exception each one raises (``nan``/``inf`` corrupt
 #: data instead of raising; detection is the engine's job).
-KNOWN_KINDS = (
-    "crash", "timeout", "oom", "launch", "unlink", "nan", "inf", "nojit",
-)
+KNOWN_KINDS = ("crash", "timeout", "oom", "launch", "unlink", "nan", "inf")
 
 _RAISING_KINDS: dict[str, Callable[[str], Exception]] = {
     "crash": lambda ctx: WorkerCrashError(f"injected worker crash at {ctx}"),
@@ -111,9 +103,6 @@ _RAISING_KINDS: dict[str, Callable[[str], Exception]] = {
     ),
     "unlink": lambda ctx: SharedSegmentError(
         f"injected shared-segment unlink at {ctx}"
-    ),
-    "nojit": lambda ctx: CompiledUnavailableError(
-        f"injected JIT loss at {ctx}"
     ),
 }
 

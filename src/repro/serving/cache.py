@@ -56,7 +56,6 @@ from repro.resilience.checkpoint import sweep_fingerprint
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "canonical_backend",
     "curve_fingerprint",
     "selection_fingerprint",
     "sweep_path",
@@ -72,23 +71,9 @@ _KINDS = ("selection", "curve", "blocks")
 
 # -- fingerprints -----------------------------------------------------------
 
-#: Backends whose results are byte-identical to an already-fingerprinted
-#: family representative.  The compiled engine's float64 output carries
-#: the same bits as the numpy engine's binned path (the differential wall
-#: proves it), so a warm entry written by either implementation serves
-#: the other — including the capability fallback on a numba-less replica
-#: — whenever both run binned; the keys also carry :func:`sweep_path`.
-#: Only the NEW backend names are mapped: re-keying the existing ones
-#: would invalidate every cache already on disk.
-_BACKEND_FAMILY: dict[str, str] = {
-    "compiled": "numpy",
-    "blocked-compiled": "blocked",
-}
-
-
-#: Backends whose sweeps run the numpy engine, hence may take the sorted
-#: window-sum path (:func:`repro.core.fastgrid.window_sum_path`); every
-#: other backend — python, gpusim*, compiled* — keeps the binned bits.
+#: Backends whose sweeps may take the sorted window-sum path
+#: (:func:`repro.core.fastgrid.window_sum_path`); every other backend —
+#: python, gpusim* — keeps the binned bits.
 _SORTED_CAPABLE: frozenset[str] = frozenset(
     {"numpy", "multicore", "blocked", "blocked-shm", "distributed"}
 )
@@ -101,7 +86,6 @@ def sweep_path(
     *,
     backend: str = "numpy",
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> str:
     """The window-sum path (``"sorted"`` or ``"binned"``) a sweep runs.
 
@@ -115,18 +99,7 @@ def sweep_path(
         return "binned"
     if dtype == "default":
         dtype = "float64"
-    return window_sum_path(n, k, kernel_name, dtype, engine)
-
-
-def canonical_backend(backend: str) -> str:
-    """The fingerprint family representative for ``backend``.
-
-    Note the float32 caveat: the compiled float32 fast path is tolerance-
-    contracted (same h_opt grid index, curves within rtol 1e-5) rather
-    than byte-identical, so a float32 hit may differ from a fresh compiled
-    recompute in the last few ulps — within the documented contract.
-    """
-    return _BACKEND_FAMILY.get(backend, backend)
+    return window_sum_path(n, k, kernel_name, dtype)
 
 
 def curve_fingerprint(
@@ -137,22 +110,18 @@ def curve_fingerprint(
     *,
     backend: str = "numpy",
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> str:
     """Key for one exact CV curve: data, grid, kernel, and arithmetic.
 
     The backend is part of the key because backends differ in summation
     order and precision (the gpusim path accumulates in float32); two
     backends' curves for the same data are *close*, not identical, and a
-    bit-for-bit cache must not conflate them.  Byte-identical backends
-    are the exception: they share a key via :func:`canonical_backend` —
-    within one window-sum path (:func:`sweep_path`), which is keyed too.
+    bit-for-bit cache must not conflate them.  The window-sum path
+    (:func:`sweep_path`) is keyed too.
     """
     path = sweep_path(
-        len(x), len(bandwidths), kernel_name, backend=backend, dtype=dtype,
-        engine=engine,
+        len(x), len(bandwidths), kernel_name, backend=backend, dtype=dtype
     )
-    backend = canonical_backend(backend)
     base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
     digest = hashlib.sha256()
     digest.update(f"curve|v{_FORMAT_VERSION}|{backend}|{path}|".encode())
@@ -176,19 +145,17 @@ def selection_fingerprint(
     ``options`` covers anything that steers the selector beyond the grid
     (``refine_rounds``, ``n_restarts``, ...); entries are serialised via
     ``repr`` in sorted key order, which is deterministic for the scalar
-    option values the selectors accept.  Byte-identical backends share a
-    key via :func:`canonical_backend`, within one window-sum path
-    (:func:`sweep_path`; a bagged selection sweeps subsamples of
-    ``options["subsample_size"]`` points, so that size decides it).
+    option values the selectors accept.  The window-sum path
+    (:func:`sweep_path`) is keyed too; a bagged selection sweeps
+    subsamples of ``options["subsample_size"]`` points, so that size
+    decides it.
     """
     opts = options or {}
     swept = opts.get("subsample_size") if method == "bagged" else None
     path = sweep_path(
         int(swept or len(x)), len(bandwidths), kernel_name, backend=backend,
         dtype=str(opts.get("dtype", dtype)),
-        engine=str(opts.get("engine", "numpy")),
     )
-    backend = canonical_backend(backend)
     base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
     digest = hashlib.sha256()
     digest.update(

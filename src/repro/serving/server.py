@@ -31,11 +31,11 @@ without sockets.  All numpy-bound work runs on executor threads via the
 only parses, routes, and serialises.
 
 Failures route through the same classification the resilience layer
-uses: typed ``REPRO_*`` codes map onto HTTP statuses (validation → 400,
-unknown model → 404, admission control → 429, everything else → 500),
-and selections run with ``resilience=`` enabled by default so an
-overloaded/OOM gpusim backend degrades down the fallback chain instead
-of 500ing.
+uses: typed ``REPRO_*`` codes map onto HTTP statuses (validation and
+unknown backend names → 400, unknown model → 404, admission control →
+429, everything else → 500), and selections run with ``resilience=``
+enabled by default so an overloaded/OOM gpusim backend degrades down the
+fallback chain instead of 500ing.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import (
+    BackendError,
     OverloadError,
     RegistryError,
     ReproError,
@@ -55,6 +56,7 @@ from repro.exceptions import (
     ValidationError,
     error_code,
 )
+from repro.core.backends import get_backend
 from repro.core.result import SelectionResult
 from repro.obs.export import trace_metrics_lines
 from repro.obs.tracer import NULL_TRACER, Tracer, TracerLike, use_tracer
@@ -234,9 +236,16 @@ class ServingApp:
             kwargs["backend"] = str(
                 body.get("backend", self.config.default_backend)
             )
-            kwargs["n_bandwidths"] = int(
-                body.get("n_bandwidths", self.config.default_n_bandwidths)
-            )
+            # Resolved here, not in the batch: an unknown name must fail
+            # this request alone (REPRO_BACKEND, 400), not its batch-mates.
+            get_backend(kwargs["backend"])
+            raw = body.get("n_bandwidths", self.config.default_n_bandwidths)
+            try:
+                kwargs["n_bandwidths"] = int(raw)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"field 'n_bandwidths' is not an integer: {raw!r}"
+                ) from exc
             if self.config.resilience:
                 kwargs["resilience"] = True
         return kwargs
@@ -278,7 +287,7 @@ class ServingApp:
                     status, payload = 429, self._error_payload(exc)
                 except RegistryError as exc:
                     status, payload = 404, self._error_payload(exc)
-                except ValidationError as exc:
+                except (ValidationError, BackendError) as exc:
                     status, payload = 400, self._error_payload(exc)
                 except ReproError as exc:
                     status, payload = 500, self._error_payload(exc)

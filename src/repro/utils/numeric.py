@@ -60,15 +60,16 @@ def int_power(base: np.ndarray, power: int) -> np.ndarray:
     exponentiation over the exponent's bits (MSB first) —
     ``r = x; then per lower bit: r = r·r, and r = r·x when the bit is
     set``.  Because every step is an exactly-rounded IEEE multiply, the
-    chain produces the *same bits* whether it runs vectorised here or as
-    a scalar loop — which is what lets the compiled engine
-    (:mod:`repro.compiled.kernels`) reproduce the numpy sweep
-    byte-for-byte at every polynomial power.  numpy's own ``x ** p``
-    cannot serve as the contract: its SIMD ``pow`` differs from scalar
-    libm ``pow`` by an ulp on a few percent of inputs.
+    chain produces the *same bits* for an element whatever array it sits
+    in, so the fast-grid row contributions stay partition-invariant and
+    the float32 sweep stays bit-identical to the gpusim programs, which
+    run the same binned path.  numpy's own ``x ** p`` cannot serve as the
+    contract: its SIMD ``pow`` differs from scalar libm ``pow`` by an ulp
+    on a few percent of inputs, and which one runs depends on the CPU and
+    the array layout.
 
-    The association order is part of the byte-identity contract; change
-    it here and in the compiled kernels together, or not at all.
+    The association order is part of the byte-identity contract: changing
+    it moves curve bits and so invalidates every cached curve.
     """
     if power < 1:
         raise ValueError(f"int_power requires power >= 1, got {power}")

@@ -124,8 +124,6 @@ class TestCrossBackendBitForBit:
             ("blocked", {}),
             ("blocked", {"memory_budget": "64MiB"}),
             ("blocked-shm", {"workers": 2}),
-            ("compiled", {}),
-            ("blocked-compiled", {"memory_budget": "64MiB"}),
         ],
     )
     def test_backends_match_numpy(self, sample, reference, backend, options) -> None:

@@ -11,8 +11,10 @@ from repro.core.selectors import (
     RuleOfThumbSelector,
     rule_of_thumb_bandwidth,
 )
+from repro.core.api import select_bandwidth
+from repro.core.backends import BACKEND_REGISTRY, register_backend
 from repro.data import paper_dgp, sine_dgp
-from repro.exceptions import SelectionError, ValidationError
+from repro.exceptions import BackendError, SelectionError, ValidationError
 
 
 class TestGridSearchSelector:
@@ -77,6 +79,53 @@ class TestGridSearchSelector:
     def test_too_small_sample_rejected(self):
         with pytest.raises(Exception):
             GridSearchSelector().select(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+
+class TestBackendNameResolution:
+    """Unknown names are refused up front; resilience only degrades
+    around faults of backends that exist."""
+
+    @pytest.mark.parametrize("resilience", [None, True])
+    @pytest.mark.parametrize("method", ["grid", "bagged"])
+    @pytest.mark.parametrize("name", ["nope", "compiled", "blocked-compiled"])
+    def test_unknown_name_raises_typed_error(
+        self, paper_sample_small, name, method, resilience
+    ):
+        s = paper_sample_small
+        options = {"subsamples": 3, "subsample_size": 30} if method == "bagged" else {}
+        with pytest.raises(BackendError, match="unknown backend") as info:
+            select_bandwidth(
+                s.x, s.y, method=method, backend=name, n_bandwidths=10,
+                resilience=resilience, **options,
+            )
+        assert info.value.code == "REPRO_BACKEND"
+
+    def test_registered_names_still_work_and_still_degrade(
+        self, paper_sample_small
+    ):
+        s = paper_sample_small
+        numpy_backend = BACKEND_REGISTRY["numpy"]
+
+        def unavailable(*args, **kwargs):
+            raise BackendError("device went away")
+
+        register_backend("custom-ok", numpy_backend)
+        register_backend("custom-gone", unavailable)
+        try:
+            ok = select_bandwidth(
+                s.x, s.y, backend="custom-ok", n_bandwidths=10, resilience=True
+            )
+            assert ok.backend == "custom-ok"
+            gone = select_bandwidth(
+                s.x, s.y, backend="custom-gone", n_bandwidths=10,
+                resilience=True,
+            )
+            assert gone.backend == "numpy"
+            assert gone.resilience.degraded
+            assert gone.scores.tobytes() == ok.scores.tobytes()
+        finally:
+            BACKEND_REGISTRY.pop("custom-ok", None)
+            BACKEND_REGISTRY.pop("custom-gone", None)
 
 
 class TestDegenerateBandwidthGuards:

@@ -10,7 +10,7 @@ rounding only.  The contract (DESIGN.md, "Sort-once path"):
 * ``h_opt`` on the same grid index;
 * window membership decided by the binned predicate ``|x_i − x_l| <=
   grid[j]·R`` exactly — checked against a brute-force count;
-* bit-for-bit agreement among the numpy-engine executors (numpy,
+* bit-for-bit agreement among the row-block executors (numpy,
   blocked, blocked-shm, multicore) at any block size, because every row
   is computed independently of its block;
 * float32 sweeps keep the binned bits.
@@ -100,12 +100,8 @@ class TestPathRule:
     def test_small_samples_stay_binned(self):
         assert window_sum_path(fastgrid.SORTED_MIN_N - 1, 2, "uniform") == "binned"
 
-    def test_float32_compiled_and_dense_kernels_stay_binned(self):
+    def test_float32_and_dense_kernels_stay_binned(self):
         assert window_sum_path(8000, 50, "epanechnikov", "float32") == "binned"
-        assert (
-            window_sum_path(8000, 50, "epanechnikov", engine="compiled")
-            == "binned"
-        )
         assert window_sum_path(8000, 50, "gaussian") == "binned"
 
     def test_rule_is_whole_sample_only(self):

@@ -89,6 +89,11 @@ RETRY_CELLS = [
         id="blocked-nan-block",
     ),
     pytest.param(
+        "blocked",
+        FaultSpec(site="data.block", kind="inf", at=(0, 2)),
+        id="blocked-inf-blocks",
+    ),
+    pytest.param(
         "blocked-shm",
         FaultSpec(site="shm.worker", kind="crash", at=(1,)),
         id="blocked-shm-worker-crash",
@@ -102,16 +107,6 @@ RETRY_CELLS = [
         "blocked-shm",
         FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="blocked-shm-nan-block",
-    ),
-    pytest.param(
-        "compiled",
-        FaultSpec(site="data.block", kind="nan", at=(1,)),
-        id="compiled-nan-block",
-    ),
-    pytest.param(
-        "blocked-compiled",
-        FaultSpec(site="data.block", kind="inf", at=(0,)),
-        id="blocked-compiled-inf-block",
     ),
 ]
 
@@ -277,57 +272,6 @@ class TestSharedMemoryChaos:
         np.testing.assert_array_equal(a, b)
 
 
-class TestCompiledChaos:
-    """The compiled spur's degradation is lossless by construction: the
-    jitted kernel (or its numpy twin on the fallback) produces float64
-    block partials byte-identical to the reference, so even a *mid-run*
-    JIT loss must reproduce the exact clean-run bits — stronger than the
-    allclose contract of the generic degrade cells."""
-
-    def test_jit_loss_degrades_to_numpy_bit_identical(
-        self, chaos_sample, chaos_grid, chaos_seed, fast_config
-    ) -> None:
-        clean = _clean_scores(chaos_sample, chaos_grid, "numpy", fast_config)
-        x, y = chaos_sample
-        spec = FaultSpec(site="compiled.jit", kind="nojit", at=(0,))
-        with inject_faults(FaultInjector([spec], seed=chaos_seed)):
-            scores, report = resilient_cv_scores(
-                x, y, chaos_grid, backend="compiled", config=fast_config
-            )
-        np.testing.assert_array_equal(scores, clean)
-        assert report.degraded
-        assert report.backend_used == "numpy"
-        codes = {f["code"] for f in report.faults}
-        assert "REPRO_COMPILED_UNAVAILABLE" in codes
-
-    def test_jit_loss_storm_degrades_blocked_compiled_bit_identical(
-        self, chaos_sample, chaos_grid, chaos_seed, fast_config
-    ) -> None:
-        clean = _clean_scores(chaos_sample, chaos_grid, "blocked", fast_config)
-        x, y = chaos_sample
-        # Every compiled block dies: the engine must walk the spur to the
-        # plain blocked sweep and still land on the reference bits.
-        spec = FaultSpec(site="compiled.jit", kind="nojit", rate=1.0)
-        with inject_faults(FaultInjector([spec], seed=chaos_seed)):
-            scores, report = resilient_cv_scores(
-                x, y, chaos_grid, backend="blocked-compiled", config=fast_config
-            )
-        np.testing.assert_array_equal(scores, clean)
-        assert report.degraded
-        assert report.backend_used == "blocked"
-
-    def test_compiled_and_numpy_agree_bit_for_bit_when_clean(
-        self, chaos_sample, chaos_grid, fast_config
-    ) -> None:
-        a = _clean_scores(chaos_sample, chaos_grid, "numpy", fast_config)
-        b = _clean_scores(chaos_sample, chaos_grid, "compiled", fast_config)
-        c = _clean_scores(
-            chaos_sample, chaos_grid, "blocked-compiled", fast_config
-        )
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
-
 class TestCheckpointResume:
     def _config(self, fast_config, path, *, max_retries, keep=True):
         return dataclasses.replace(
@@ -392,6 +336,54 @@ class TestCheckpointResume:
         assert calls["n"] == 0, "a full checkpoint must skip every block"
         assert rep2.blocks_resumed == rep2.blocks_total
         np.testing.assert_array_equal(again, scores)
+
+    def test_sorted_path_resume_across_degradation_is_bit_for_bit(
+        self, chaos_seed, fast_config, tmp_path
+    ) -> None:
+        """Blocks from three backends in one checkpoint, on the sorted path.
+
+        The checkpoint fingerprint carries no backend and no path; the
+        path follows from (n, k, kernel, dtype), which it does carry.  So
+        blocks written by ``blocked-shm``, resumed by ``blocked`` and
+        finished by ``numpy`` must fold to the clean ``numpy`` bits.
+        """
+        from repro.core.fastgrid import window_sum_path
+
+        rng = np.random.default_rng(20170529)
+        x = rng.uniform(0.0, 10.0, 600)
+        y = np.sin(x) + rng.normal(0.0, 0.3, 600)
+        grid = np.linspace(0.2, 3.0, 25)
+        assert window_sum_path(x.shape[0], grid.shape[0], "epanechnikov") == (
+            "sorted"
+        )
+        clean = _clean_scores((x, y), grid, "numpy", fast_config)
+        ckpt = tmp_path / "sweep.ckpt.npz"
+        config = dataclasses.replace(
+            self._config(fast_config, ckpt, max_retries=1), flush_every=1
+        )
+        # Ten blocks of 64 rows.  blocked-shm lands blocks 0-2, then every
+        # worker dies until its retry budget is spent; blocked resumes
+        # those three, lands 3-5 and 7-9, and block 6 is corrupted on both
+        # of its attempts; numpy resumes nine blocks and computes block 6.
+        injector = FaultInjector(
+            [
+                FaultSpec(site="shm.worker", kind="crash", at=tuple(range(3, 20))),
+                FaultSpec(site="data.block", kind="nan", at=(6, 10)),
+            ],
+            seed=chaos_seed,
+        )
+        with inject_faults(injector):
+            scores, report = resilient_cv_scores(
+                x, y, grid, backend="blocked-shm", config=config,
+                backend_options={"workers": 2},
+            )
+        assert [a["backend"] for a in report.backend_attempts] == [
+            "blocked-shm", "blocked", "numpy",
+        ]
+        assert report.backend_used == "numpy"
+        assert report.blocks_resumed == 3 + 9
+        np.testing.assert_array_equal(scores, clean)
+        assert scores.tobytes() == clean.tobytes()
 
     def test_resume_with_wrong_data_refuses(
         self, chaos_sample, chaos_grid, fast_config, tmp_path

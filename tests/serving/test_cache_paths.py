@@ -2,10 +2,8 @@
 
 The sorted path's curves match the binned path's within the tolerance
 contract, not bit for bit, so a warm entry must never cross paths: not
-between the numpy engine and the compiled backend (which share a
-fingerprint family through :func:`canonical_backend`), not between
-float64 and float32, and not from caches written before the sorted path
-existed.
+between float64 and float32, not between sample sizes either side of the
+crossover, and not from caches written before the sorted path existed.
 """
 
 from __future__ import annotations
@@ -38,58 +36,84 @@ def sample() -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestSweepPath:
-    def test_numpy_engine_backends_follow_the_rule(self):
+    def test_sorted_capable_backends_follow_the_rule(self):
         for backend in ("numpy", "multicore", "blocked", "blocked-shm",
                         "distributed"):
             assert sweep_path(N, 20, "epanechnikov", backend=backend) == "sorted"
         assert sweep_path(40, 20, "epanechnikov") == "binned"
 
     def test_binned_only_configurations(self):
-        for backend in ("python", "gpusim", "gpusim-tiled", "compiled",
-                        "blocked-compiled"):
+        for backend in ("python", "gpusim", "gpusim-tiled"):
             assert sweep_path(N, 20, "epanechnikov", backend=backend) == "binned"
         assert sweep_path(N, 20, "epanechnikov", dtype="float32") == "binned"
-        assert sweep_path(N, 20, "epanechnikov", backend="blocked",
-                          engine="compiled") == "binned"
         assert sweep_path(N, 20, "epanechnikov", dtype="default") == "sorted"
 
 
+def _stable_sample() -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draws and products only: the same bits on every platform."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, N)
+    return x, x * x + rng.uniform(-0.2, 0.2, N)
+
+
 class TestFingerprints:
-    def test_compiled_shares_numpy_key_only_within_a_path(self, sample):
+    def test_keys_separate_paths_and_dtypes(self, sample):
         x, y = sample
         grid = GRID.values
-        # Binned on both sides: the family still shares warm entries.
-        assert curve_fingerprint(x[:40], y[:40], grid, "epanechnikov") == (
-            curve_fingerprint(x[:40], y[:40], grid, "epanechnikov",
-                              backend="compiled")
-        )
-        # Sorted numpy vs binned compiled: different bits, different keys.
-        assert curve_fingerprint(x, y, grid, "epanechnikov") != (
-            curve_fingerprint(x, y, grid, "epanechnikov", backend="compiled")
-        )
-        assert selection_fingerprint(x, y, grid, "epanechnikov") != (
-            selection_fingerprint(x, y, grid, "epanechnikov",
-                                  backend="compiled")
-        )
         assert selection_fingerprint(x, y, grid, "epanechnikov") != (
             selection_fingerprint(x, y, grid, "epanechnikov",
                                   options={"dtype": "float32"})
         )
+        assert curve_fingerprint(x, y, grid, "epanechnikov") != (
+            curve_fingerprint(x, y, grid, "epanechnikov", dtype="float32")
+        )
 
-    def test_bagged_key_follows_the_subsample_size(self, sample):
-        x, y = sample
+    def test_digests_are_pinned(self):
+        # Changing any of these invalidates every warm cache on disk, so
+        # a change must bump ``_FORMAT_VERSION`` on purpose, not by accident.
+        x, y = _stable_sample()
+        grid = GRID.values
+        assert curve_fingerprint(x, y, grid, "epanechnikov") == (
+            "2b4508e88a51d1d8c43beafbacfba038067464bba1f0ba3c3eacbf37d425869e"
+        )
+        assert curve_fingerprint(x[:40], y[:40], grid, "epanechnikov") == (
+            "124a3f207fa5cd1a5bc1b2bc88741e032a631c7d0c282c408c5b4448b3128644"
+        )
+        assert curve_fingerprint(
+            x, y, grid, "epanechnikov", dtype="float32"
+        ) == "69d403591a2eeca1b5edda8307abd206a6025706297e33a021c7f25eb3494e4d"
+        assert curve_fingerprint(
+            x, y, grid, "epanechnikov", backend="gpusim"
+        ) == "0fd22b0accb1c8086d8ec08e753966f327cbfd6ca0e2b239744e8aee8739864b"
+        assert selection_fingerprint(x, y, grid, "epanechnikov") == (
+            "cb263c52a02d229362cf28019c496dff68bfdedd6fbf6d6ab1a4e3c0a43e03cc"
+        )
+        assert selection_fingerprint(
+            x, y, grid, "epanechnikov", backend="blocked",
+            options={"refine_rounds": 1},
+        ) == "1048d1a0d44950ba01d5f7cf09fdb7abcba0b006e5f052dcb8bafa87721161fb"
+
+    def test_bagged_key_follows_the_subsample_size(self, monkeypatch):
+        x, y = _stable_sample()
         grid = GRID.values
 
-        def key(size: int, backend: str) -> str:
+        def key(size: int) -> str:
             return selection_fingerprint(
-                x, y, grid, "epanechnikov", method="bagged", backend=backend,
+                x, y, grid, "epanechnikov", method="bagged",
                 options={"subsample_size": size},
             )
 
-        # m = 560 sweeps sorted, m = 300 binned: only the latter shares
-        # its key with the compiled backend.
-        assert key(560, "numpy") != key(560, "compiled")
-        assert key(300, "numpy") == key(300, "compiled")
+        # m = 560 sweeps sorted, m = 300 binned.
+        sorted_key = key(560)
+        assert sorted_key == (
+            "f91f1c39b0f48154b4eb36d0681e95214bf01782ef5f736093e10f27bca4a79f"
+        )
+        assert key(300) == (
+            "0f5e0117e4b5e18f64a133fbd99bd123ca49059967eb73684604fa9ac8f6f00e"
+        )
+        # Move the crossover: the same m now sweeps binned, under a new key.
+        monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 10**18)
+        assert key(560) != sorted_key
 
     def test_keys_from_before_the_path_existed_never_match(self, sample):
         x, y = sample
@@ -118,13 +142,12 @@ class TestWarmHits:
         x, y = sample
         cache = ArtifactCache()
         sorted_run = select_bandwidth(x, y, grid=GRID, cache=cache)
-        compiled = select_bandwidth(x, y, grid=GRID, backend="compiled",
-                                    cache=cache)
-        assert cache.stats.hits == 0
         monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 10**18)
-        binned = select_bandwidth(x, y, grid=GRID)
-        assert compiled.scores.tobytes() == binned.scores.tobytes()
-        assert compiled.scores.tobytes() != sorted_run.scores.tobytes()
-        np.testing.assert_allclose(compiled.scores, sorted_run.scores,
+        binned = select_bandwidth(x, y, grid=GRID, cache=cache)
+        assert cache.stats.hits == 0
+        fresh = select_bandwidth(x, y, grid=GRID)
+        assert binned.scores.tobytes() == fresh.scores.tobytes()
+        assert binned.scores.tobytes() != sorted_run.scores.tobytes()
+        np.testing.assert_allclose(binned.scores, sorted_run.scores,
                                    rtol=1e-10)
-        assert compiled.bandwidth == sorted_run.bandwidth
+        assert binned.bandwidth == sorted_run.bandwidth

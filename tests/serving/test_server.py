@@ -112,6 +112,44 @@ class TestRoutes:
         snap = asyncio.run(main())
         assert snap["http_errors_total"] == 0
 
+    @pytest.mark.parametrize("backend", ["nope", "compiled", "blocked-compiled"])
+    def test_unknown_backend_is_400(self, backend):
+        # The server runs selections resiliently by default; an unknown
+        # name must still be refused, not degraded to numpy.
+        async def main():
+            app = await started(make_app())
+            x, y = sample()
+            status, payload = await app.handle(
+                "POST", "/select", {"x": x, "y": y, "backend": backend}
+            )
+            snap = app.metrics.snapshot()
+            await app.shutdown()
+            return status, payload, snap
+
+        status, payload, snap = asyncio.run(main())
+        assert status == 400
+        assert payload["code"] == "REPRO_BACKEND"
+        assert backend in payload["error"]
+        assert snap["http_errors_total"] == 0
+
+    @pytest.mark.parametrize("value", ["abc", None, [3]])
+    def test_non_integer_n_bandwidths_is_400(self, value):
+        async def main():
+            app = await started(make_app())
+            x, y = sample()
+            status, payload = await app.handle(
+                "POST", "/select", {"x": x, "y": y, "n_bandwidths": value}
+            )
+            snap = app.metrics.snapshot()
+            await app.shutdown()
+            return status, payload, snap
+
+        status, payload, snap = asyncio.run(main())
+        assert status == 400
+        assert payload["code"] == "REPRO_VALIDATION"
+        assert "n_bandwidths" in payload["error"]
+        assert snap["http_errors_total"] == 0
+
 
 class TestSelectCachePath:
     def test_warm_select_is_bitforbit_and_skips_the_sweep(self):
