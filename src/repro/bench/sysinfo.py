@@ -15,13 +15,14 @@ import sys
 from typing import Any
 
 import numpy as np
-import scipy
 
 __all__ = ["machine_info"]
 
 
 def machine_info() -> dict[str, Any]:
     """Snapshot of the executing machine and software stack."""
+    import scipy  # deferred: keeps scipy off the import path of repro
+
     info: dict[str, Any] = {
         "platform": platform.platform(),
         "machine": platform.machine(),

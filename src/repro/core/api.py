@@ -158,11 +158,15 @@ def select_bandwidth(
         fresh :class:`~repro.obs.Tracer` and attach its JSON-ready
         snapshot as ``diagnostics["trace"]``; or pass a
         :class:`~repro.obs.Tracer` you hold (for the exporters in
-        :mod:`repro.obs`); ``False`` forces tracing off even under an
-        ambient tracer; ``None`` (default) inherits the ambient tracer
-        installed by :func:`repro.obs.use_tracer` (no-op when none is).
-        Tracing never changes results: curves are bit-for-bit identical
-        with tracing on and off.
+        :mod:`repro.obs`), whose snapshot is attached the same way;
+        ``False`` forces tracing off even under an ambient tracer;
+        ``None`` (default) inherits the ambient tracer installed by
+        :func:`repro.obs.use_tracer` (no-op when none is).  An ambient
+        tracer records the selection's spans but its snapshot is *not*
+        attached: only an explicit ``trace=`` puts ``"trace"`` in the
+        diagnostics, so a long-lived tracer's ring never rides along on
+        each result.  Tracing never changes results: curves are
+        bit-for-bit identical with tracing on and off.
     options:
         Forwarded to the selector constructor (``refine_rounds``,
         ``workers``, ``n_restarts``, ``dtype``, ...).
@@ -285,7 +289,9 @@ def select_bandwidth(
                     root.set(cache="miss")
 
     # Attach the snapshot after the cache write so stored selections stay
-    # trace-free (a warm hit records its own, much shorter, trace).
-    if tracer.enabled:
+    # trace-free (a warm hit records its own, much shorter, trace).  Only
+    # an explicit trace= attaches it: an ambient tracer (the server's) holds
+    # every span since start-up, which would grow each response with uptime.
+    if trace is not None and tracer.enabled:
         result.diagnostics["trace"] = tracer.to_payload()
     return result

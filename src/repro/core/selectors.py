@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-from scipy import optimize
 
 if TYPE_CHECKING:  # deferred: both packages import the core back
     from repro.resilience.engine import ResilienceConfig
@@ -456,6 +455,11 @@ class NumericalOptimizationSelector(BandwidthSelector):
         return domain / 1000.0, domain
 
     def select(self, x: np.ndarray, y: np.ndarray) -> SelectionResult:
+        # scipy is imported here, not at module level, so grid selections
+        # never pay its start-up cost; it is taken before the clock starts
+        # so the first run's wall_seconds is the optimisation alone.
+        from scipy import optimize
+
         x, y = check_paired_samples(x, y)
         lo, hi = self._bounds_for(x)
         rng = np.random.default_rng(self.seed)

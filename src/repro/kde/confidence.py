@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ValidationError
 from repro.kernels import Kernel, get_kernel
@@ -80,6 +79,8 @@ def kde_confidence_band(
     if x.size < 2:
         raise ValidationError("confidence band needs at least 2 observations")
     level = check_probability(level, name="level")
+    from scipy import stats  # deferred: only the bands need scipy
+
     z = float(stats.norm.ppf(0.5 + level / 2.0))
 
     n = x.shape[0]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ValidationError
 from repro.kernels import Kernel, get_kernel
@@ -88,6 +87,8 @@ def loo_confidence_band(
     if h <= 0.0:
         raise ValidationError(f"bandwidth must be positive, got {h}")
     level = check_probability(level, name="level")
+    from scipy import stats  # deferred: only the bands need scipy
+
     z = float(stats.norm.ppf(0.5 + level / 2.0))
 
     g_loo, loo_ok = loo_estimates(x, y, h, kern, chunk_rows=chunk_rows)

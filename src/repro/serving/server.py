@@ -20,8 +20,8 @@ Endpoints
                     one estimator pass)
 ``GET  /models``    registered models with provenance
 ``GET  /healthz``   liveness + model/cache summary
-``GET  /metrics``   text metrics dump (cache hit rate, batch occupancy,
-                    queue depth, latency percentiles)
+``GET  /metrics``   text metrics dump (cache hit rate, boundary optima,
+                    batch occupancy, queue depth, latency percentiles)
 
 The HTTP layer is deliberately minimal (HTTP/1.1, ``Connection:
 close``, JSON bodies); the interesting parts live in
@@ -150,6 +150,10 @@ class ServingApp:
         )
         self._m_select_cold = self.metrics.counter(
             "select_cache_misses_total", "selections that ran the sweep"
+        )
+        self._m_select_boundary = self.metrics.counter(
+            "select_boundary_total",
+            "selections whose optimum sits on an edge of the grid",
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -342,6 +346,8 @@ class ServingApp:
             self._m_select_hits.inc()
         else:
             self._m_select_cold.inc()
+        if result.diagnostics.get("boundary_minimum"):
+            self._m_select_boundary.inc()
         register = body.get("register")
         if register is not None:
             from repro.regression import NadarayaWatson

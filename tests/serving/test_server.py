@@ -217,6 +217,58 @@ class TestSelectCachePath:
         assert all(isinstance(v, float) for v in payload["estimates"])
 
 
+class TestSelectResponses:
+    def test_warm_responses_do_not_grow_with_uptime(self):
+        # The server traces every request into one ring; a response must
+        # not carry that ring, or each hit would be larger than the last.
+        x, y = sample()
+        body = {"x": x, "y": y, "n_bandwidths": 10}
+
+        async def main():
+            app = await started(make_app())
+            await app.handle("POST", "/select", dict(body))
+            hits = [await app.handle("POST", "/select", dict(body)) for _ in range(2)]
+            spans = len(app.tracer.to_payload()["spans"])
+            await app.shutdown()
+            return hits, spans
+
+        hits, spans = asyncio.run(main())
+        assert spans > 0  # the ambient tracer still records for /metrics
+        sizes = [len(json.dumps(payload)) for _, payload in hits]
+        assert all(payload["cache_hit"] for _, payload in hits)
+        assert sizes[0] == sizes[1]
+        for _, payload in hits:
+            assert "trace" not in payload["result"]["diagnostics"]
+
+    def test_boundary_optima_are_counted_cold_and_warm(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, 60)
+        # Noise-free linear y: LOO-CV prefers the least smoothing, so the
+        # optimum sits on the grid's lower edge.
+        edge = {"x": x.tolist(), "y": (2.0 * x + 1.0).tolist(), "n_bandwidths": 50}
+        xi, yi = sample()
+        interior = {"x": xi, "y": yi, "n_bandwidths": 50}
+
+        async def main():
+            app = await started(make_app())
+            replies = [
+                await app.handle("POST", "/select", dict(edge)),
+                await app.handle("POST", "/select", dict(edge)),
+                await app.handle("POST", "/select", dict(interior)),
+            ]
+            snap = app.metrics.snapshot()
+            text = app.metrics_text()
+            await app.shutdown()
+            return replies, snap, text
+
+        replies, snap, text = asyncio.run(main())
+        flags = [p["result"]["diagnostics"]["boundary_minimum"] for _, p in replies]
+        assert flags == [True, True, False]
+        assert [p["cache_hit"] for _, p in replies] == [False, True, False]
+        assert snap["select_boundary_total"] == 2
+        assert "repro_select_boundary_total 2" in text
+
+
 class TestPredictCoalescing:
     def test_concurrent_predicts_batch_together(self):
         """Acceptance: concurrent /predict coalesce (occupancy > 1)."""
