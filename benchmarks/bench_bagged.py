@@ -1,7 +1,7 @@
 """Bagged subsampled-CV selection: accuracy vs. speed against the exact sweep.
 
 The exact sweep's cost is O(n² log k): at n = 100,000 the blocked
-backend needs ~25 minutes (BENCH_blockwise.json).  The bagged selector
+sweep needed ~25 minutes (BENCH_blockwise.json).  The bagged selector
 answers the same question — which point of the full-sample candidate
 grid minimises CV — from r seeded subsamples of size m in O(r·m²·log k),
 and this benchmark measures both sides of that trade at each n:
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.bench.paper_data import PAPER_TABLE1
 from repro.core.api import select_bandwidth
-from repro.core.blockwise import cv_scores_blocked
+from repro.core.fastgrid import cv_scores_fastgrid
 from repro.core.grid import BandwidthGrid
 from repro.data import paper_dgp
 
@@ -66,7 +66,7 @@ def _exact_rows_from_blockwise() -> dict[int, dict]:
 def _exact_live(x: np.ndarray, y: np.ndarray) -> dict:
     grid = BandwidthGrid.for_sample(x, K).values
     start = time.perf_counter()
-    scores = cv_scores_blocked(x, y, grid, "epanechnikov")
+    scores = cv_scores_fastgrid(x, y, grid, "epanechnikov")
     seconds = time.perf_counter() - start
     best = int(np.argmin(scores))
     return {"seconds": round(seconds, 3), "h_opt": float(grid[best])}

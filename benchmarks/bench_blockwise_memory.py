@@ -1,8 +1,10 @@
-"""Blockwise out-of-core sweep: runtime and memory vs n, past the wall.
+"""Budgeted blocked sweep: runtime and memory vs n, past the wall.
 
 The paper's Table I stops at n = 20,000 because the CUDA program's two
 n-by-n float32 matrices exhaust the 4 GB Tesla (Section IV-A).  The
-blocked backend never materialises anything n-by-n, so this benchmark
+``numpy`` backend walks row blocks sized by the one sizing rule
+(:func:`repro.core.fastgrid.plan_fastgrid_blocks`) and never
+materialises anything n-by-n, so this benchmark
 walks straight past that boundary — up to n = 100,000 with ``--full`` —
 while holding the whole sweep inside one byte budget.
 
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.paper_data import PAPER_TABLE1
-from repro.core.blockwise import cv_scores_blocked, plan_for
+from repro.core.fastgrid import cv_scores_fastgrid, plan_fastgrid_blocks
 from repro.core.grid import BandwidthGrid
 from repro.data import paper_dgp
 from repro.utils.membudget import parse_byte_budget
@@ -54,12 +56,12 @@ def _rss_kib() -> int:
 def run_one(n: int, budget: str, kernel: str = "epanechnikov") -> dict:
     sample = paper_dgp(n, seed=0)
     grid = BandwidthGrid.for_sample(sample.x, K).values
-    plan = plan_for(n, K, kernel, memory_budget=budget)
+    plan = plan_fastgrid_blocks(n, grid, kernel, memory_budget=budget)
 
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        scores = cv_scores_blocked(
+        scores = cv_scores_fastgrid(
             sample.x, sample.y, grid, kernel, memory_budget=budget
         )
         seconds = time.perf_counter() - start

@@ -3,7 +3,7 @@
 Two questions the DESIGN.md §13 claims leave open:
 
 * what does sharding the sweep over worker *processes* actually buy
-  (or cost) against the single-process ``blocked`` backend at the same
+  (or cost) against the single-process ``numpy`` backend at the same
   block partition — staging, JSON framing, and the ordered fold are
   all overhead the paper's in-device reduction does not pay;
 * what does *recovery* cost — the same sweep with a seeded fault storm
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.blockwise import cv_scores_blocked
+from repro.core.fastgrid import cv_scores_fastgrid
 from repro.core.grid import BandwidthGrid
 from repro.data import paper_dgp
 from repro.distributed import (
@@ -68,17 +68,17 @@ def _timed_fleet_sweep(fleet, x, y, grid, reference) -> tuple[float, dict]:
     scores = coord.cv_scores(x, y, grid, "epanechnikov", block_rows=BLOCK_ROWS)
     seconds = time.perf_counter() - start
     if not np.array_equal(scores, reference):
-        raise AssertionError("distributed sweep diverged from local blocked")
+        raise AssertionError("distributed sweep diverged from the local sweep")
     return seconds, coord.report.to_dict()
 
 
 def bench_speedup(n: int) -> dict:
-    """Local blocked vs HTTP worker fleets at 1/2/4 processes."""
+    """Local blocked numpy vs HTTP worker fleets at 1/2/4 processes."""
     sample = paper_dgp(n, seed=0)
     grid = BandwidthGrid.for_sample(sample.x, K).values
 
     start = time.perf_counter()
-    reference = cv_scores_blocked(
+    reference = cv_scores_fastgrid(
         sample.x, sample.y, grid, "epanechnikov", block_rows=BLOCK_ROWS
     )
     local_s = time.perf_counter() - start
@@ -142,7 +142,7 @@ def bench_recovery_overhead(n: int) -> dict:
     """
     sample = paper_dgp(n, seed=0)
     grid = BandwidthGrid.for_sample(sample.x, K).values
-    reference = cv_scores_blocked(
+    reference = cv_scores_fastgrid(
         sample.x, sample.y, grid, "epanechnikov", block_rows=BLOCK_ROWS
     )
 

@@ -90,7 +90,9 @@ def measure_sweep(n: int, kernel: str = "epanechnikov") -> dict:
     """One fast-grid sweep with the planner's traffic model as numerator."""
     sample = paper_dgp(n, seed=0)
     grid = BandwidthGrid.for_sample(sample.x, K).values
-    plan = plan_blocks(n, K)
+    # The traffic model (n rows × bytes per row) does not depend on the
+    # budget; any budget that holds one row will do.
+    plan = plan_blocks(n, K, budget=1024**3)
     start = time.perf_counter()
     scores = cv_scores_fastgrid(sample.x, sample.y, grid, kernel)
     seconds = time.perf_counter() - start

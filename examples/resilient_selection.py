@@ -6,7 +6,7 @@ back down the backend chain without changing a single bit of the
 answer.  This example demonstrates all three, using the deterministic
 fault injector the chaos suite runs on:
 
-* a multicore sweep under injected worker crashes — same bandwidth,
+* a blocked-shm (multi-core) sweep under injected worker crashes — same bandwidth,
   bit for bit, with the absorbed faults itemised in the report;
 * a "power cut" mid-sweep — the retry budget dies, the checkpoint
   survives, and a second run resumes the finished blocks from disk;
@@ -33,8 +33,8 @@ from repro.resilience.engine import ResilienceConfig, resilient_cv_scores
 
 
 def crash_storm(x, y) -> None:
-    print("=== 1. worker crashes on the multicore backend ===")
-    clean = select_bandwidth(x, y, backend="multicore", resilience=True)
+    print("=== 1. worker crashes on the blocked-shm backend ===")
+    clean = select_bandwidth(x, y, backend="blocked-shm", resilience=True)
 
     storm = FaultInjector(
         [
@@ -44,7 +44,7 @@ def crash_storm(x, y) -> None:
         seed=7,
     )
     with inject_faults(storm):
-        survived = select_bandwidth(x, y, backend="multicore", resilience=True)
+        survived = select_bandwidth(x, y, backend="blocked-shm", resilience=True)
 
     same = survived.bandwidth == clean.bandwidth
     print(f"clean run    : h* = {clean.bandwidth:.6f}")

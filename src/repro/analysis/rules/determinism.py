@@ -319,10 +319,10 @@ class UnorderedCollectionRule(Rule):
 
     ``imap_unordered``/``as_completed`` yield results in *completion*
     order — scheduler noise becomes data order, and anything folded from
-    it inherits a per-run bit pattern.  The repo's fan-ins (pool
-    ``map_over_blocks``, the wave loop in resilience) key every partial
-    by block index and fold ``sorted(...)``; new collection sites must
-    do the same, starting from an ordered primitive.
+    it inherits a per-run bit pattern.  The repo's fan-ins (the
+    blocked-shm row matrix, the wave loop in resilience) key every
+    partial by row or block index and fold in that order; new collection
+    sites must do the same, starting from an ordered primitive.
     """
 
     rule_id = "DET002"

@@ -29,8 +29,7 @@ __all__ = ["main", "build_parser"]
 
 #: ``--backend`` choices shared by ``select``, ``trace`` and ``serve``.
 BACKEND_CHOICES = (
-    "numpy", "python", "multicore", "blocked", "blocked-shm", "gpusim",
-    "gpusim-tiled", "distributed",
+    "numpy", "python", "blocked-shm", "gpusim", "gpusim-tiled", "distributed",
 )
 
 
@@ -42,6 +41,8 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI parser (exposed for the tests)."""
+    from repro.resilience.degrade import DEFAULT_FALLBACK_CHAIN
+
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Reproduce Rohlfs & Zahran (IPPS 2017): optimal "
@@ -159,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="BYTES",
-        help="working-set byte budget for the blocked/blocked-shm "
-        "backends, e.g. '2GB' or '512MiB' (default: $REPRO_MEM_BUDGET, "
-        "then 1GiB)",
+        help="working-set byte budget for one fast-grid row block of the "
+        "numpy, blocked-shm and distributed backends, e.g. '2GB' or "
+        "'512MiB' (default: $REPRO_MEM_BUDGET, else unbudgeted)",
     )
     sel.add_argument(
         "--resilient",
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fallback",
         action="store_true",
         default=None,
-        help="degrade along gpusim -> gpusim-tiled -> multicore -> numpy "
+        help=f"degrade along {' -> '.join(DEFAULT_FALLBACK_CHAIN)} "
         "on device/backend failures (default when resilient)",
     )
     sel.add_argument(
@@ -627,7 +628,7 @@ def _cmd_info(_: argparse.Namespace) -> int:
     from repro.gpusim import DEVICE_REGISTRY
     from repro.kernels import fast_grid_kernels, list_kernels
     from repro.serving import ArtifactCache, ServingConfig
-    from repro.utils.membudget import MEMORY_BUDGET_ENV, resolve_budget
+    from repro.utils.membudget import MEMORY_BUDGET_ENV, requested_budget
 
     print("kernels        :", ", ".join(list_kernels()))
     print("fast-grid OK   :", ", ".join(fast_grid_kernels()))
@@ -635,18 +636,14 @@ def _cmd_info(_: argparse.Namespace) -> int:
     print("devices        :", ", ".join(sorted(DEVICE_REGISTRY)))
     print("programs       :", ", ".join(sorted(PROGRAMS)))
     print("DGPs           :", ", ".join(sorted(DGP_REGISTRY)))
-    import os
-
-    budget = resolve_budget()
-    source = (
-        f"${MEMORY_BUDGET_ENV}"
-        if os.environ.get(MEMORY_BUDGET_ENV, "").strip()
-        else "default"
-    )
+    budget = requested_budget()
     print(
         "memory budget  :",
-        f"{budget:,} B ({budget / 1024**2:.0f} MiB, {source}) for the "
-        "blocked/blocked-shm sweep",
+        f"{budget:,} B ({budget / 1024**2:.0f} MiB, ${MEMORY_BUDGET_ENV}) "
+        "per fast-grid row block"
+        if budget is not None
+        else f"none (set ${MEMORY_BUDGET_ENV} or --mem-budget to fit "
+        "fast-grid row blocks to one)",
     )
     from repro.utils.calibration import calibration_source, host_bytes_per_second
 

@@ -126,14 +126,17 @@ def select_bandwidth(
     backend:
         Execution backend for the grid method (and for each subsample
         sweep of the bagged method): ``"numpy"``, ``"python"``,
-        ``"multicore"``, ``"blocked"``, ``"blocked-shm"``, ``"gpusim"``,
-        ``"gpusim-tiled"``, ``"distributed"``.
+        ``"blocked-shm"``, ``"gpusim"``, ``"gpusim-tiled"``,
+        ``"distributed"``.
     memory_budget:
-        Byte budget for the blockwise out-of-core backends — an int or a
-        string like ``"2GB"``/``"512MiB"``.  ``None`` consults
-        ``$REPRO_MEM_BUDGET`` and then the 1 GiB default (see
-        :mod:`repro.utils.membudget`).  Part of the cache fingerprint,
-        though the CV curve itself is bit-for-bit budget-independent.
+        Byte budget for one fast-grid row block of the ``numpy``,
+        ``blocked-shm`` and ``distributed`` backends — an int or a string
+        like ``"2GB"``/``"512MiB"``.  ``None`` consults
+        ``$REPRO_MEM_BUDGET``; with neither, blocks keep their unbudgeted
+        size (see :func:`repro.core.fastgrid.plan_fastgrid_blocks`).  A
+        budget too small for one row raises ``REPRO_MEM_BUDGET``.  Part of
+        the cache fingerprint, though the CV curve itself is bit-for-bit
+        budget-independent.
     cache:
         An :class:`~repro.serving.cache.ArtifactCache`.  The selection is
         keyed by the SHA-256 fingerprint of ``(x, y, grid, kernel,
@@ -146,8 +149,8 @@ def select_bandwidth(
         ``True`` or a :class:`~repro.resilience.engine.ResilienceConfig`
         to run on the resilient execution engine: transient faults are
         retried, device-level failures degrade down the backend fallback
-        chain (``gpusim → gpusim-tiled → multicore → blocked → numpy``;
-        ``blocked-shm`` joins at ``blocked``), and the result carries a
+        chain (``gpusim → gpusim-tiled → numpy``; ``blocked-shm`` and
+        ``distributed`` fall back to ``numpy``), and the result carries a
         ``.resilience`` report.
     resume:
         Checkpoint path (grid method only): completed row blocks are

@@ -7,13 +7,12 @@ corresponds to one of the paper's execution substrates:
 ``python``       paper-literal per-observation sorted sweep (the
                  sequential reference; the CUDA thread body)
 ``numpy``        vectorised fast grid search — the "Sequential C"
-                 analogue (numpy plays the role of compiled C)
-``multicore``    row-parallel fast grid over a process pool
-``blocked``      budget-planned out-of-core blockwise sweep
-                 (:mod:`repro.core.blockwise`) — O(n·B + n·k) peak
-                 memory, bit-identical to ``numpy``
-``blocked-shm``  the blockwise sweep fanned over a shared-memory
-                 worker pool (zero-copy inputs, O(1) per-block IPC)
+                 analogue (numpy plays the role of compiled C) — over
+                 row blocks that fit ``memory_budget=`` when given
+``blocked-shm``  the same row blocks fanned over a shared-memory
+                 worker pool (:mod:`repro.core.blockwise`; zero-copy
+                 inputs, O(1) per-block IPC), bit-identical to
+                 ``numpy``
 ``gpusim``       the paper's CUDA program executed on the GPU
                  simulator (registered lazily by
                  :mod:`repro.cuda_port` to avoid an import cycle)
@@ -22,13 +21,16 @@ corresponds to one of the paper's execution substrates:
 ``distributed``  the blockwise sweep leased out to a worker fleet
                  over JSON-over-HTTP (registered lazily by
                  :mod:`repro.distributed.backend`); byte-identical
-                 to ``blocked`` and degrades to it losslessly
+                 to ``numpy`` and degrades to it losslessly
 ===============  ==================================================
 
 Every backend but ``python`` computes its fast-grid rows through one
 seam, :func:`~repro.core.fastgrid.fastgrid_row_contributions`, whose
 window-sum path :func:`~repro.core.fastgrid.window_sum_path` picks from
-``(n, k, kernel, dtype)`` alone.
+``(n, k, kernel, dtype)`` alone, in row blocks whose size one rule
+decides (:func:`~repro.core.fastgrid.plan_fastgrid_blocks`): ``block_rows=``
+caps it and ``memory_budget=`` (or ``$REPRO_MEM_BUDGET``) fits it to a
+byte budget.
 
 Backends automatically fall back to the dense O(k·n²) evaluation for
 kernels without a polynomial form (Cosine, Gaussian), matching paper
@@ -43,16 +45,14 @@ import numpy as np
 
 from repro.exceptions import BackendError
 from repro.kernels import Kernel, get_kernel
-from repro.core.blockwise import cv_scores_blocked, cv_scores_blocked_shm
-from repro.core.fastgrid import (
-    cv_scores_fastgrid,
-    cv_scores_fastgrid_python,
-    fastgrid_row_contributions,
-)
+from repro.core.blockwise import cv_scores_blocked_shm
+from repro.core.fastgrid import cv_scores_fastgrid, cv_scores_fastgrid_python
 from repro.core.loocv import cv_scores_dense_grid
 from repro.obs.tracer import current_tracer
-from repro.parallel import WorkerPool
-from repro.utils.numeric import fold_rows
+
+# Kept importable from here: perfbench/tracing.py times the row fold
+# through ``repro.core.backends.fold_rows``.
+from repro.utils.numeric import fold_rows  # noqa: F401
 
 __all__ = [
     "GridBackend",
@@ -125,10 +125,18 @@ def _numpy_backend(
     bandwidths: np.ndarray,
     kernel: str | Kernel = "epanechnikov",
     *,
-    chunk_rows: int | None = None,
+    block_rows: int | None = None,
+    memory_budget: int | float | str | None = None,
     dtype: str = "float64",
+    chunk_rows: object = None,
     **_: object,
 ) -> np.ndarray:
+    if chunk_rows is not None:
+        # The row cap's old name: fail loudly rather than let ``**_`` drop
+        # the caller's memory bound.
+        raise BackendError(
+            "the numpy backend's chunk_rows= option is now block_rows="
+        )
     dense = _wants_dense(kernel)
     with current_tracer().span(
         "backend:numpy", n=int(np.asarray(x).shape[0]), k=len(bandwidths),
@@ -136,86 +144,11 @@ def _numpy_backend(
     ):
         if dense:
             return cv_scores_dense_grid(
-                x, y, bandwidths, kernel, chunk_rows=chunk_rows
+                x, y, bandwidths, kernel, chunk_rows=block_rows
             )
         return cv_scores_fastgrid(
-            x, y, bandwidths, kernel, chunk_rows=chunk_rows, dtype=dtype
-        )
-
-
-def _multicore_backend(
-    x: np.ndarray,
-    y: np.ndarray,
-    bandwidths: np.ndarray,
-    kernel: str | Kernel = "epanechnikov",
-    *,
-    workers: int | None = None,
-    pool: WorkerPool | None = None,
-    dtype: str = "float64",
-    **_: object,
-) -> np.ndarray:
-    n = int(np.asarray(x).shape[0])
-    with current_tracer().span(
-        "backend:multicore", n=n, k=len(bandwidths), dense=_wants_dense(kernel)
-    ) as span:
-        if _wants_dense(kernel):
-            # Dense path parallelises poorly per-h; evaluate serially rather
-            # than silently multiplying the O(k·n²) cost by pool overhead.
-            return cv_scores_dense_grid(x, y, bandwidths, kernel)
-        kern = get_kernel(kernel)
-        grid = np.asarray(bandwidths, dtype=float)
-        shared = (
-            np.asarray(x, dtype=float),
-            np.asarray(y, dtype=float),
-            grid,
-            kern.name,
-        )
-
-        def block_args(start: int, stop: int) -> tuple:
-            return shared + (start, stop, dtype)
-
-        owned = pool is None
-        active = pool or WorkerPool(workers)
-        span.set(workers=active.workers)
-        try:
-            # Ordered per-worker row matrices folded in global row order:
-            # the canonical strict fold makes the curve bit-identical to
-            # the serial numpy backend at every worker count.
-            partials = active.map_over_blocks(
-                fastgrid_row_contributions, n, block_args=block_args
-            )
-        finally:
-            if owned:
-                active.close()
-        sums = np.zeros(len(grid), dtype=np.float64)
-        for part in partials:
-            fold_rows(part, sums)
-        return sums / n
-
-
-def _blocked_backend(
-    x: np.ndarray,
-    y: np.ndarray,
-    bandwidths: np.ndarray,
-    kernel: str | Kernel = "epanechnikov",
-    *,
-    memory_budget: int | float | str | None = None,
-    block_rows: int | None = None,
-    dtype: str = "float64",
-    **_: object,
-) -> np.ndarray:
-    dense = _wants_dense(kernel)
-    with current_tracer().span(
-        "backend:blocked", n=int(np.asarray(x).shape[0]), k=len(bandwidths),
-        dense=dense,
-    ):
-        if dense:
-            # Dense kernels have no rolling-sum form; the dense evaluator
-            # already chunks its row slabs, so just bound the chunk size.
-            return cv_scores_dense_grid(x, y, bandwidths, kernel)
-        return cv_scores_blocked(
-            x, y, bandwidths, get_kernel(kernel).name,
-            memory_budget=memory_budget, block_rows=block_rows, dtype=dtype,
+            x, y, bandwidths, kernel, block_rows=block_rows,
+            memory_budget=memory_budget, dtype=dtype,
         )
 
 
@@ -247,6 +180,4 @@ def _blocked_shm_backend(
 
 register_backend("python", _python_backend)
 register_backend("numpy", _numpy_backend)
-register_backend("multicore", _multicore_backend)
-register_backend("blocked", _blocked_backend)
 register_backend("blocked-shm", _blocked_shm_backend)

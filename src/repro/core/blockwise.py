@@ -1,123 +1,52 @@
-"""Blockwise out-of-core CV sweep: past the paper's n = 20,000 wall.
+"""The shared-memory blocked sweep: row blocks fanned over a worker pool.
 
 The paper's CUDA program stores two n×n float32 matrices in device
 memory and therefore "cannot exceed n = 20,000" on its 4 GB Tesla.  The
-same wall exists on the host: the vectorised fast grid search
-materialises an m×n distance slab per chunk, and an unplanned chunk size
-at n = 100,000 is a multi-gigabyte allocation.  This module makes the
-memory ceiling an explicit *budget* instead of an accident:
+host sweep never materialises anything n×n: it walks row blocks sized by
+:func:`~repro.core.fastgrid.plan_fastgrid_blocks` — the one rule every
+executor of the row seam shares, which fits a ``memory_budget`` when one
+is given.  This module is the parallel executor of that seam
+(``blocked-shm``; the serial one is the ``numpy`` backend):
 
-1. a :func:`~repro.utils.membudget.plan_blocks` plan picks the row-block
-   size B so that one block's sorted-sweep working set — distances,
-   bin indices, per-term prefix sums — fits the byte budget
-   (O(n·B + n·k) peak, never O(n²));
-2. the sweep walks the blocks in index order, folding each block's
-   per-observation contribution rows into the running k-vector with the
-   canonical strict fold (:func:`~repro.utils.numeric.fold_rows`), so
-   the CV curve is **bit-for-bit identical** to the ``numpy`` backend at
-   *any* block size;
-3. the shared-memory variant fans the blocks out over a
-   :class:`~repro.parallel.WorkerPool` whose workers attach X, Y, the
-   grid and the n×k contribution matrix by segment name
-   (:mod:`repro.parallel.shm`) — per-block IPC is a ``(start, stop)``
-   pair, and the parent performs the same global fold over the shared
-   matrix, preserving the bit-exactness guarantee across worker counts.
+1. the blocks fan out over a :class:`~repro.parallel.WorkerPool` whose
+   workers attach X, Y, the grid and the n×k contribution matrix by
+   segment name (:mod:`repro.parallel.shm`) — per-block IPC is a
+   ``(start, stop)`` pair;
+2. each worker fills its rows of the shared matrix with the
+   partition-invariant per-observation contributions
+   (:func:`~repro.core.fastgrid.fastgrid_row_contributions`);
+3. the parent folds the finished matrix in global row order with the
+   canonical strict fold (:func:`~repro.utils.numeric.fold_rows`), so the
+   CV curve is **bit-for-bit identical** to the ``numpy`` backend at any
+   block size and any worker count.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.fastgrid import (
     fastgrid_block_sums,
     fastgrid_row_contributions,
+    plan_fastgrid_blocks,
     require_fast_grid_kernel,
 )
 from repro.obs.tracer import current_tracer
-from repro.parallel.pool import WorkerPool, traced_work_unit
+from repro.parallel.pool import WorkerPool, available_workers, traced_work_unit
 from repro.parallel.shm import ShmWorkspace, attach_workspace, current_workspace
 from repro.resilience import faults
-from repro.utils.membudget import BlockPlan, plan_blocks
+from repro.utils.membudget import BlockPlan, requested_budget
 from repro.utils.numeric import fold_rows
 from repro.core.grid import ensure_bandwidth_grid
 from repro.utils.validation import check_paired_samples
 
 __all__ = [
-    "cv_scores_blocked",
     "cv_scores_blocked_shm",
-    "plan_for",
     "shm_block_rows",
     "shm_block_sums",
 ]
-
-
-def plan_for(
-    n: int,
-    k: int,
-    kernel_name: str,
-    *,
-    dtype: str = "float64",
-    memory_budget: int | float | str | None = None,
-    block_rows: int | None = None,
-    output_matrix: bool = False,
-) -> BlockPlan:
-    """The block plan both blocked backends (and the engine) agree on."""
-    kern = require_fast_grid_kernel(kernel_name)
-    return plan_blocks(
-        n,
-        k,
-        n_terms=len(kern.poly_terms or ()) or 1,
-        itemsize=np.dtype(dtype).itemsize,
-        budget=memory_budget,
-        output_matrix=output_matrix,
-        max_rows=block_rows,
-    )
-
-
-def cv_scores_blocked(
-    x: np.ndarray,
-    y: np.ndarray,
-    bandwidths: np.ndarray,
-    kernel: str = "epanechnikov",
-    *,
-    memory_budget: int | float | str | None = None,
-    block_rows: int | None = None,
-    dtype: str = "float64",
-) -> np.ndarray:
-    """Out-of-core CV scores: one budget-sized row block at a time.
-
-    Peak memory is the plan's ``predicted_peak_bytes`` (asserted against
-    tracemalloc in the test suite); the result is bit-for-bit the
-    ``numpy`` backend's at every block size, including B = 1 and B >= n.
-    """
-    x, y = check_paired_samples(x, y)
-    grid = ensure_bandwidth_grid(bandwidths)
-    kern = require_fast_grid_kernel(kernel)
-    n = int(x.shape[0])
-    k = int(grid.shape[0])
-    tracer = current_tracer()
-    total = np.zeros(k, dtype=np.float64)
-    with tracer.span("blocked-sweep", n=n, k=k, kernel=kern.name, dtype=dtype):
-        with tracer.span("plan") as pspan:
-            plan = plan_for(
-                n,
-                k,
-                kern.name,
-                dtype=dtype,
-                memory_budget=memory_budget,
-                block_rows=block_rows,
-            )
-            pspan.set(**plan.to_dict())
-        for index, (bstart, bstop) in enumerate(plan.blocks()):
-            with tracer.span(
-                "block-sweep", index=index, start=bstart, stop=bstop
-            ):
-                contrib = fastgrid_row_contributions(
-                    x, y, grid, kern.name, bstart, bstop, dtype
-                )
-                with tracer.span("reduce", rows=bstop - bstart):
-                    fold_rows(contrib, total)
-    return total / n
 
 
 # -- shared-memory workers (top-level, hence picklable) ----------------------
@@ -142,20 +71,36 @@ def shm_block_rows(
 
 
 def shm_block_sums(
-    kernel_name: str, start: int, stop: int, dtype: str = "float64"
+    kernel_name: str,
+    start: int,
+    stop: int,
+    dtype: str = "float64",
+    memory_budget: int | float | str | None = None,
 ) -> np.ndarray:
     """Block k-vector partial read from the attached workspace.
 
     The resilient engine's blocked-shm work unit: same partial sums as
-    the serial ``blocked`` candidate (identical bits for an identical
-    partition — what makes shm -> blocked degradation lossless), with
+    the serial ``numpy`` candidate (identical bits for an identical
+    partition — what makes shm -> numpy degradation lossless), with
     the inputs attached rather than pickled.
     """
     workspace = current_workspace()
     return fastgrid_block_sums(
         workspace["x"], workspace["y"], workspace["grid"],
-        kernel_name, start, stop, dtype,
+        kernel_name, start, stop, dtype, memory_budget,
     )
+
+
+def _balanced(plan: BlockPlan, workers: int) -> BlockPlan:
+    """Shrink ``plan``'s blocks until every worker gets as many as the rest.
+
+    The block count rounds up to a multiple of ``workers`` (one sample
+    small enough for a single block becomes one block per worker).  Rows
+    only ever shrink, so the plan still fits its budget, and the strict
+    row fold keeps the curve's bits.
+    """
+    waves = -(-plan.n_blocks // workers)
+    return replace(plan, block_rows=-(-plan.n // (waves * workers)))
 
 
 def cv_scores_blocked_shm(
@@ -173,29 +118,33 @@ def cv_scores_blocked_shm(
 
     Workers attach the inputs and the n×k contribution matrix by
     segment name; the parent folds the finished matrix in global row
-    order, so the scores are bit-for-bit :func:`cv_scores_blocked`'s —
-    and hence the ``numpy`` backend's — for any block size *and* any
-    worker count.
+    order, so the scores are bit-for-bit the ``numpy`` backend's for any
+    block size *and* any worker count.  ``block_rows`` caps the blocks
+    :func:`~repro.core.fastgrid.plan_fastgrid_blocks` plans, which are
+    then shrunk to a whole number of blocks per worker (:func:`_balanced`).
+    ``memory_budget`` defaults to ``$REPRO_MEM_BUDGET``.
     """
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)
     kern = require_fast_grid_kernel(kernel)
     n = int(x.shape[0])
     k = int(grid.shape[0])
+    n_workers = available_workers(workers)
     tracer = current_tracer()
     with tracer.span(
         "blocked-shm-sweep", n=n, k=k, kernel=kern.name, dtype=dtype
     ):
         with tracer.span("plan") as pspan:
-            plan = plan_for(
+            plan = plan_fastgrid_blocks(
                 n,
-                k,
-                kern.name,
-                dtype=dtype,
-                memory_budget=memory_budget,
-                block_rows=block_rows,
+                grid,
+                kern,
+                dtype,
+                memory_budget=requested_budget(memory_budget),
+                max_rows=block_rows,
                 output_matrix=True,
             )
+            plan = _balanced(plan, n_workers)
             pspan.set(**plan.to_dict())
         faults.fire("shm.segment", f"workspace[n={n},k={k}]")
         workspace = ShmWorkspace.create(
@@ -208,7 +157,7 @@ def cv_scores_blocked_shm(
                 (kern.name, bstart, bstop, dtype) for bstart, bstop in blocks
             ]
             with WorkerPool(
-                workers,
+                n_workers,
                 initializer=attach_workspace,
                 initargs=(workspace.manifest(),),
             ) as pool:

@@ -52,6 +52,13 @@ from repro.exceptions import ValidationError
 from repro.kernels import Kernel, get_kernel
 from repro.obs.tracer import current_tracer
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
+from repro.utils.membudget import (
+    BlockPlan,
+    parse_byte_budget,
+    plan_blocks,
+    requested_budget,
+    sweep_bytes,
+)
 from repro.utils.numeric import fold_rows, int_power
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 
@@ -60,6 +67,7 @@ __all__ = [
     "cv_scores_fastgrid_python",
     "fastgrid_block_sums",
     "fastgrid_row_contributions",
+    "plan_fastgrid_blocks",
     "require_fast_grid_kernel",
     "window_sum_path",
 ]
@@ -277,6 +285,17 @@ def _segmented_cumsum(
     return out
 
 
+def _octave_columns(grid: np.ndarray) -> list[slice]:
+    """Grid columns cut into runs within a factor of 2 of their first."""
+    cols = []
+    lo = 0
+    for j in range(1, grid.shape[0] + 1):
+        if j == grid.shape[0] or grid[j] > 2.0 * grid[lo]:
+            cols.append(slice(lo, j))
+            lo = j
+    return cols
+
+
 class _Octave:
     """Locally anchored prefix sums for grid columns within a factor of 2.
 
@@ -357,15 +376,10 @@ class _SortedSample:
         # The binned path's own membership threshold, bit for bit.
         self.cutoff = grid * kern.support_radius
         ys = y[order]
-        self.octaves = []
-        lo = 0
-        for j in range(1, grid.shape[0] + 1):
-            if j == grid.shape[0] or grid[j] > 2.0 * grid[lo]:
-                self.octaves.append(
-                    _Octave(self.xs, ys, slice(lo, j), self.cutoff[j - 1],
-                            self.top)
-                )
-                lo = j
+        self.octaves = [
+            _Octave(self.xs, ys, cols, self.cutoff[cols.stop - 1], self.top)
+            for cols in _octave_columns(grid)
+        ]
 
     def matches(
         self, x: np.ndarray, y: np.ndarray, grid: np.ndarray, kern: Kernel
@@ -563,8 +577,8 @@ def _sorted_sample(
 ) -> _SortedSample:
     """The sorted sample for these inputs, reusing the last one built.
 
-    Row blocks of one sweep arrive as separate calls (from the chunk loop,
-    the blocked planners, pool workers, fleet leases); the sort and prefix
+    Row blocks of one sweep arrive as separate calls (from the block loop,
+    the resilient engine, pool workers, fleet leases); the sort and prefix
     sums are built once and matched on exact input bytes afterwards.
     """
     global _LAST_SORTED
@@ -668,18 +682,77 @@ def _check_block(n: int, start: int, stop: int) -> None:
         raise ValidationError(f"invalid row block [{start}, {stop}) for n={n}")
 
 
-def _chunk_rows(n: int, k: int, kern: Kernel, dtype: str) -> int:
-    """Rows per chunk so one chunk's working set fits the chunk budget.
+def plan_fastgrid_blocks(
+    n: int,
+    bandwidths: np.ndarray,
+    kernel: str | Kernel,
+    dtype: str = "float64",
+    *,
+    memory_budget: int | float | str | None = None,
+    max_rows: int | None = None,
+    output_matrix: bool = False,
+) -> BlockPlan:
+    """How many rows one fast-grid block holds: the one sizing rule.
 
-    The binned path holds O(rows·n) distance/bin temporaries; the sorted
-    path only O(rows·k), dominated by the stacked moment gathers.
+    Every executor of the row seam — the ``numpy`` chunk loop, the
+    ``blocked-shm`` pool, the resilient engine's sub-chunks and the fleet
+    coordinator's leases — takes its block size from here.  The row model
+    follows :func:`window_sum_path`: the binned path holds O(n) bytes per
+    row, the sorted path O(k) per row plus the sorted sample's O(n)
+    residency (:func:`repro.utils.membudget.sweep_bytes`).
+
+    With no ``memory_budget`` the block is the chunk that keeps one
+    block's temporaries within the 256 MiB chunk budget, capped by
+    ``max_rows``.  A budget only ever lowers that row count, and raises the
+    typed ``REPRO_MEM_BUDGET`` error when not even one row fits.  Only an
+    explicit ``memory_budget`` counts here: the host sweeps resolve
+    ``$REPRO_MEM_BUDGET`` where they take their arguments
+    (:func:`repro.utils.membudget.requested_budget`) and pass it down, so
+    the simulated-device programs, which call :func:`fastgrid_block_sums`
+    without one, keep their unbudgeted sub-chunks.  Rows are
+    partition-invariant (:func:`fastgrid_row_contributions`), so the block
+    size never changes a curve's bits.
     """
-    if window_sum_path(n, k, kern, dtype) == "sorted":
-        top = max(t.power for t in kern.poly_terms)
-        return suggest_chunk_rows(
-            k, working_arrays=8 * (top + 1) + 4 * len(kern.poly_terms) + 16
+    kern = require_fast_grid_kernel(kernel)
+    grid = np.asarray(bandwidths, dtype=float)
+    k = int(grid.shape[0])
+    if max_rows is not None and max_rows < 1:
+        raise ValidationError(f"block_rows must be positive, got {max_rows}")
+    path = window_sum_path(n, k, kern, dtype)
+    n_terms = len(kern.poly_terms)
+    model = dict(
+        path=path,
+        n_terms=n_terms,
+        top_power=max(t.power for t in kern.poly_terms),
+        n_octaves=len(_octave_columns(grid)) if path == "sorted" else 0,
+        itemsize=np.dtype(dtype).itemsize,
+        output_matrix=output_matrix,
+    )
+    fixed, per_row = sweep_bytes(n, k, **model)
+    if path == "sorted":
+        # The row model's own per-row bytes, sized against the chunk budget.
+        rows = suggest_chunk_rows(per_row, itemsize=1, working_arrays=1)
+    else:
+        # The binned chunk keeps its coarser count of n-long temporaries
+        # rather than ``per_row``: that count is the one every binned
+        # shape has always been chunked by (served-mix's (2000, 500)
+        # among them), and a budget still fits ``per_row`` below.
+        rows = suggest_chunk_rows(n, working_arrays=4 + n_terms)
+    if max_rows is not None:
+        rows = min(rows, max_rows)
+    if memory_budget is not None:
+        return plan_blocks(
+            n, k, budget=parse_byte_budget(memory_budget), max_rows=rows,
+            **model,
         )
-    return suggest_chunk_rows(n, working_arrays=4 + len(kern.poly_terms))
+    return BlockPlan(
+        n=n,
+        k=k,
+        block_rows=rows,
+        bytes_per_row=per_row,
+        fixed_bytes=fixed,
+        budget_bytes=None,
+    )
 
 
 def fastgrid_block_sums(
@@ -690,29 +763,33 @@ def fastgrid_block_sums(
     start: int,
     stop: int,
     dtype: str = "float64",
+    memory_budget: int | float | str | None = None,
 ) -> np.ndarray:
     """Squared-residual sums over observations ``[start, stop)``.
 
-    The unit of work for the multicore backend and the resilient engine:
-    top-level (hence picklable) and self-contained, so worker processes
-    can be handed ``(x, y, grid, kernel, row range)`` and return a
-    k-vector that the parent simply adds up.  The full CV score is the
+    The unit of work for the resilient engine: top-level (hence
+    picklable) and self-contained, so worker processes can be handed
+    ``(x, y, grid, kernel, row range)`` and return a k-vector that the
+    parent simply adds up.  The full CV score is the
     sum of these blocks over a partition of ``range(n)``, divided by n.
 
     The within-block reduction is the canonical strict row-order fold, so
     two partitions whose block boundaries coincide produce identical bits
     (bit-exactness across *different* partitions needs the row matrices
     from :func:`fastgrid_row_contributions` folded globally).  A block
-    larger than one chunk's memory budget runs as row sub-chunks folded in
-    order into the same accumulator — the identical fold, so the bits do
-    not depend on the sub-chunk size, and a many-thousand-row device tile
-    never materialises its whole rows×n distance slab at once.
+    larger than :func:`plan_fastgrid_blocks` allows runs as row sub-chunks
+    folded in order into the same accumulator — the identical fold, so
+    the bits do not depend on the sub-chunk size, and a many-thousand-row
+    device tile never materialises its whole rows×n distance slab at once.
+    Only an explicit ``memory_budget`` shrinks the sub-chunks; the
+    environment budget is the calling host sweep's to resolve.
     """
-    kern = require_fast_grid_kernel(kernel_name)
     n = int(np.shape(x)[0])
     _check_block(n, start, stop)
     total = np.zeros(len(bandwidths), dtype=np.float64)
-    rows = _chunk_rows(n, len(bandwidths), kern, dtype)
+    rows = plan_fastgrid_blocks(
+        n, bandwidths, kernel_name, dtype, memory_budget=memory_budget
+    ).block_rows
     for lo in range(start, stop, rows):
         fold_rows(
             fastgrid_row_contributions(
@@ -730,7 +807,8 @@ def cv_scores_fastgrid(
     bandwidths: np.ndarray,
     kernel: str | Kernel = "epanechnikov",
     *,
-    chunk_rows: int | None = None,
+    block_rows: int | None = None,
+    memory_budget: int | float | str | None = None,
     dtype: str = "float64",
 ) -> np.ndarray:
     """Vectorised fast grid search over a whole bandwidth grid.
@@ -740,20 +818,25 @@ def cv_scores_fastgrid(
     take (:func:`window_sum_path`), else in O(n² log k + n·k) on the binned
     path — the vectorised counterpart of the paper's O(n² log n) sorted
     sweep (the grid, already sorted, plays the role of the sorted distance
-    array).  Memory is bounded by processing row chunks; pass
+    array).  Memory is bounded by processing row blocks sized by
+    :func:`plan_fastgrid_blocks` — capped at ``block_rows`` and fitted to
+    ``memory_budget`` (or ``$REPRO_MEM_BUDGET``) when one is given; pass
     ``dtype="float32"`` to mirror the paper's single-precision GPU
     arithmetic.
 
     Accumulation is the canonical strict row-order fold carried across
-    chunk boundaries, so the returned curve is bit-for-bit independent of
-    ``chunk_rows`` — and bit-identical to the ``blocked``/``blocked-shm``
-    out-of-core backends at any block size.
+    block boundaries, so the returned curve is bit-for-bit independent of
+    the block size and the budget — and bit-identical to the
+    ``blocked-shm`` and ``distributed`` backends at any block size.
     """
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)
     kern = require_fast_grid_kernel(kernel)
     n = x.shape[0]
-    rows = chunk_rows or _chunk_rows(n, grid.shape[0], kern, dtype)
+    rows = plan_fastgrid_blocks(
+        n, grid, kern, dtype, memory_budget=requested_budget(memory_budget),
+        max_rows=block_rows,
+    ).block_rows
     tracer = current_tracer()
     sq_sums = np.zeros(grid.shape[0], dtype=np.float64)
     with tracer.span(

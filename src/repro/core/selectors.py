@@ -92,15 +92,16 @@ class GridSearchSelector(BandwidthSelector):
     grid:
         Explicit :class:`BandwidthGrid` (overrides ``n_bandwidths``).
     backend:
-        ``"numpy"`` (default), ``"python"``, ``"multicore"``, ``"gpusim"``.
+        Any registered grid backend: ``"numpy"`` (default), ``"python"``,
+        ``"blocked-shm"``, ``"gpusim"``, ...
     refine_rounds:
         Number of §IV-A refinement passes: after each search the grid is
         re-centred on the incumbent optimum and shrunk 10×, recovering
         precision beyond what one grid (e.g. the 2,048-point
         constant-memory cap) provides.
     backend_options:
-        Extra keyword arguments forwarded to the backend (``workers``,
-        ``chunk_rows``, ``dtype``, ``device`` ...).
+        Extra keyword arguments forwarded to the backend (``block_rows``,
+        ``memory_budget``, ``workers``, ``dtype``, ``device`` ...).
     cache:
         An :class:`~repro.serving.cache.ArtifactCache`.  Each sweep's CV
         curve is looked up by its fingerprint (data + grid + kernel +

@@ -1,8 +1,8 @@
 """Distributed sharded bandwidth selection (ROADMAP item 2).
 
 A coordinator/worker subsystem over the serving stack's JSON-over-HTTP
-protocol: the coordinator plans row blocks with the same budget planner
-as the local ``blocked`` backend, leases them to worker processes with
+protocol: the coordinator plans row blocks with the same sizing rule
+as the local ``numpy`` backend, leases them to worker processes with
 deadlines and at-most-once fold accounting, and folds the partial
 contribution rows in canonical order — so the distributed CV curve is
 **byte-identical** to the local one at any fleet size, under worker

@@ -4,7 +4,7 @@ Registered lazily by :func:`repro.core.backends.get_backend` (the same
 import-on-demand pattern as the gpusim backends), so selecting
 ``backend="distributed"`` plugs the fleet coordinator into everything
 that already speaks backends: ``select_bandwidth``, the resilient
-engine's degrade chain (spur: ``distributed → blocked → numpy``), the
+engine's degrade chain (spur: ``distributed → numpy``), the
 CLI, and the serving layer.
 
 Fleet resolution, most explicit first:
@@ -17,7 +17,7 @@ Fleet resolution, most explicit first:
    pre-existing endpoints;
 4. ``REPRO_WORKERS`` env var, same two spellings;
 5. none of the above — there is no fleet, so the call *losslessly
-   degrades* to the in-process blocked sweep and says so in its report
+   degrades* to the in-process ``numpy`` sweep and says so in its report
    (never a wrong answer, never a surprise crash).
 
 The last sweep's :class:`~repro.distributed.coordinator.FleetReport`
@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.backends import register_backend
-from repro.core.blockwise import cv_scores_blocked
+from repro.core.fastgrid import cv_scores_fastgrid
 from repro.core.loocv import cv_scores_dense_grid
 from repro.distributed.coordinator import (
     CoordinatorConfig,
@@ -122,11 +122,11 @@ def _distributed_backend(
             "fleet",
             FleetLostError(
                 "no workers configured (workers=None and REPRO_WORKERS "
-                "unset); computing locally via the blocked sweep"
+                "unset); computing locally via the numpy sweep"
             ),
         )
         _LAST_REPORT.set(report)
-        return cv_scores_blocked(
+        return cv_scores_fastgrid(
             x, y, bandwidths, kern.name,
             memory_budget=memory_budget, block_rows=block_rows, dtype=dtype,
         )

@@ -1,14 +1,14 @@
 """The fleet coordinator: leases, folds, and survives a hostile fleet.
 
-The sweep's map-reduce shape comes from PR 5: the blockwise planner
-partitions ``n`` rows into budget-sized blocks whose per-observation
+The sweep's map-reduce shape: :func:`~repro.core.fastgrid.plan_fastgrid_blocks`
+partitions ``n`` rows into blocks whose per-observation
 contribution rows (:func:`~repro.core.fastgrid.fastgrid_row_contributions`)
 are partition-invariant, and the strict row-order fold
 (:func:`~repro.utils.numeric.fold_rows`) makes the CV curve bit-for-bit
 identical at any partition.  The coordinator distributes the *map* and
 keeps the *reduce* local and canonical, so a fleet of any size — or a
 fleet that is dying under it — produces byte-identical curves to the
-local ``blocked`` backend.
+local ``numpy`` backend.
 
 Robustness model (the headline, per ROADMAP item 2):
 
@@ -46,9 +46,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.blockwise import plan_for
 from repro.core.fastgrid import (
     fastgrid_row_contributions,
+    plan_fastgrid_blocks,
     require_fast_grid_kernel,
 )
 from repro.core.grid import ensure_bandwidth_grid
@@ -69,6 +69,7 @@ from repro.resilience.checkpoint import sweep_fingerprint
 from repro.resilience.degrade import is_retryable
 from repro.resilience.policy import RetryPolicy, run_with_retry
 from repro.serving.metrics import MetricsRegistry
+from repro.utils.membudget import requested_budget
 from repro.utils.numeric import fold_rows
 from repro.utils.validation import check_paired_samples
 
@@ -210,7 +211,7 @@ class FleetReport:
             f"  faults survived : {', '.join(self.fault_codes) or 'none'}",
         ]
         if self.fleet_lost:
-            lines.append("  fleet lost      : degraded to local blocked sweep")
+            lines.append("  fleet lost      : degraded to the local sweep")
         return "\n".join(lines)
 
 
@@ -262,7 +263,7 @@ class FleetCoordinator:
         block_rows: int | None = None,
         dtype: str = "float64",
     ) -> np.ndarray:
-        """Distributed CV scores, bit-identical to ``cv_scores_blocked``."""
+        """Distributed CV scores, bit-identical to ``cv_scores_fastgrid``."""
         x, y = check_paired_samples(x, y)
         grid = ensure_bandwidth_grid(bandwidths)
         kern = require_fast_grid_kernel(kernel)
@@ -277,10 +278,10 @@ class FleetCoordinator:
                 # output_matrix=True: the coordinator holds every
                 # block's rows until the final in-order fold, the same
                 # n×k budget item the shm sweep plans for.
-                plan = plan_for(
-                    n, k, kern.name, dtype=dtype,
-                    memory_budget=memory_budget, block_rows=block_rows,
-                    output_matrix=True,
+                plan = plan_fastgrid_blocks(
+                    n, grid, kern, dtype,
+                    memory_budget=requested_budget(memory_budget),
+                    max_rows=block_rows, output_matrix=True,
                 )
                 pspan.set(**plan.to_dict())
             blocks = plan.blocks()
@@ -419,7 +420,7 @@ class FleetCoordinator:
                     lost = FleetLostError(
                         f"no live workers remain with {len(remaining)} "
                         f"block(s) unfolded; degrading to the local "
-                        "blocked sweep"
+                        "sweep"
                     )
                     self.report.fleet_lost = True
                     for block_id in remaining:

@@ -12,7 +12,7 @@ IEEE-754 double, and ``json.loads`` parses back to the nearest double —
 so a finite float64 survives the wire bit-for-bit.  That is what lets
 the coordinator fold remote ``fastgrid_row_contributions`` rows through
 :func:`~repro.utils.numeric.fold_rows` and still match the local
-``blocked`` backend exactly.
+``numpy`` backend exactly.
 
 **Checksummed payloads.**  Every compute response carries a SHA-256
 over the row bytes *and* the block bounds, computed by the worker over

@@ -178,7 +178,7 @@ class SharedSegmentError(ReproError):
     Models an unlinked/evicted POSIX shm segment under a live worker pool
     (a ``/dev/shm`` purge, an external ``shm_unlink``): the zero-copy
     substrate is structurally gone, so the engine degrades to the
-    process-local ``blocked`` backend rather than retrying in place.
+    serial ``numpy`` backend rather than retrying in place.
     """
 
     code = "REPRO_SHM_SEGMENT"
@@ -346,7 +346,7 @@ class FleetLostError(DistributedError):
     """No live workers remain (fleet unreachable or quorum lost).
 
     The coordinator raises this to trigger the lossless degradation
-    spur: the sweep falls back to the local ``blocked`` backend with an
+    spur: the sweep falls back to the local ``numpy`` backend with an
     explicit report — never a wrong answer.
     """
 

@@ -280,17 +280,19 @@ class WorkerPool:
         ]
         return faults.faulty_call, wrapped
 
-    def _block_partials(
+    def sum_over_blocks(
         self,
-        span_name: str,
         func: Callable,
         total: int,
-        shared_args: tuple,
-        block_args: Callable[[int, int], tuple] | None,
-    ) -> list:
-        """Run ``func`` over a balanced row partition; partials in order.
+        *,
+        shared_args: tuple = (),
+        block_args: Callable[[int, int], tuple] | None = None,
+    ) -> Any:
+        """Sum ``func(*shared_args, start, stop)`` over a row partition.
 
-        ``total`` rows are split into one block per worker.  When the
+        ``total`` rows are split into one balanced block per worker.  The
+        default call signature appends ``(start, stop)`` to
+        ``shared_args``; pass ``block_args`` to customise.  When the
         parent is tracing, each unit runs under :func:`traced_work_unit`
         (same work, same order — the wrapper only ferries span trees
         home, so results are bit-for-bit the untraced ones).
@@ -302,58 +304,22 @@ class WorkerPool:
             args_list = [block_args(start, stop) for start, stop in blocks]
         tracer = current_tracer()
         if not tracer.enabled:
-            return self.starmap(func, args_list)
-        with tracer.span(
-            span_name, blocks=len(blocks), workers=self.workers
-        ) as parent:
-            wrapped = [(func,) + tuple(args) for args in args_list]
-            outputs = self.starmap(traced_work_unit, wrapped)
-            partials = []
-            for value, spans, counters, maxima in outputs:
-                partials.append(value)
-                tracer.adopt(spans, parent_id=parent.span_id)
-                tracer.merge_counters(counters, maxima)
-        return partials
-
-    def sum_over_blocks(
-        self,
-        func: Callable,
-        total: int,
-        *,
-        shared_args: tuple = (),
-        block_args: Callable[[int, int], tuple] | None = None,
-    ) -> Any:
-        """Sum ``func(*shared_args, start, stop)`` over a row partition.
-
-        The default call signature appends ``(start, stop)`` to
-        ``shared_args``; pass ``block_args`` to customise.
-        """
-        partials = self._block_partials(
-            "pool.sum_over_blocks", func, total, shared_args, block_args
-        )
+            partials = self.starmap(func, args_list)
+        else:
+            with tracer.span(
+                "pool.sum_over_blocks", blocks=len(blocks), workers=self.workers
+            ) as parent:
+                wrapped = [(func,) + tuple(args) for args in args_list]
+                outputs = self.starmap(traced_work_unit, wrapped)
+                partials = []
+                for value, spans, counters, maxima in outputs:
+                    partials.append(value)
+                    tracer.adopt(spans, parent_id=parent.span_id)
+                    tracer.merge_counters(counters, maxima)
         result = partials[0]
         for part in partials[1:]:
             result = result + part
         return result
-
-    def map_over_blocks(
-        self,
-        func: Callable,
-        total: int,
-        *,
-        shared_args: tuple = (),
-        block_args: Callable[[int, int], tuple] | None = None,
-    ) -> list:
-        """``func`` over a balanced row partition; partials in block order.
-
-        Unlike :meth:`sum_over_blocks`, the caller owns the reduction —
-        the fast-grid backends need the per-block row matrices back in
-        global row order so they can apply the canonical strict fold
-        (partition-invariant bits) instead of partition-shaped sums.
-        """
-        return self._block_partials(
-            "pool.map_over_blocks", func, total, shared_args, block_args
-        )
 
 
 def parallel_sum(

@@ -1,6 +1,6 @@
-"""Zero-copy shared-memory workspaces for the blockwise worker pool.
+"""Zero-copy shared-memory workspaces for the blocked-shm worker pool.
 
-The multicore backend ships its inputs to every worker by pickling them
+A plain process pool ships its inputs to every worker by pickling them
 into the ``fork`` snapshot and its per-block partials back through a
 pipe.  At n = 20,000 that is harmless; at n = 100,000 with a large grid
 the per-call serialisation starts to rival the sweep itself.  This

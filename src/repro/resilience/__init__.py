@@ -14,7 +14,7 @@ at all.  This package exploits that:
 * :mod:`~repro.resilience.checkpoint` — resumable per-row-block partial
   sums for the O(n² log n) sweep (``resume=`` on the public selectors);
 * :mod:`~repro.resilience.degrade` — the backend fallback chain
-  ``gpusim → gpusim-tiled → multicore → numpy`` driven by stable
+  ``gpusim → gpusim-tiled → numpy`` driven by stable
   ``REPRO_*`` error codes, reported in a :class:`ResilienceReport`;
 * :mod:`~repro.resilience.engine` — the resilient execution engine that
   the public selectors call when ``resilience=`` is enabled.

@@ -4,17 +4,16 @@ The degradation order mirrors the paper's own hardware story read
 backwards: the CUDA program is fastest but dies at the 4 GB wall
 (n > 20,000, ``REPRO_DEVICE_OOM``); the tiled out-of-core variant
 (§V future work, :mod:`repro.cuda_port.tiled`) trades kernel launches for
-an O(t·n) footprint; the multicore program survives any device fault but
-can lose workers; the blockwise out-of-core sweep
-(:mod:`repro.core.blockwise`) bounds host memory by an explicit budget;
-and the sequential fast grid always completes.  So::
+an O(t·n) footprint; and the sequential fast grid, whose row blocks fit
+an explicit memory budget when one is given, always completes.  So::
 
-    gpusim  →  gpusim-tiled  →  multicore  →  blocked  →  numpy (serial)
+    gpusim  →  gpusim-tiled  →  numpy (serial)
 
-The shared-memory variant sits on its own spur: ``blocked-shm`` degrades
-first to ``blocked`` (same block partials, so the fallback is bit-exact)
-when its POSIX segments vanish (``REPRO_SHM_SEGMENT``), then to the
-serial terminal.
+The parallel host executors sit on spurs that join at the terminal:
+``blocked-shm`` degrades to ``numpy`` when its POSIX segments vanish
+(``REPRO_SHM_SEGMENT``) or its workers keep dying, and ``distributed``
+when the fleet is lost.  Both compute the same block partials as
+``numpy``, so these fallbacks are bit-exact.
 
 Decisions match on the stable ``REPRO_*`` error *codes* (see
 :mod:`repro.exceptions`), not on class identity, so refactoring the
@@ -50,19 +49,15 @@ __all__ = [
 DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = (
     "gpusim",
     "gpusim-tiled",
-    "multicore",
-    "blocked",
     "numpy",
 )
 
-#: Off-chain entry points that join the default chain mid-way: the
-#: shared-memory sweep falls back to its process-local twin (identical
-#: block partials — a lossless degradation) before the serial terminal.
+#: Off-chain entry points that join the default chain at its terminal:
+#: the shared-memory pool and the fleet compute the same block partials
+#: as the serial sweep, so losing either degrades losslessly.
 _CHAIN_SPURS: dict[str, tuple[str, ...]] = {
-    "blocked-shm": ("blocked-shm", "blocked", "numpy"),
-    # The fleet coordinator folds the same block partials as `blocked`,
-    # so losing the fleet degrades losslessly to the local sweep.
-    "distributed": ("distributed", "blocked", "numpy"),
+    "blocked-shm": ("blocked-shm", "numpy"),
+    "distributed": ("distributed", "numpy"),
 }
 
 #: Transient faults: retry on the same backend.
@@ -110,7 +105,7 @@ def fallback_chain(backend: str) -> tuple[str, ...]:
     """The degradation sequence starting from ``backend``.
 
     A backend on the default chain degrades along its suffix; spur
-    backends (``blocked-shm``) join the chain at their own entry; any
+    backends (``blocked-shm``, ``distributed``) join it at the terminal; any
     other backend (``python``, a user-registered one) falls straight back
     to the serial terminal, which cannot structurally fail.
     """

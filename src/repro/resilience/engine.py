@@ -27,11 +27,13 @@ property the chaos suite in ``tests/resilience/`` asserts.
 
 Backends fall into two execution shapes:
 
-* **block-sweep** (``numpy``, ``multicore``, ``gpusim-tiled``,
-  ``blocked``, ``blocked-shm``): the engine owns the row loop; the
-  backend determines how one block is computed (in-process, on the pool,
-  on the simulated device with tile-buffer residency, or on a
-  shared-memory pool with budget-planned block sizes);
+* **block-sweep** (``numpy``, ``gpusim-tiled``, ``blocked-shm``): the
+  engine owns the row loop and partitions every candidate the same way
+  (:func:`default_block_rows`, so degrading between them is lossless);
+  the backend determines how one block is computed (in-process, on the
+  simulated device with tile-buffer residency, or on a shared-memory
+  pool), each in sub-chunks sized by
+  :func:`~repro.core.fastgrid.plan_fastgrid_blocks`;
 * **whole-call** (``gpusim`` monolithic, ``python``, dense kernels,
   user-registered backends): the backend is atomic; retry/degrade wrap
   the entire call and resume is unavailable (the monolithic CUDA program
@@ -58,6 +60,7 @@ from repro.exceptions import (
 from repro.kernels import Kernel, get_kernel
 from repro.obs.tracer import current_tracer
 from repro.parallel.pool import WorkerPool, traced_work_unit
+from repro.utils.membudget import requested_budget
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 from repro.resilience import faults
 from repro.resilience.checkpoint import SweepCheckpoint, sweep_fingerprint
@@ -84,12 +87,7 @@ __all__ = [
 _POOL_FATAL_CODES = frozenset({"REPRO_WORKER_CRASH", "REPRO_BLOCK_TIMEOUT"})
 
 #: Backends the engine can drive block-by-block (resumable).
-_BLOCK_BACKENDS = frozenset(
-    {"numpy", "multicore", "gpusim-tiled", "blocked", "blocked-shm"}
-)
-
-#: The blockwise family sizes its blocks from the memory-budget planner.
-_BUDGETED_BACKENDS = frozenset({"blocked", "blocked-shm"})
+_BLOCK_BACKENDS = frozenset({"numpy", "gpusim-tiled", "blocked-shm"})
 
 
 def default_block_rows(n: int) -> int:
@@ -337,25 +335,20 @@ class ResilientEngine:
                 "dtype", "float32" if candidate == "gpusim-tiled" else "float64"
             )
         )
-        block_rows = self.config.block_rows
-        if block_rows is None and candidate in _BUDGETED_BACKENDS:
-            from repro.core.blockwise import plan_for
-
-            # Budget-planned granularity, capped at the checkpoint default
-            # so a roomy budget never coarsens resumability.  blocked and
-            # blocked-shm share the plan (output_matrix is irrelevant here:
-            # the engine collects k-vector partials, never the row matrix),
-            # which is what makes shm -> blocked degradation bit-exact.
-            plan = plan_for(
-                n,
-                k,
-                kern.name,
-                dtype=dtype,
-                memory_budget=options.get("memory_budget"),
-            )
-            block_rows = min(default_block_rows(n), plan.block_rows)
-        elif block_rows is None:
-            block_rows = default_block_rows(n)
+        # One partition for every candidate, whatever its budget: the
+        # block partials then add in the same order, which is what makes
+        # blocked-shm -> numpy degradation bit-exact.  A memory budget
+        # only shrinks the host candidates' sub-chunks inside each block;
+        # it is resolved here, once, from ``$REPRO_MEM_BUDGET`` when not
+        # given (the simulated device's tiles never take it).
+        if candidate != "gpusim-tiled":
+            options = {
+                **options,
+                "memory_budget": requested_budget(
+                    options.get("memory_budget")
+                ),
+            }
+        block_rows = self.config.block_rows or default_block_rows(n)
         blocks = [(s, min(s + block_rows, n)) for s in range(0, n, block_rows)]
         self.report.blocks_total += len(blocks)
 
@@ -378,17 +371,12 @@ class ResilientEngine:
         pool: WorkerPool | None = None
         owns_pool = False
         workspace = None
-        if candidate == "multicore":
-            pool = options.get("pool")
-            if pool is None:
-                pool = WorkerPool(options.get("workers"))
-                owns_pool = True
-        elif candidate == "blocked-shm":
+        if candidate == "blocked-shm":
             from repro.parallel import shm as shm_mod
 
             # An unlinked/purged segment surfaces here as a structural
             # REPRO_SHM_SEGMENT fault, degrading to the bit-identical
-            # process-local "blocked" candidate.
+            # serial "numpy" candidate.
             faults.fire("shm.segment", f"workspace[n={n},k={k}]")
             workspace = shm_mod.ShmWorkspace.create(
                 inputs={"x": x, "y": y, "grid": grid}
@@ -530,13 +518,7 @@ class ResilientEngine:
         """
         from repro.core.fastgrid import fastgrid_block_sums
 
-        if candidate == "multicore":
-            assert pool is not None
-            block_args = (x, y, grid, kern.name, start, stop, dtype)
-            return self._pool_collector(
-                pool, fastgrid_block_sums, block_args, start, stop
-            )
-
+        budget = options.get("memory_budget")
         if candidate == "blocked-shm":
             from repro.core.blockwise import shm_block_sums
 
@@ -545,7 +527,7 @@ class ResilientEngine:
             # injected crash/timeout is raised inside the child, so retry
             # and pool-rebuild behave exactly as for a real dead worker.
             kind = faults.draw("shm.worker", f"rows[{start}:{stop})")
-            block_args = (kern.name, start, stop, dtype)
+            block_args = (kern.name, start, stop, dtype, budget)
             return self._pool_collector(
                 pool, shm_block_sums, block_args, start, stop, fault_kind=kind
             )
@@ -556,7 +538,9 @@ class ResilientEngine:
             )
 
         return lambda: np.asarray(
-            fastgrid_block_sums(x, y, grid, kern.name, start, stop, dtype),
+            fastgrid_block_sums(
+                x, y, grid, kern.name, start, stop, dtype, budget
+            ),
             dtype=np.float64,
         )
 

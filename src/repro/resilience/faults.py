@@ -42,7 +42,7 @@ Usage::
 
     plan = FaultInjector([FaultSpec("pool.worker", "crash", at=(1,))], seed=7)
     with inject_faults(plan):
-        result = select_bandwidth(x, y, backend="multicore", resilience=True)
+        result = select_bandwidth(x, y, backend="blocked-shm", resilience=True)
     plan.log    # [FaultEvent(site='pool.worker', kind='crash', index=1, ...)]
 """
 

@@ -75,7 +75,7 @@ _KINDS = ("selection", "curve", "blocks")
 #: (:func:`repro.core.fastgrid.window_sum_path`); every other backend —
 #: python, gpusim* — keeps the binned bits.
 _SORTED_CAPABLE: frozenset[str] = frozenset(
-    {"numpy", "multicore", "blocked", "blocked-shm", "distributed"}
+    {"numpy", "blocked-shm", "distributed"}
 )
 
 

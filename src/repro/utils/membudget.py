@@ -1,4 +1,4 @@
-"""Host-memory budget planner for the blockwise out-of-core sweep.
+"""Host-memory budget planner for the fast-grid row blocks.
 
 The paper's own ceiling is memory, not compute: the CUDA program "cannot
 exceed n = 20,000" because its n×n global-memory matrices exhaust the
@@ -10,10 +10,12 @@ enumerate the arrays a block keeps alive, charge them against the
 budget, and fail loudly (typed ``REPRO_MEM_BUDGET`` error) when no block
 size can fit — instead of letting the OS OOM-killer decide.
 
-The budget comes from, in priority order: an explicit ``memory_budget=``
-argument, the ``REPRO_MEM_BUDGET`` environment variable, or the default
-(:data:`DEFAULT_MEMORY_BUDGET`).  Human-friendly strings ("2GB",
-"512MiB", "64mb") are accepted everywhere a byte count is.
+A sweep's budget comes from an explicit ``memory_budget=`` argument or
+the ``REPRO_MEM_BUDGET`` environment variable (:func:`requested_budget`);
+with neither, :func:`repro.core.fastgrid.plan_fastgrid_blocks` keeps its
+unbudgeted chunk size.  :func:`plan_blocks` takes the resolved byte
+count.  Human-friendly strings ("2GB", "512MiB", "64mb") are accepted
+everywhere a budget is requested.
 """
 
 from __future__ import annotations
@@ -26,21 +28,17 @@ from repro.exceptions import MemoryBudgetError, ValidationError
 
 __all__ = [
     "BlockPlan",
-    "DEFAULT_MEMORY_BUDGET",
     "MEMORY_BUDGET_ENV",
     "estimate_sweep_seconds",
     "parse_byte_budget",
     "plan_blocks",
-    "resolve_budget",
+    "requested_budget",
     "rows_for_budget",
+    "sweep_bytes",
 ]
 
 #: Environment variable consulted when no explicit budget is given.
 MEMORY_BUDGET_ENV = "REPRO_MEM_BUDGET"
-
-#: Default sweep working-set budget: 1 GiB — laptop-friendly while large
-#: enough that n = 20,000 runs in a handful of blocks.
-DEFAULT_MEMORY_BUDGET: int = 1024**3
 
 #: Binary units; the bare k/M/G forms are treated as binary too (a "2GB"
 #: budget that under-provisions by 7% would defeat its purpose).
@@ -81,14 +79,14 @@ def parse_byte_budget(value: int | float | str) -> int:
     return byte_count
 
 
-def resolve_budget(budget: int | float | str | None = None) -> int:
-    """Explicit budget, else ``$REPRO_MEM_BUDGET``, else the default."""
+def requested_budget(budget: int | float | str | None = None) -> int | None:
+    """Explicit budget, else ``$REPRO_MEM_BUDGET``, else ``None``."""
     if budget is not None:
         return parse_byte_budget(budget)
     env = os.environ.get(MEMORY_BUDGET_ENV)
     if env is not None and env.strip():
         return parse_byte_budget(env)
-    return DEFAULT_MEMORY_BUDGET
+    return None
 
 
 def rows_for_budget(
@@ -118,11 +116,12 @@ def rows_for_budget(
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """A planned partition of ``range(n)`` into budget-fitting row blocks.
+    """A planned partition of ``range(n)`` into row blocks.
 
     ``predicted_peak_bytes`` is the planner's model of the sweep's peak
     working set (fixed arrays + one block's temporaries); the blockwise
     test suite holds the real tracemalloc peak to within 1.5× of it.
+    ``budget_bytes`` is ``None`` for an unbudgeted plan.
     """
 
     n: int
@@ -130,7 +129,7 @@ class BlockPlan:
     block_rows: int
     bytes_per_row: int
     fixed_bytes: int
-    budget_bytes: int
+    budget_bytes: int | None
 
     @property
     def n_blocks(self) -> int:
@@ -138,7 +137,7 @@ class BlockPlan:
 
     @property
     def predicted_peak_bytes(self) -> int:
-        return self.fixed_bytes + self.block_rows * self.bytes_per_row
+        return self.fixed_bytes + min(self.block_rows, self.n) * self.bytes_per_row
 
     @property
     def predicted_traffic_bytes(self) -> int:
@@ -157,7 +156,7 @@ class BlockPlan:
             for start in range(0, self.n, self.block_rows)
         ]
 
-    def to_dict(self) -> dict[str, int]:
+    def to_dict(self) -> dict[str, int | None]:
         """JSON-friendly snapshot (for spans and bench artifacts)."""
         return {
             "n": self.n,
@@ -171,30 +170,63 @@ class BlockPlan:
         }
 
 
-def _block_row_bytes(n: int, k: int, n_terms: int, itemsize: int) -> int:
-    """Model of one block row's live temporaries in the fast-grid sweep.
+def sweep_bytes(
+    n: int,
+    k: int,
+    *,
+    path: str = "binned",
+    n_terms: int = 2,
+    top_power: int = 2,
+    n_octaves: int = 1,
+    itemsize: int = 8,
+    output_matrix: bool = False,
+) -> tuple[int, int]:
+    """``(fixed, per_row)``: the fast-grid sweep's working-set model.
 
-    Mirrors ``_window_sums_for_block``: the distance row (``itemsize``),
-    the int64 bin/offset/index triple, one distance-power and one
-    weighted-Y row per polynomial term, and the handful of k-length
-    per-row outputs (window sums, LOO estimate, residuals, histogram
-    rows).  Deliberately counts arrays that overlap only briefly — the
-    plan must be an upper bound, not a best case.
+    ``fixed`` is what stays resident however the rows are blocked: x and
+    y, the grid and the k-length accumulators, plus the n×k contribution
+    matrix when ``output_matrix`` is set.  ``per_row`` is one block row's
+    temporaries.  Both depend on the window-sum path
+    (:func:`repro.core.fastgrid.window_sum_path`):
+
+    * **binned** — each row holds an n-long distance row, the int64
+      bin/offset/index triple and one distance-power and weighted-Y row
+      per polynomial term: O(n) bytes per row;
+    * **sorted** — each row holds only k-length moment gathers, window
+      sums and residuals (``8·(top+1) + 4·n_terms + 16`` of them): O(k)
+      bytes per row.  The price is the sample sorted once, with
+      ``2·(top+1)`` anchored prefix sums per grid octave, charged to
+      ``fixed`` together with the transient arrays of building one octave.
+
+    Deliberately counts arrays that overlap only briefly — the plan must
+    be an upper bound, not a best case.
     """
-    return (
-        n * (2 * itemsize + 3 * 8)
-        + n_terms * n * (itemsize + 8)
-        + 16 * k * 8
-    )
+    fixed = 2 * n * 8 + k * 8 + 4 * k * 8
+    if output_matrix:
+        fixed += n * k * 8
+    if path == "sorted":
+        moments = 2 * (top_power + 1)
+        fixed += n * 8 * (6 + n_octaves * (2 * moments + 4) + 4 * moments + 3)
+        per_row = (8 * (top_power + 1) + 4 * n_terms + 16) * k * 8
+    else:
+        per_row = (
+            n * (2 * itemsize + 3 * 8)
+            + n_terms * n * (itemsize + 8)
+            + 16 * k * 8
+        )
+    return fixed, per_row
 
 
 def plan_blocks(
     n: int,
     k: int,
     *,
+    path: str = "binned",
     n_terms: int = 2,
+    top_power: int = 2,
+    n_octaves: int = 1,
     itemsize: int = 8,
-    budget: int | float | str | None = None,
+    budget: int,
     output_matrix: bool = False,
     max_rows: int | None = None,
 ) -> BlockPlan:
@@ -204,13 +236,15 @@ def plan_blocks(
     ----------
     n, k:
         Sample size and bandwidth-grid size.
-    n_terms:
-        Polynomial term count of the kernel (2 for Epanechnikov).
+    path, n_terms, top_power, n_octaves:
+        The window-sum path and the kernel/grid facts its row model
+        needs (see :func:`sweep_bytes`; 2 terms and top power 2 for
+        Epanechnikov).
     itemsize:
         Bytes per distance element (8 float64, 4 for the float32 path).
     budget:
-        Bytes (or a "2GB"-style string); ``None`` consults
-        ``$REPRO_MEM_BUDGET`` and then :data:`DEFAULT_MEMORY_BUDGET`.
+        Bytes, already resolved (:func:`parse_byte_budget`,
+        :func:`requested_budget`).
     output_matrix:
         Charge the n×k float64 per-row contribution matrix against the
         fixed working set (the shared-memory variant materialises it).
@@ -230,20 +264,18 @@ def plan_blocks(
         raise ValidationError(f"k must be positive, got {k}")
     if n_terms <= 0:
         raise ValidationError(f"n_terms must be positive, got {n_terms}")
-    budget_bytes = resolve_budget(budget)
-    # Fixed residency: x and y (float64), the grid, and the k-length
-    # accumulators; plus the n×k contribution matrix when materialised.
-    fixed = 2 * n * 8 + k * 8 + 4 * k * 8
-    if output_matrix:
-        fixed += n * k * 8
-    per_row = _block_row_bytes(n, k, n_terms, itemsize)
-    spare = budget_bytes - fixed
+    fixed, per_row = sweep_bytes(
+        n, k, path=path, n_terms=n_terms, top_power=top_power,
+        n_octaves=n_octaves, itemsize=itemsize, output_matrix=output_matrix,
+    )
+    spare = budget - fixed
     if spare < per_row:
         raise MemoryBudgetError(
-            f"memory budget of {budget_bytes:,} bytes cannot hold a "
+            f"memory budget of {budget:,} bytes cannot hold a "
             f"single-row block: fixed working set is {fixed:,} bytes and "
-            f"each block row needs {per_row:,} bytes (n={n:,}, k={k}); "
-            f"raise the budget (memory_budget= / ${MEMORY_BUDGET_ENV})"
+            f"each block row needs {per_row:,} bytes (n={n:,}, k={k}, "
+            f"{path} path); raise the budget (memory_budget= / "
+            f"${MEMORY_BUDGET_ENV})"
         )
     rows = rows_for_budget(
         spare, per_row, minimum=1, maximum=min(n, max_rows or n)
@@ -254,7 +286,7 @@ def plan_blocks(
         block_rows=rows,
         bytes_per_row=per_row,
         fixed_bytes=fixed,
-        budget_bytes=budget_bytes,
+        budget_bytes=budget,
     )
 
 

@@ -111,7 +111,7 @@ class TestSelection:
             )
 
     def test_nested_pool_rejected(self) -> None:
-        for backend in ("multicore", "blocked-shm", "distributed"):
+        for backend in ("blocked-shm", "distributed"):
             with pytest.raises(ValidationError, match="nest"):
                 BaggedCVSelector(backend=backend, subsample_workers=2)
 
@@ -120,9 +120,9 @@ class TestCrossBackendBitForBit:
     @pytest.mark.parametrize(
         ("backend", "options"),
         [
-            ("multicore", {"workers": 2}),
-            ("blocked", {}),
-            ("blocked", {"memory_budget": "64MiB"}),
+            ("blocked-shm", {"workers": 2, "block_rows": 7}),
+            ("numpy", {"block_rows": 7}),
+            ("numpy", {"memory_budget": "64MiB"}),
             ("blocked-shm", {"workers": 2}),
         ],
     )
@@ -217,7 +217,7 @@ class TestResilience:
         )
         with inject_faults(injector):
             res = select_bandwidth(
-                sample.x, sample.y, method="bagged", backend="blocked",
+                sample.x, sample.y, method="bagged", backend="blocked-shm",
                 resilience=config, **PLAN,
             )
         assert res.bandwidth == reference.bandwidth
@@ -239,7 +239,7 @@ class TestResilience:
         with inject_faults(injector):
             with pytest.raises((RetryBudgetExceeded, BlockTimeoutError)):
                 select_bandwidth(
-                    sample.x, sample.y, method="bagged", backend="blocked",
+                    sample.x, sample.y, method="bagged", backend="blocked-shm",
                     resilience=config, **PLAN,
                 )
 

@@ -2,11 +2,11 @@
 
 Three tiers of agreement, each as strong as float semantics allow:
 
-* **bit-for-bit within a dtype family** — numpy, multicore, blocked and
-  blocked-shm all reduce the same per-row float64 contributions in strict
-  row order (partition-independent ⇒ identical addition order at every
-  block size and worker count), and gpusim (fast mode) vs gpusim-tiled
-  share the float32 sum;
+* **bit-for-bit within a dtype family** — numpy (at any row cap or
+  memory budget) and blocked-shm all reduce the same per-row float64
+  contributions in strict row order (partition-independent ⇒ identical
+  addition order at every block size and worker count), and gpusim
+  (fast mode) vs gpusim-tiled share the float32 sum;
 * **allclose across families** — python vs numpy (different accumulation
   order), float64 vs float32 curves;
 * **identical optimum** — ``select_bandwidth`` lands on the exact same
@@ -31,18 +31,14 @@ from hypothesis import given, settings, strategies as st
 import repro.cuda_port  # noqa: F401 - registers gpusim + gpusim-tiled
 from repro.core.api import select_bandwidth
 from repro.core.backends import get_backend
-from repro.core.blockwise import plan_for
-from repro.core.fastgrid import cv_scores_fastgrid, cv_scores_fastgrid_python
+from repro.core.fastgrid import (
+    cv_scores_fastgrid,
+    cv_scores_fastgrid_python,
+    plan_fastgrid_blocks,
+)
 from repro.obs import Tracer, use_tracer
-from repro.parallel.pool import WorkerPool
 
 FAST_KERNELS = ("epanechnikov", "uniform")
-
-
-@pytest.fixture(scope="module")
-def shared_pool():
-    with WorkerPool(2) as pool:
-        yield pool
 
 
 def _sample(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,21 +74,22 @@ class TestBitForBitWithinFamilies:
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(draw=draws)
-    def test_numpy_multicore_identical_float64(self, draw, shared_pool):
+    def test_numpy_multicore_identical_float64(self, draw):
         n, k, kernel, seed = draw
         x, y = _sample(n, seed)
         grid = _grid(x, k)
         numpy_backend = get_backend("numpy")
-        multicore = get_backend("multicore")
+        # The multi-core executor: row blocks over a two-worker pool.
+        multicore = get_backend("blocked-shm")
 
-        # chunk_rows = n//2 makes the serial chunk partition coincide with
-        # the two-worker block partition, so the float64 sums add in the
-        # same order — agreement is exact, not approximate.
+        # Different partitions on purpose (two serial blocks against
+        # default-sized blocks over two workers): both fold the same rows
+        # in global row order, so agreement is exact, not approximate.
         a_plain, a_traced = _traced_and_untraced(
-            lambda: numpy_backend(x, y, grid, kernel, chunk_rows=n // 2)
+            lambda: numpy_backend(x, y, grid, kernel, block_rows=n // 2)
         )
         b_plain, b_traced = _traced_and_untraced(
-            lambda: multicore(x, y, grid, kernel, pool=shared_pool)
+            lambda: multicore(x, y, grid, kernel, workers=2)
         )
         assert a_plain.tobytes() == a_traced.tobytes()
         assert b_plain.tobytes() == b_traced.tobytes()
@@ -137,7 +134,7 @@ class TestBlockwiseOutOfCore:
         x, y = _sample(n, seed)
         grid = _grid(x, k)
         ref = np.asarray(get_backend("numpy")(x, y, grid, kernel))
-        blocked = get_backend("blocked")
+        blocked = get_backend("numpy")
         for rows in _adversarial_block_sizes(n):
             got_plain, got_traced = _traced_and_untraced(
                 lambda rows=rows: blocked(x, y, grid, kernel, block_rows=rows)
@@ -177,10 +174,14 @@ class TestBlockwiseOutOfCore:
         x, y = _sample(n, seed)
         grid = _grid(x, k)
         ref = np.asarray(get_backend("numpy")(x, y, grid, kernel))
-        plan = plan_for(n, k, kernel)
+        budget = "32KiB"
+        plan = plan_fastgrid_blocks(n, grid, kernel, memory_budget=budget)
         assert plan.block_rows >= 1
-        got = np.asarray(get_backend("blocked")(x, y, grid, kernel))
-        assert got.tobytes() == ref.tobytes()
+        for backend in ("numpy", "blocked-shm"):
+            got = np.asarray(
+                get_backend(backend)(x, y, grid, kernel, memory_budget=budget)
+            )
+            assert got.tobytes() == ref.tobytes(), backend
 
 
 class TestCrossFamilyAgreement:
@@ -211,15 +212,16 @@ class TestCrossFamilyAgreement:
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(draw=draws)
-    def test_all_backends_agree_on_h_opt(self, draw, shared_pool):
+    def test_all_backends_agree_on_h_opt(self, draw):
         n, k, kernel, seed = draw
         x, y = _sample(n, seed)
         chosen = {}
         for backend, options in (
             ("numpy", {}),
             ("python", {}),
-            ("multicore", {"pool": shared_pool}),
-            ("blocked", {"block_rows": 7}),
+            ("numpy", {"block_rows": 7}),
+            ("numpy", {"memory_budget": "32KiB"}),
+            ("blocked-shm", {"workers": 2}),
             ("blocked-shm", {"block_rows": 7, "workers": 2}),
             ("gpusim", {"mode": "fast"}),
             ("gpusim-tiled", {}),
@@ -228,7 +230,7 @@ class TestCrossFamilyAgreement:
                 x, y, backend=backend, n_bandwidths=k, kernel=kernel,
                 **options,
             )
-            chosen[backend] = result.bandwidth
+            chosen[f"{backend} {options}"] = result.bandwidth
         assert len(set(chosen.values())) == 1, chosen
 
 
@@ -243,7 +245,7 @@ class TestAdversarialGrids:
         # an awkward partition (B = 5 never divides these samples evenly)
         # and must still agree to the last bit, non-finite lanes included.
         blk = np.asarray(
-            get_backend("blocked")(x, y, grid, kernel, block_rows=5)
+            get_backend("numpy")(x, y, grid, kernel, block_rows=5)
         )
         assert blk.tobytes() == ref.tobytes()
         finite = np.isfinite(ref)
@@ -316,7 +318,7 @@ class TestFloat32:
         grid = _grid(x, 10)
         ref32 = cv_scores_fastgrid(x, y, grid, kernel, dtype="float32")
         blocked32 = np.asarray(
-            get_backend("blocked")(
+            get_backend("numpy")(
                 x, y, grid, kernel, block_rows=7, dtype="float32"
             )
         )

@@ -119,8 +119,8 @@ class TestWindowSemantics:
 
     def test_chunk_rows_invariance(self, paper_sample_medium, medium_grid):
         s = paper_sample_medium
-        a = cv_scores_fastgrid(s.x, s.y, medium_grid.values, chunk_rows=400)
-        b = cv_scores_fastgrid(s.x, s.y, medium_grid.values, chunk_rows=7)
+        a = cv_scores_fastgrid(s.x, s.y, medium_grid.values, block_rows=400)
+        b = cv_scores_fastgrid(s.x, s.y, medium_grid.values, block_rows=7)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_float32_mode_close_to_float64(self, paper_sample_medium, medium_grid):

@@ -1,4 +1,4 @@
-"""Nightly n = 100,000 scaling smoke for the blocked backend.
+"""Nightly n = 100,000 scaling smoke for the budgeted numpy backend.
 
 Five times the paper's hard ceiling, inside a 2 GiB working-set budget.
 Minutes of sorting, so it is gated twice: the ``scale`` marker (nightly
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.api import select_bandwidth
-from repro.core.blockwise import plan_for
+from repro.core.fastgrid import plan_fastgrid_blocks
+from repro.core.grid import BandwidthGrid
 
 pytestmark = [
     pytest.mark.scale,
@@ -35,13 +36,15 @@ def test_n100k_selection_inside_two_gib() -> None:
     x = rng.uniform(0.0, 1.0, N)
     y = np.sin(2.0 * np.pi * x) + rng.normal(0.0, 0.3, N)
 
-    plan = plan_for(N, K, "epanechnikov", memory_budget=BUDGET)
+    grid = BandwidthGrid.for_sample(x, K).values
+    plan = plan_fastgrid_blocks(N, grid, "epanechnikov", memory_budget=BUDGET)
     assert plan.predicted_peak_bytes <= 2 * 1024**3
+    assert plan.n_blocks > 1
 
     tracemalloc.start()
     try:
         result = select_bandwidth(
-            x, y, backend="blocked", n_bandwidths=K, memory_budget=BUDGET
+            x, y, backend="numpy", n_bandwidths=K, memory_budget=BUDGET
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

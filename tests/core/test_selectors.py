@@ -51,12 +51,13 @@ class TestGridSearchSelector:
         np.testing.assert_allclose(a.scores, b.scores, rtol=1e-8)
 
     def test_multicore_backend_same_scores(self, paper_sample_medium):
+        # blocked-shm is the multi-core grid backend.
         s = paper_sample_medium
         a = GridSearchSelector(n_bandwidths=15, backend="numpy").select(s.x, s.y)
         b = GridSearchSelector(
-            n_bandwidths=15, backend="multicore", workers=2
+            n_bandwidths=15, backend="blocked-shm", workers=2
         ).select(s.x, s.y)
-        np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12)
+        assert a.scores.tobytes() == b.scores.tobytes()
 
     def test_gaussian_kernel_falls_back_to_dense(self, paper_sample_small):
         s = paper_sample_small
@@ -87,7 +88,9 @@ class TestBackendNameResolution:
 
     @pytest.mark.parametrize("resilience", [None, True])
     @pytest.mark.parametrize("method", ["grid", "bagged"])
-    @pytest.mark.parametrize("name", ["nope", "compiled", "blocked-compiled"])
+    @pytest.mark.parametrize(
+        "name", ["nope", "compiled", "blocked-compiled", "multicore", "blocked"]
+    )
     def test_unknown_name_raises_typed_error(
         self, paper_sample_small, name, method, resilience
     ):

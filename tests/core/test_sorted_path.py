@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import fastgrid
 from repro.core.backends import get_backend
-from repro.core.blockwise import cv_scores_blocked, cv_scores_blocked_shm
+from repro.core.blockwise import cv_scores_blocked_shm
 from repro.core.fastgrid import (
     cv_scores_fastgrid,
     fastgrid_row_contributions,
@@ -34,7 +34,6 @@ from repro.core.fastgrid import (
 )
 from repro.data.generators import paper_dgp
 from repro.kernels import fast_grid_kernels, get_kernel
-from repro.parallel.pool import WorkerPool
 
 #: Curve rtol against the binned path, per kernel (largest power p), as
 #: recorded in DESIGN.md.  Tricube's is the loosest: a window holding one
@@ -224,31 +223,27 @@ class TestBinnedBitsKept:
 
 
 class TestExecutorsAgreeBitForBit:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        with WorkerPool(2) as pool:
-            yield pool
-
     @pytest.mark.parametrize("kernel", ("epanechnikov", "triangular", "tricube"))
-    def test_numpy_blocked_shm_multicore(self, kernel, pool):
+    def test_numpy_blocked_shm_multicore(self, kernel):
         x, y = _sample(N, 8)
         grid = np.linspace(0.01, 0.3, 25)
         assert window_sum_path(N, 25, kernel) == "sorted"
         ref = cv_scores_fastgrid(x, y, grid, kernel).tobytes()
         for rows in (1, 7, 64, N):
             assert cv_scores_fastgrid(
-                x, y, grid, kernel, chunk_rows=rows
-            ).tobytes() == ref
-            assert cv_scores_blocked(
                 x, y, grid, kernel, block_rows=rows
             ).tobytes() == ref
+        assert cv_scores_fastgrid(
+            x, y, grid, kernel, memory_budget="2MiB"
+        ).tobytes() == ref
         for rows in (13, 200):
             assert cv_scores_blocked_shm(
                 x, y, grid, kernel, block_rows=rows, workers=2
             ).tobytes() == ref
-        multicore = get_backend("multicore")
+        # blocked-shm on two cores with the blocks the one rule plans.
+        multicore = get_backend("blocked-shm")
         assert np.asarray(
-            multicore(x, y, grid, kernel, pool=pool)
+            multicore(x, y, grid, kernel, workers=2)
         ).tobytes() == ref
 
 

@@ -1,8 +1,8 @@
 """Chaos: the distributed sweep under injected network faults.
 
 Every test asserts the headline invariant — the CV curve (and hence
-``h_opt``) stays **bit-for-bit identical** to the local ``blocked`` and
-``numpy`` backends no matter which faults fire — plus the accounting
+``h_opt``) stays **bit-for-bit identical** to the local ``numpy``
+backend, blocked or not, no matter which faults fire — plus the accounting
 that proves the fault actually happened and was absorbed the intended
 way (retry, epoch discard, checksum reject, local fallback).
 
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.api import select_bandwidth
-from repro.core.blockwise import cv_scores_blocked
 from repro.core.fastgrid import cv_scores_fastgrid
 from repro.core.grid import BandwidthGrid
 from repro.distributed import (
@@ -35,7 +34,7 @@ BLOCK_ROWS = 48  # 240 rows -> 5 blocks
 
 
 def _reference(x, y, grid):
-    ref = cv_scores_blocked(x, y, grid, "epanechnikov", block_rows=BLOCK_ROWS)
+    ref = cv_scores_fastgrid(x, y, grid, "epanechnikov", block_rows=BLOCK_ROWS)
     assert np.array_equal(
         ref, cv_scores_fastgrid(x, y, grid, kernel="epanechnikov")
     ), "local backends disagree; the distributed assertion would be vacuous"

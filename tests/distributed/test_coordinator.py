@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.api import select_bandwidth
 from repro.core.backends import get_backend, list_backends
-from repro.core.blockwise import cv_scores_blocked
 from repro.core.fastgrid import cv_scores_fastgrid
 from repro.core.grid import BandwidthGrid
 from repro.distributed import (
@@ -43,7 +42,7 @@ class TestEquality:
         )
         assert np.array_equal(
             scores,
-            cv_scores_blocked(
+            cv_scores_fastgrid(
                 x, y, fleet_grid, "epanechnikov", block_rows=block_rows
             ),
         )
@@ -124,7 +123,7 @@ class TestStagingFailures:
         scores = coord.cv_scores(x, y, fleet_grid, "epanechnikov", block_rows=48)
         assert np.array_equal(
             scores,
-            cv_scores_blocked(x, y, fleet_grid, "epanechnikov", block_rows=48),
+            cv_scores_fastgrid(x, y, fleet_grid, "epanechnikov", block_rows=48),
         )
         stage_faults = [f for f in coord.report.faults if f["stage"] == "stage"]
         assert stage_faults, coord.report.faults
@@ -306,6 +305,6 @@ def test_chaos_free_chaos_fleet_matches(fleet_sample, fleet_grid, fast_config):
     scores = coord.cv_scores(x, y, fleet_grid, "epanechnikov", block_rows=48)
     assert np.array_equal(
         scores,
-        cv_scores_blocked(x, y, fleet_grid, "epanechnikov", block_rows=48),
+        cv_scores_fastgrid(x, y, fleet_grid, "epanechnikov", block_rows=48),
     )
     assert coord.report.fault_codes == []

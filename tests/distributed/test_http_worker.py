@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.blockwise import cv_scores_blocked
+from repro.core.fastgrid import cv_scores_fastgrid
 from repro.distributed import (
     CoordinatorConfig,
     FleetCoordinator,
@@ -71,7 +71,7 @@ def test_http_sweep_matches_local_blocked(fleet, process_config):
     coord = FleetCoordinator(fleet, process_config)
     scores = coord.cv_scores(x, y, grid, "epanechnikov", block_rows=64)
     assert np.array_equal(
-        scores, cv_scores_blocked(x, y, grid, "epanechnikov", block_rows=64)
+        scores, cv_scores_fastgrid(x, y, grid, "epanechnikov", block_rows=64)
     )
     assert coord.report.blocks_remote == coord.report.blocks_total
 
@@ -107,7 +107,7 @@ def test_worker_killed_mid_sweep_never_changes_the_curve():
             killer.cancel()
         assert np.array_equal(
             scores,
-            cv_scores_blocked(x, y, grid, "epanechnikov", block_rows=32),
+            cv_scores_fastgrid(x, y, grid, "epanechnikov", block_rows=32),
         )
         report = coord.report
         assert report.blocks_remote + report.blocks_local == report.blocks_total

@@ -17,7 +17,7 @@ from repro.core import (
 from repro.core.grid import BandwidthGrid
 from repro.data import generate
 
-BACKENDS = ("numpy", "python", "multicore", "gpusim")
+BACKENDS = ("numpy", "python", "blocked-shm", "gpusim")
 
 
 class TestBackendAgreement:

@@ -17,7 +17,6 @@ import pytest
 import repro.cuda_port  # noqa: F401 - registers gpusim + gpusim-tiled
 from repro.core.api import select_bandwidth
 from repro.obs import Tracer, chrome_trace, span_tree
-from repro.parallel.pool import WorkerPool
 
 N = 32
 K = 5
@@ -98,33 +97,43 @@ GOLDEN = {
         (5, "device-argmin"),
         (2, "argmin"),
     ],
+    # blocked-shm on three workers with no row cap: the sizing rule plans
+    # the whole N=32 sample as one block, which is split into one block
+    # per worker, each adopted from its worker.
     "multicore": [
         (0, "select_bandwidth"),
         (1, "grid-search"),
         (2, "evaluate-grid"),
-        (3, "backend:multicore"),
-        # map, not sum: the backend folds the ordered row matrices itself
-        # so the curve is bit-identical to numpy at any worker count.
-        (4, "pool.map_over_blocks"),
-        (5, "block"),
-        *SWEEP,
-        (5, "block"),
-        *SWEEP,
-        (2, "argmin"),
-    ],
-    "blocked": [
-        (0, "select_bandwidth"),
-        (1, "grid-search"),
-        (2, "evaluate-grid"),
-        (3, "backend:blocked"),
-        (4, "blocked-sweep"),
+        (3, "backend:blocked-shm"),
+        (4, "blocked-shm-sweep"),
         (5, "plan"),
         (5, "block-sweep"),
         (6, "block"),
         (7, "sort"),
         (7, "sweep"),
         (7, "reduction"),
-        (6, "reduce"),
+        (6, "block"),
+        (7, "sort"),
+        (7, "sweep"),
+        (7, "reduction"),
+        (6, "block"),
+        (7, "sort"),
+        (7, "sweep"),
+        (7, "reduction"),
+        (5, "reduce"),
+        (2, "argmin"),
+    ],
+    # numpy capped at N/2 rows: two blocks folded in one fastgrid span.
+    "blocked": [
+        (0, "select_bandwidth"),
+        (1, "grid-search"),
+        (2, "evaluate-grid"),
+        (3, "backend:numpy"),
+        (4, "fastgrid"),
+        (5, "block"),
+        *SWEEP,
+        (5, "block"),
+        *SWEEP,
         (2, "argmin"),
     ],
     "blocked-shm": [
@@ -168,13 +177,11 @@ class TestGoldenTrees:
         assert shape(tracer) == GOLDEN["gpusim-tiled"]
 
     def test_multicore_tree(self, sample):
-        with WorkerPool(2) as pool:
-            tracer, _ = run_traced(*sample, "multicore", pool=pool)
+        tracer, _ = run_traced(*sample, "blocked-shm", workers=3)
         assert shape(tracer) == GOLDEN["multicore"]
 
     def test_blocked_tree(self, sample):
-        # The default budget plans the whole N=32 sample into one block.
-        tracer, _ = run_traced(*sample, "blocked")
+        tracer, _ = run_traced(*sample, "numpy", block_rows=N // 2)
         assert shape(tracer) == GOLDEN["blocked"]
 
     def test_blocked_shm_tree(self, sample):
@@ -185,12 +192,15 @@ class TestGoldenTrees:
         assert shape(tracer) == GOLDEN["blocked-shm"]
 
     def test_blocked_plan_attributes(self, sample):
-        tracer, _ = run_traced(*sample, "blocked")
+        tracer, _ = run_traced(
+            *sample, "blocked-shm", workers=2, memory_budget="64KiB"
+        )
         by_name = {rec.name: rec for rec, _ in span_tree(tracer)}
         plan = by_name["plan"].attributes
         assert plan["n"] == N and plan["k"] == K
         assert plan["block_rows"] >= 1
         assert plan["n_blocks"] == -(-N // plan["block_rows"])
+        assert plan["budget_bytes"] == 64 * 1024
         assert plan["predicted_peak_bytes"] <= plan["budget_bytes"]
 
     def test_resilient_tree_structure(self, sample):

@@ -40,71 +40,91 @@ def no_shm_litter():
     if os.path.isdir("/dev/shm"):
         assert glob.glob("/dev/shm/repro-shm-*") == []
 
-#: (backend, fault spec) cells where the fault is absorbed *in place*
-#: (retry on the same backend) — scores must match bit for bit.
+#: A budget that splits each engine block of the chaos sample into
+#: sub-chunks: the budgeted numpy sweep, the old ``blocked`` backend.
+BUDGET = {"memory_budget": "256KiB"}
+
+#: (backend, options, fault spec) cells where the fault is absorbed *in
+#: place* (retry on the same backend) — scores must match bit for bit.
+#: The ``multicore-*`` cells fault the process pool of blocked-shm, the
+#: multi-core backend; the ``blocked-*`` cells run the budgeted numpy
+#: sweep.
 RETRY_CELLS = [
     pytest.param(
         "numpy",
+        {},
         FaultSpec(site="data.block", kind="nan", at=(2,)),
         id="numpy-nan-block",
     ),
     pytest.param(
         "numpy",
+        {},
         FaultSpec(site="data.block", kind="inf", at=(0, 5)),
         id="numpy-inf-blocks",
     ),
     pytest.param(
-        "multicore",
+        "blocked-shm",
+        {"workers": 2},
         FaultSpec(site="pool.worker", kind="crash", at=(1,)),
         id="multicore-worker-crash",
     ),
     pytest.param(
-        "multicore",
+        "blocked-shm",
+        {"workers": 2},
         FaultSpec(site="pool.worker", kind="timeout", at=(3,)),
         id="multicore-block-timeout",
     ),
     pytest.param(
-        "multicore",
+        "blocked-shm",
+        {"workers": 2},
         FaultSpec(site="data.block", kind="nan", at=(1,)),
         id="multicore-nan-block",
     ),
     pytest.param(
         "gpusim",
+        {},
         FaultSpec(site="gpusim.launch", kind="launch", at=(0,)),
         id="gpusim-launch-failure",
     ),
     pytest.param(
         "gpusim-tiled",
+        {},
         FaultSpec(site="data.block", kind="nan", at=(2,)),
         id="gpusim-tiled-nan-block",
     ),
     pytest.param(
         "gpusim-tiled",
+        {},
         FaultSpec(site="data.block", kind="inf", at=(0,)),
         id="gpusim-tiled-inf-block",
     ),
     pytest.param(
-        "blocked",
+        "numpy",
+        BUDGET,
         FaultSpec(site="data.block", kind="nan", at=(1,)),
         id="blocked-nan-block",
     ),
     pytest.param(
-        "blocked",
+        "numpy",
+        BUDGET,
         FaultSpec(site="data.block", kind="inf", at=(0, 2)),
         id="blocked-inf-blocks",
     ),
     pytest.param(
         "blocked-shm",
+        {},
         FaultSpec(site="shm.worker", kind="crash", at=(1,)),
         id="blocked-shm-worker-crash",
     ),
     pytest.param(
         "blocked-shm",
+        {},
         FaultSpec(site="shm.worker", kind="timeout", at=(2,)),
         id="blocked-shm-worker-timeout",
     ),
     pytest.param(
         "blocked-shm",
+        {},
         FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="blocked-shm-nan-block",
     ),
@@ -122,38 +142,42 @@ DEGRADE_CELLS = [
     pytest.param(
         "gpusim-tiled",
         FaultSpec(site="gpusim.malloc", kind="oom", rate=1.0),
-        "multicore",
-        id="tiled-oom-to-multicore",
+        "numpy",
+        id="tiled-oom-to-numpy",
     ),
     pytest.param(
         "blocked-shm",
         FaultSpec(site="shm.segment", kind="unlink", at=(0,)),
-        "blocked",
-        id="shm-unlink-to-blocked",
+        "numpy",
+        id="shm-unlink-to-numpy",
     ),
 ]
 
 
-def _clean_scores(sample, grid, backend, config):
+def _clean_scores(sample, grid, backend, config, options=None):
     x, y = sample
     scores, report = resilient_cv_scores(
-        x, y, grid, backend=backend, config=config
+        x, y, grid, backend=backend, config=config, backend_options=options
     )
     assert report.clean, f"fault-free {backend} run must be clean"
     return scores
 
 
 class TestRetryBitForBit:
-    @pytest.mark.parametrize(("backend", "spec"), RETRY_CELLS)
+    @pytest.mark.parametrize(("backend", "options", "spec"), RETRY_CELLS)
     def test_faulted_run_matches_clean_run(
-        self, backend, spec, chaos_sample, chaos_grid, chaos_seed, fast_config
+        self, backend, options, spec, chaos_sample, chaos_grid, chaos_seed,
+        fast_config,
     ) -> None:
-        clean = _clean_scores(chaos_sample, chaos_grid, backend, fast_config)
+        clean = _clean_scores(
+            chaos_sample, chaos_grid, backend, fast_config, options
+        )
         x, y = chaos_sample
         injector = FaultInjector([spec], seed=chaos_seed)
         with inject_faults(injector):
             scores, report = resilient_cv_scores(
-                x, y, chaos_grid, backend=backend, config=fast_config
+                x, y, chaos_grid, backend=backend, config=fast_config,
+                backend_options=options,
             )
         np.testing.assert_array_equal(scores, clean)
         assert report.backend_used == backend
@@ -161,7 +185,11 @@ class TestRetryBitForBit:
         assert report.retries >= 1
         assert report.faults, "the absorbed fault must be reported"
 
-    @pytest.mark.parametrize("backend", ["numpy", "multicore", "gpusim-tiled"])
+    @pytest.mark.parametrize(
+        "backend",
+        # blocked-shm keeps the id of the multi-core cell it replaced.
+        ["numpy", pytest.param("blocked-shm", id="multicore"), "gpusim-tiled"],
+    )
     def test_random_rate_faults_still_bit_for_bit(
         self, backend, chaos_sample, chaos_grid, chaos_seed, fast_config
     ) -> None:
@@ -216,14 +244,15 @@ class TestDegradation:
 
 
 class TestSharedMemoryChaos:
-    """The shm spur is special: its fallback twin computes the *same*
-    partition with the same arithmetic, so degradation is lossless —
-    stronger than the allclose contract of the generic degrade cells."""
+    """The shm spur is special: its fallback (the serial numpy sweep)
+    computes the *same* partition with the same arithmetic, so
+    degradation is lossless — stronger than the allclose contract of the
+    generic degrade cells."""
 
     def test_unlink_degradation_is_bit_identical(
         self, chaos_sample, chaos_grid, chaos_seed, fast_config
     ) -> None:
-        clean = _clean_scores(chaos_sample, chaos_grid, "blocked", fast_config)
+        clean = _clean_scores(chaos_sample, chaos_grid, "numpy", fast_config)
         x, y = chaos_sample
         spec = FaultSpec(site="shm.segment", kind="unlink", at=(0,))
         with inject_faults(FaultInjector([spec], seed=chaos_seed)):
@@ -232,7 +261,7 @@ class TestSharedMemoryChaos:
             )
         np.testing.assert_array_equal(scores, clean)
         assert report.degraded
-        assert report.backend_used == "blocked"
+        assert report.backend_used == "numpy"
 
     def test_worker_death_storm_is_bit_for_bit_and_leak_free(
         self, chaos_sample, chaos_grid, chaos_seed, fast_config
@@ -265,11 +294,59 @@ class TestSharedMemoryChaos:
     def test_blocked_and_blocked_shm_agree_bit_for_bit_when_clean(
         self, chaos_sample, chaos_grid, fast_config
     ) -> None:
-        a = _clean_scores(chaos_sample, chaos_grid, "blocked", fast_config)
+        a = _clean_scores(
+            chaos_sample, chaos_grid, "numpy", fast_config, BUDGET
+        )
         b = _clean_scores(
-            chaos_sample, chaos_grid, "blocked-shm", fast_config
+            chaos_sample, chaos_grid, "blocked-shm", fast_config, BUDGET
         )
         np.testing.assert_array_equal(a, b)
+
+
+class TestBudgetedDegradationAtLargerN:
+    """n = 4,000 under a 64 MiB budget: the budget shrinks only the
+    sub-chunks inside each engine block, never the engine's partition,
+    so the budgeted shm sweep and its numpy fallback add the same block
+    partials in the same order."""
+
+    N = 4000
+    OPTIONS = {"memory_budget": "64MiB"}
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        rng = np.random.default_rng(4000)
+        x = rng.uniform(0.0, 10.0, self.N)
+        y = np.sin(x) + rng.normal(0.0, 0.3, self.N)
+        return x, y, np.linspace(0.05, 3.0, 50)
+
+    def test_resilient_blocked_shm_equals_resilient_numpy(
+        self, sample, fast_config
+    ) -> None:
+        x, y, grid = sample
+        a = _clean_scores((x, y), grid, "numpy", fast_config, self.OPTIONS)
+        b = _clean_scores(
+            (x, y), grid, "blocked-shm", fast_config, self.OPTIONS
+        )
+        assert a.tobytes() == b.tobytes()
+
+    def test_segment_unlink_degrades_to_numpy_with_the_clean_curve(
+        self, sample, chaos_seed, fast_config
+    ) -> None:
+        x, y, grid = sample
+        clean = _clean_scores(
+            (x, y), grid, "numpy", fast_config, self.OPTIONS
+        )
+        spec = FaultSpec(site="shm.segment", kind="unlink", at=(0,))
+        with inject_faults(FaultInjector([spec], seed=chaos_seed)):
+            scores, report = resilient_cv_scores(
+                x, y, grid, backend="blocked-shm", config=fast_config,
+                backend_options=self.OPTIONS,
+            )
+        assert report.backend_used == "numpy"
+        assert [a["backend"] for a in report.backend_attempts] == [
+            "blocked-shm", "numpy",
+        ]
+        assert scores.tobytes() == clean.tobytes()
 
 
 class TestCheckpointResume:
@@ -340,12 +417,12 @@ class TestCheckpointResume:
     def test_sorted_path_resume_across_degradation_is_bit_for_bit(
         self, chaos_seed, fast_config, tmp_path
     ) -> None:
-        """Blocks from three backends in one checkpoint, on the sorted path.
+        """Blocks from two backends in one checkpoint, on the sorted path.
 
         The checkpoint fingerprint carries no backend and no path; the
         path follows from (n, k, kernel, dtype), which it does carry.  So
-        blocks written by ``blocked-shm``, resumed by ``blocked`` and
-        finished by ``numpy`` must fold to the clean ``numpy`` bits.
+        blocks written by ``blocked-shm`` and resumed and finished by
+        ``numpy`` must fold to the clean ``numpy`` bits.
         """
         from repro.core.fastgrid import window_sum_path
 
@@ -362,13 +439,13 @@ class TestCheckpointResume:
             self._config(fast_config, ckpt, max_retries=1), flush_every=1
         )
         # Ten blocks of 64 rows.  blocked-shm lands blocks 0-2, then every
-        # worker dies until its retry budget is spent; blocked resumes
-        # those three, lands 3-5 and 7-9, and block 6 is corrupted on both
-        # of its attempts; numpy resumes nine blocks and computes block 6.
+        # worker dies until its retry budget is spent; numpy resumes those
+        # three and lands the other seven, block 6 after one corrupted
+        # attempt.
         injector = FaultInjector(
             [
                 FaultSpec(site="shm.worker", kind="crash", at=tuple(range(3, 20))),
-                FaultSpec(site="data.block", kind="nan", at=(6, 10)),
+                FaultSpec(site="data.block", kind="nan", at=(6,)),
             ],
             seed=chaos_seed,
         )
@@ -378,10 +455,11 @@ class TestCheckpointResume:
                 backend_options={"workers": 2},
             )
         assert [a["backend"] for a in report.backend_attempts] == [
-            "blocked-shm", "blocked", "numpy",
+            "blocked-shm", "numpy",
         ]
         assert report.backend_used == "numpy"
-        assert report.blocks_resumed == 3 + 9
+        assert report.blocks_resumed == 3
+        assert any(f["code"] == "REPRO_DATA_CORRUPT" for f in report.faults)
         np.testing.assert_array_equal(scores, clean)
         assert scores.tobytes() == clean.tobytes()
 
@@ -406,7 +484,7 @@ class TestSelectorEndToEnd:
 
         x, y = chaos_sample
         baseline = select_bandwidth(
-            x, y, method="grid", backend="multicore", resilience=fast_config
+            x, y, method="grid", backend="blocked-shm", resilience=fast_config
         )
         assert baseline.resilience is not None and baseline.resilience.clean
 
@@ -419,7 +497,7 @@ class TestSelectorEndToEnd:
         )
         with inject_faults(storm):
             chaotic = select_bandwidth(
-                x, y, method="grid", backend="multicore", resilience=fast_config
+                x, y, method="grid", backend="blocked-shm", resilience=fast_config
             )
         assert chaotic.bandwidth == baseline.bandwidth
         np.testing.assert_array_equal(chaotic.scores, baseline.scores)

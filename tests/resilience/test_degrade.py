@@ -63,20 +63,16 @@ class TestFallbackChain:
         assert fallback_chain("gpusim") == DEFAULT_FALLBACK_CHAIN
 
     def test_suffix_from_mid_chain(self) -> None:
-        assert fallback_chain("multicore") == ("multicore", "blocked", "numpy")
-        assert fallback_chain("blocked") == ("blocked", "numpy")
+        assert fallback_chain("gpusim-tiled") == ("gpusim-tiled", "numpy")
 
     def test_terminal_backend_has_no_fallback(self) -> None:
         assert fallback_chain("numpy") == ("numpy",)
 
     def test_blocked_shm_joins_at_blocked(self) -> None:
-        # The shm spur degrades to its bit-identical process-local twin
-        # first, never to multicore (which would refork a pool for no win).
-        assert fallback_chain("blocked-shm") == (
-            "blocked-shm",
-            "blocked",
-            "numpy",
-        )
+        # The shm spur degrades straight to its bit-identical serial twin,
+        # the blocked numpy sweep; so does the fleet.
+        assert fallback_chain("blocked-shm") == ("blocked-shm", "numpy")
+        assert fallback_chain("distributed") == ("distributed", "numpy")
 
     def test_unknown_backend_falls_to_serial(self) -> None:
         assert fallback_chain("python") == ("python", "numpy")

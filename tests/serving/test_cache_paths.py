@@ -37,8 +37,7 @@ def sample() -> tuple[np.ndarray, np.ndarray]:
 
 class TestSweepPath:
     def test_sorted_capable_backends_follow_the_rule(self):
-        for backend in ("numpy", "multicore", "blocked", "blocked-shm",
-                        "distributed"):
+        for backend in ("numpy", "blocked-shm", "distributed"):
             assert sweep_path(N, 20, "epanechnikov", backend=backend) == "sorted"
         assert sweep_path(40, 20, "epanechnikov") == "binned"
 
@@ -89,9 +88,9 @@ class TestFingerprints:
             "cb263c52a02d229362cf28019c496dff68bfdedd6fbf6d6ab1a4e3c0a43e03cc"
         )
         assert selection_fingerprint(
-            x, y, grid, "epanechnikov", backend="blocked",
+            x, y, grid, "epanechnikov", backend="blocked-shm",
             options={"refine_rounds": 1},
-        ) == "1048d1a0d44950ba01d5f7cf09fdb7abcba0b006e5f052dcb8bafa87721161fb"
+        ) == "5ed62cf745a0fe09fab9eb3dd051e31cf2b6d7736470749c20c0ea5528a34e57"
 
     def test_bagged_key_follows_the_subsample_size(self, monkeypatch):
         x, y = _stable_sample()

@@ -112,7 +112,9 @@ class TestRoutes:
         snap = asyncio.run(main())
         assert snap["http_errors_total"] == 0
 
-    @pytest.mark.parametrize("backend", ["nope", "compiled", "blocked-compiled"])
+    @pytest.mark.parametrize(
+        "backend", ["nope", "compiled", "blocked-compiled", "multicore", "blocked"]
+    )
     def test_unknown_backend_is_400(self, backend):
         # The server runs selections resiliently by default; an unknown
         # name must still be refused, not degraded to numpy.

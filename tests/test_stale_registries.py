@@ -83,3 +83,38 @@ def test_every_known_fault_site_is_fired():
 @pytest.mark.parametrize("name", _chained_backends())
 def test_every_chained_backend_resolves(name):
     assert callable(get_backend(name))
+
+
+def test_cli_backend_choices_are_the_resolvable_backends():
+    import repro.cuda_port  # noqa: F401 - registers gpusim + gpusim-tiled
+    import repro.distributed.backend  # noqa: F401 - registers distributed
+    from repro.cli import BACKEND_CHOICES
+    from repro.core.backends import list_backends
+
+    assert sorted(BACKEND_CHOICES) == list_backends()
+
+
+def test_bagged_parallel_backends_resolve():
+    from repro.bagged.selector import _PARALLEL_BACKENDS
+
+    for name in _PARALLEL_BACKENDS:
+        assert callable(get_backend(name))
+
+
+def test_benchmark_tracing_targets_resolve():
+    """The benchmark harness wraps library attributes by name; each one
+    it patches must still exist, and restoring must put back the originals."""
+    from perfbench.tracing import Recorder, install
+
+    from repro.core.backends import BACKEND_REGISTRY
+    from repro.resilience.engine import ResilientEngine
+
+    numpy_backend = BACKEND_REGISTRY["numpy"]
+    cv_scores = ResilientEngine.__dict__["cv_scores"]
+    installation = install(Recorder())
+    try:
+        assert BACKEND_REGISTRY["numpy"] is not numpy_backend
+    finally:
+        installation.restore()
+    assert BACKEND_REGISTRY["numpy"] is numpy_backend
+    assert ResilientEngine.__dict__["cv_scores"] is cv_scores

@@ -26,6 +26,9 @@ from repro.utils.calibration import (
 )
 from repro.utils.membudget import estimate_sweep_seconds, plan_blocks
 
+#: Plans here test the traffic model, which does not depend on the budget.
+GIB = 1024**3
+
 
 @pytest.fixture(autouse=True)
 def isolated_cwd(tmp_path, monkeypatch):
@@ -126,23 +129,23 @@ class TestConsumers:
     """membudget and gpusim timing must take the same calibrated figure."""
 
     def test_estimate_sweep_seconds_uses_explicit_rate(self):
-        plan = plan_blocks(10_000, 64)
+        plan = plan_blocks(10_000, 64, budget=GIB)
         seconds = estimate_sweep_seconds(plan, bytes_per_second=1.0e9)
         assert seconds == plan.predicted_traffic_bytes / 1.0e9
 
     def test_estimate_sweep_seconds_reads_artifact(self, isolated_cwd):
         _write_artifact(isolated_cwd, peak=2.0e9)
-        plan = plan_blocks(10_000, 64)
+        plan = plan_blocks(10_000, 64, budget=GIB)
         assert (
             estimate_sweep_seconds(plan)
             == plan.predicted_traffic_bytes / 2.0e9
         )
 
     def test_predicted_traffic_bytes_is_rows_times_row_cost(self):
-        plan = plan_blocks(1_000, 32)
+        plan = plan_blocks(1_000, 32, budget=GIB)
         assert plan.predicted_traffic_bytes == plan.n * plan.bytes_per_row
         # Each row streams the whole sample, so traffic grows superlinearly.
-        larger = plan_blocks(2_000, 32)
+        larger = plan_blocks(2_000, 32, budget=GIB)
         assert larger.predicted_traffic_bytes > 2 * plan.predicted_traffic_bytes
 
     def test_timing_model_shares_the_source(self, isolated_cwd):
@@ -160,7 +163,7 @@ class TestConsumers:
     def test_membudget_and_timing_agree(self, isolated_cwd):
         """The drift guard: both consumers resolve one figure."""
         _write_artifact(isolated_cwd, peak=7.0e9)
-        plan = plan_blocks(50_000, 40)
+        plan = plan_blocks(50_000, 40, budget=GIB)
         model = TimingModel()
         assert np.isclose(
             estimate_sweep_seconds(plan),

@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import MemoryBudgetError, ValidationError
 from repro.utils.membudget import (
-    DEFAULT_MEMORY_BUDGET,
     MEMORY_BUDGET_ENV,
     parse_byte_budget,
     plan_blocks,
-    resolve_budget,
+    requested_budget,
     rows_for_budget,
 )
+
+#: An explicit budget for the planner cases that only test its shape logic.
+GIB = 1024**3
 
 
 class TestParseByteBudget:
@@ -97,30 +99,30 @@ class TestParseByteBudget:
 class TestResolveBudget:
     def test_explicit_beats_environment(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "64MiB")
-        assert resolve_budget("2GiB") == 2 * 1024**3
+        assert requested_budget("2GiB") == 2 * 1024**3
 
     def test_environment_beats_default(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "64MiB")
-        assert resolve_budget() == 64 * 1024**2
+        assert requested_budget() == 64 * 1024**2
 
     def test_default_when_nothing_set(self, monkeypatch) -> None:
         monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
-        assert resolve_budget() == DEFAULT_MEMORY_BUDGET
+        assert requested_budget() is None  # unbudgeted
 
     def test_blank_environment_is_ignored(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "   ")
-        assert resolve_budget() == DEFAULT_MEMORY_BUDGET
+        assert requested_budget() is None
 
     def test_bad_environment_value_is_loud(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "lots")
         with pytest.raises(ValidationError):
-            resolve_budget()
+            requested_budget()
 
     def test_explicit_budget_never_consults_environment(self, monkeypatch) -> None:
         # A broken env var must not poison calls that pass their own
         # budget: the argument short-circuits before the env is read.
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "not-a-budget")
-        assert resolve_budget("64MiB") == 64 * 1024**2
+        assert requested_budget("64MiB") == 64 * 1024**2
 
     def test_invalid_explicit_budget_raises_despite_valid_env(
         self, monkeypatch
@@ -129,15 +131,15 @@ class TestResolveBudget:
         # and must not silently fall back to the (valid) environment.
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "64MiB")
         with pytest.raises(ValidationError):
-            resolve_budget("lots")
+            requested_budget("lots")
 
     def test_fractional_env_budget(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "1.5GiB")
-        assert resolve_budget() == int(1.5 * 1024**3)
+        assert requested_budget() == int(1.5 * 1024**3)
 
     def test_tab_newline_environment_is_ignored(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "\t\n")
-        assert resolve_budget() == DEFAULT_MEMORY_BUDGET
+        assert requested_budget() is None
 
 
 class TestRowsForBudget:
@@ -168,7 +170,7 @@ class TestPlanBlocks:
     @given(draw=plans)
     def test_blocks_partition_range_n(self, draw) -> None:
         n, k, n_terms, itemsize = draw
-        plan = plan_blocks(n, k, n_terms=n_terms, itemsize=itemsize)
+        plan = plan_blocks(n, k, n_terms=n_terms, itemsize=itemsize, budget=GIB)
         spans = plan.blocks()
         assert spans[0][0] == 0 and spans[-1][1] == n
         assert len(spans) == plan.n_blocks
@@ -204,13 +206,13 @@ class TestPlanBlocks:
         assert not is_retryable(exc)
 
     def test_output_matrix_charges_fixed_bytes(self) -> None:
-        bare = plan_blocks(1000, 16)
-        shm = plan_blocks(1000, 16, output_matrix=True)
+        bare = plan_blocks(1000, 16, budget=GIB)
+        shm = plan_blocks(1000, 16, output_matrix=True, budget=GIB)
         assert shm.fixed_bytes == bare.fixed_bytes + 1000 * 16 * 8
         assert shm.block_rows <= bare.block_rows
 
     def test_max_rows_caps_the_block(self) -> None:
-        plan = plan_blocks(10_000, 8, max_rows=64)
+        plan = plan_blocks(10_000, 8, max_rows=64, budget=GIB)
         assert plan.block_rows <= 64
 
     def test_block_rows_never_exceed_n(self) -> None:
@@ -220,7 +222,7 @@ class TestPlanBlocks:
 
     def test_env_budget_drives_the_plan(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "32MiB")
-        plan = plan_blocks(20_000, 8)
+        plan = plan_blocks(20_000, 8, budget=requested_budget())
         assert plan.budget_bytes == 32 * 1024**2
         assert plan.n_blocks > 1
 
@@ -229,10 +231,10 @@ class TestPlanBlocks:
     )
     def test_degenerate_shapes_rejected(self, n, k, n_terms) -> None:
         with pytest.raises(ValidationError):
-            plan_blocks(n, k, n_terms=n_terms)
+            plan_blocks(n, k, n_terms=n_terms, budget=GIB)
 
     def test_to_dict_round_trips_the_properties(self) -> None:
-        plan = plan_blocks(5000, 12, budget="64MiB")
+        plan = plan_blocks(5000, 12, budget=parse_byte_budget("64MiB"))
         snap = plan.to_dict()
         assert snap["n_blocks"] == plan.n_blocks
         assert snap["predicted_peak_bytes"] == plan.predicted_peak_bytes
