@@ -46,7 +46,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.kernels import get_kernel
 from repro.core.backends import get_backend
-from repro.core.grid import BandwidthGrid
+from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
 from repro.core.result import SelectionResult
 from repro.core.selectors import BandwidthSelector, _argmin_with_empty_window_guard
 from repro.bagged.aggregate import AGGREGATORS, SubsampleOutcome, aggregate_bandwidths
@@ -106,7 +106,8 @@ class BaggedCVSelector(BandwidthSelector):
         Kernel name or instance (same registry as the exact selectors).
     n_bandwidths, grid:
         The *full-sample* candidate grid (paper convention
-        ``[domain/k, domain]`` when no explicit grid is given).  Each
+        ``[domain/k, domain]`` when no explicit grid is given; an
+        explicit one may be any array-like of bandwidths).  Each
         subsample sweeps this grid inflated by ``(n/m)^rate``.
     backend:
         Inner sweep backend for each subsample: any registered grid
@@ -151,7 +152,7 @@ class BaggedCVSelector(BandwidthSelector):
         kernel: str = "epanechnikov",
         *,
         n_bandwidths: int = 50,
-        grid: BandwidthGrid | None = None,
+        grid: GridLike | None = None,
         backend: str = "numpy",
         subsamples: int | None = None,
         subsample_size: int | None = None,
@@ -165,7 +166,7 @@ class BaggedCVSelector(BandwidthSelector):
     ) -> None:
         self.kernel = get_kernel(kernel)
         self.n_bandwidths = check_positive_int(n_bandwidths, name="n_bandwidths")
-        self.grid = grid
+        self.grid = as_bandwidth_grid(grid)
         self.backend_name = backend
         self.subsamples = subsamples
         self.subsample_size = subsample_size

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.core.grid import BandwidthGrid
+from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
 from repro.core.result import SelectionResult
 from repro.core.selectors import (
     GridSearchSelector,
@@ -96,7 +96,7 @@ def select_bandwidth(
     method: str = "grid",
     kernel: str = "epanechnikov",
     n_bandwidths: int = 50,
-    grid: BandwidthGrid | None = None,
+    grid: GridLike | None = None,
     backend: str = "numpy",
     memory_budget: int | float | str | None = None,
     cache: "ArtifactCache | None" = None,
@@ -122,7 +122,9 @@ def select_bandwidth(
     kernel:
         Kernel name (see :func:`repro.kernels.list_kernels`).
     n_bandwidths, grid:
-        Grid configuration (grid method only).
+        Grid configuration (grid and bagged methods); ``grid`` is a
+        :class:`~repro.core.grid.BandwidthGrid` or any array-like of
+        bandwidths.
     backend:
         Execution backend for the grid method (and for each subsample
         sweep of the bagged method): ``"numpy"``, ``"python"``,
@@ -196,6 +198,7 @@ def select_bandwidth(
         known = ", ".join(sorted(set(_METHOD_ALIASES)))
         raise ValidationError(f"unknown method {method!r}; known: {known}")
     x, y = check_paired_samples(x, y)
+    grid = as_bandwidth_grid(grid)
     if memory_budget is not None:
         # Into the option dict before the cache key is computed, so the
         # fingerprint distinguishes budgeted configurations.

@@ -15,7 +15,7 @@ progressively narrower range around the incumbent optimum —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from repro.utils.validation import as_float_array, check_positive_int, ensure_ba
 
 __all__ = [
     "BandwidthGrid",
+    "GridLike",
+    "as_bandwidth_grid",
     "default_grid",
     "ensure_bandwidth_grid",
     "MAX_CONSTANT_MEMORY_BANDWIDTHS",
@@ -140,6 +142,24 @@ class BandwidthGrid:
 def default_grid(x: np.ndarray, k: int = 50) -> BandwidthGrid:
     """Shorthand for :meth:`BandwidthGrid.for_sample` with the paper's k=50."""
     return BandwidthGrid.for_sample(x, k)
+
+
+#: What an explicit ``grid=`` may be: a :class:`BandwidthGrid` or any
+#: array-like of bandwidths.
+GridLike = BandwidthGrid | Sequence[float] | np.ndarray
+
+
+def as_bandwidth_grid(grid: GridLike | None) -> BandwidthGrid | None:
+    """``grid`` as a :class:`BandwidthGrid`; ``None`` (no explicit grid) stays.
+
+    Lets selectors take any array-like of bandwidths (a list, a tuple, an
+    ndarray) where a :class:`BandwidthGrid` is expected, with the same
+    validation: a non-increasing or non-positive grid raises
+    ``REPRO_BANDWIDTH_GRID`` and an empty one ``REPRO_DATA_SHAPE``.
+    """
+    if grid is None or isinstance(grid, BandwidthGrid):
+        return grid
+    return BandwidthGrid(np.asarray(grid))
 
 
 def ensure_bandwidth_grid(bandwidths: "np.ndarray | BandwidthGrid") -> np.ndarray:

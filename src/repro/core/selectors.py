@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # deferred: both packages import the core back
 from repro.exceptions import SelectionError, ValidationError
 from repro.kernels import get_kernel
 from repro.core.backends import get_backend
-from repro.core.grid import BandwidthGrid
+from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
 from repro.core.loocv import cv_score, dense_cv_block_stats, loo_estimates
 from repro.core.result import SelectionResult
 from repro.obs.tracer import current_tracer
@@ -90,7 +90,8 @@ class GridSearchSelector(BandwidthSelector):
         Grid size when no explicit grid is given (paper default style:
         grid spans ``[domain/k, domain]``).
     grid:
-        Explicit :class:`BandwidthGrid` (overrides ``n_bandwidths``).
+        Explicit grid (overrides ``n_bandwidths``): a
+        :class:`BandwidthGrid` or any array-like of bandwidths.
     backend:
         Any registered grid backend: ``"numpy"`` (default), ``"python"``,
         ``"blocked-shm"``, ``"gpusim"``, ...
@@ -129,7 +130,7 @@ class GridSearchSelector(BandwidthSelector):
         kernel: str = "epanechnikov",
         *,
         n_bandwidths: int = 50,
-        grid: BandwidthGrid | None = None,
+        grid: GridLike | None = None,
         backend: str = "numpy",
         refine_rounds: int = 0,
         cache: "ArtifactCache | None" = None,
@@ -139,7 +140,7 @@ class GridSearchSelector(BandwidthSelector):
     ) -> None:
         self.kernel = get_kernel(kernel)
         self.n_bandwidths = check_positive_int(n_bandwidths, name="n_bandwidths")
-        self.grid = grid
+        self.grid = as_bandwidth_grid(grid)
         self.backend_name = backend
         self.cache = cache
         if refine_rounds < 0:

@@ -186,3 +186,59 @@ class TestOptionForwarding:
         y = 0.5 * x + 10 * x**2 + rng.uniform(0, 0.5, 200)
         res = select_bandwidth(x, y, n_bandwidths=50)
         assert 0 < res.bandwidth <= 1.0
+
+
+class TestArrayLikeGrid:
+    """``grid=`` takes any array-like of bandwidths, not only a BandwidthGrid."""
+
+    VALUES = (0.1, 0.2, 0.4)
+    BAGGED = dict(subsamples=3, subsample_size=40, root_seed=1)
+
+    def _select(self, sample, method, grid):
+        from repro.serving import ArtifactCache
+
+        options = self.BAGGED if method == "bagged" else {}
+        return select_bandwidth(
+            sample.x, sample.y, method=method, grid=grid,
+            cache=ArtifactCache(None), **options,
+        )
+
+    @pytest.mark.parametrize("method", ["grid", "bagged"])
+    @pytest.mark.parametrize(
+        "grid", [list(VALUES), VALUES, np.array(VALUES)],
+        ids=["list", "tuple", "ndarray"],
+    )
+    def test_same_selection_and_cache_key(self, method, grid, paper_sample_small):
+        s = paper_sample_small
+        ref = self._select(s, method, BandwidthGrid(np.array(self.VALUES)))
+        got = self._select(s, method, grid)
+        assert got.bandwidth == ref.bandwidth
+        assert got.scores.tobytes() == ref.scores.tobytes()
+        assert got.diagnostics["fingerprint"] == ref.diagnostics["fingerprint"]
+
+    @pytest.mark.parametrize("method", ["grid", "bagged"])
+    @pytest.mark.parametrize(
+        "grid, code",
+        [
+            ([0.4, 0.2, 0.1], "REPRO_BANDWIDTH_GRID"),
+            ([-0.1, 0.2], "REPRO_BANDWIDTH_GRID"),
+            ([], "REPRO_DATA_SHAPE"),
+        ],
+        ids=["decreasing", "negative", "empty"],
+    )
+    def test_invalid_grid_raises_typed_error(
+        self, method, grid, code, paper_sample_small
+    ):
+        s = paper_sample_small
+        with pytest.raises(ValidationError) as info:
+            self._select(s, method, grid)
+        assert info.value.code == code
+
+    def test_selector_constructors_coerce(self):
+        from repro.bagged.selector import BaggedCVSelector
+        from repro.core.selectors import GridSearchSelector
+
+        for selector in (GridSearchSelector, BaggedCVSelector):
+            grid = selector(grid=[0.1, 0.2]).grid
+            assert isinstance(grid, BandwidthGrid)
+            np.testing.assert_array_equal(grid.values, [0.1, 0.2])

@@ -1,9 +1,11 @@
-"""Nightly n = 100,000 scaling smoke for the budgeted numpy backend.
+"""Nightly large-n scaling smokes for the exact grid search.
 
-Five times the paper's hard ceiling, inside a 2 GiB working-set budget.
-Minutes of sorting, so it is gated twice: the ``scale`` marker (nightly
-CI selects ``-m scale``) and ``REPRO_SCALE=1`` (so a plain tier-1
-``pytest -x -q`` skips it even when the marker filter is absent).
+n = 100,000 (five times the paper's hard ceiling) through the budgeted
+numpy backend inside a 2 GiB working-set budget, and an exact n = 10^6
+selection whose numpy and blocked-shm curves must agree byte for byte.
+Minutes of sweeping, so they are gated twice: the ``scale`` marker
+(nightly CI selects ``-m scale``) and ``REPRO_SCALE=1`` (so a plain
+tier-1 ``pytest -x -q`` skips them even when the marker filter is absent).
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import pytest
 from repro.core.api import select_bandwidth
 from repro.core.fastgrid import plan_fastgrid_blocks
 from repro.core.grid import BandwidthGrid
+from repro.data.generators import paper_dgp
 
 pytestmark = [
     pytest.mark.scale,
     pytest.mark.skipif(
         os.environ.get("REPRO_SCALE", "") in ("", "0"),
-        reason="set REPRO_SCALE=1 to run the n=100,000 scaling smoke",
+        reason="set REPRO_SCALE=1 to run the large-n scaling smokes",
     ),
 ]
 
@@ -59,3 +62,38 @@ def test_n100k_selection_inside_two_gib() -> None:
     # budget that a same-size all-at-once sweep would blow through.
     assert peak <= 1.5 * plan.predicted_peak_bytes
     assert peak <= 2 * 1024**3
+
+
+N_EXACT = 1_000_000
+#: Interior at n = 10^6 on the paper DGP; the benchmark's interior grid
+#: ``linspace(0.002, 0.1, 50)`` puts the optimum at its index 1 there.
+EXACT_GRID = BandwidthGrid.evenly_spaced(0.001, 0.05, 50)
+
+
+def test_n1m_exact_selection_is_interior_and_backend_independent() -> None:
+    sample = paper_dgp(N_EXACT, seed=0)
+    plan = plan_fastgrid_blocks(
+        N_EXACT, EXACT_GRID.values, "epanechnikov", memory_budget=BUDGET
+    )
+    assert plan.predicted_peak_bytes <= 2 * 1024**3
+
+    tracemalloc.start()
+    try:
+        result = select_bandwidth(
+            sample.x, sample.y, grid=EXACT_GRID, backend="numpy",
+            memory_budget=BUDGET,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert not result.diagnostics["boundary_minimum"]
+    assert peak <= 1.5 * plan.predicted_peak_bytes
+    assert peak <= 2 * 1024**3
+
+    # The shared-memory pool folds the same partition-invariant rows in
+    # the same global order, so its curve is the numpy curve, bit for bit.
+    shm = select_bandwidth(
+        sample.x, sample.y, grid=EXACT_GRID, backend="blocked-shm", workers=2
+    )
+    assert shm.scores.tobytes() == result.scores.tobytes()

@@ -10,14 +10,18 @@ rounding only.  The contract (DESIGN.md, "Sort-once path"):
 * ``h_opt`` on the same grid index;
 * window membership decided by the binned predicate ``|x_i − x_l| <=
   grid[j]·R`` exactly — checked against a brute-force count;
-* bit-for-bit agreement among the row-block executors (numpy,
-  blocked, blocked-shm, multicore) at any block size, because every row
-  is computed independently of its block;
-* float32 sweeps keep the binned bits.
+* bit-for-bit agreement among the row-block executors (numpy and
+  blocked-shm) at any block size, because every row is computed
+  independently of its block — down to the raw window sums;
+* float32 sweeps keep the binned bits;
+* pinned curve bytes: a change that moves any bit of a sorted-path curve
+  must re-pin here on purpose (and bump the cache ``_FORMAT_VERSION``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -261,3 +265,88 @@ class TestExactBenchmarkOracle:
             assert j == ref["argmin"]
             assert 0 < j < grid.size - 1
             np.testing.assert_allclose(got, ref["scores"], rtol=1e-6)
+
+
+def _blocks(n: int, sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Consecutive row blocks cycling through ``sizes`` until ``n`` is covered."""
+    bounds = []
+    start = 0
+    cycle = itertools.cycle(sizes)
+    while start < n:
+        stop = min(start + next(cycle), n)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+class TestWindowSumsRowBlocks:
+    """``window_sums`` rows do not depend on which rows share their block.
+
+    Each block is evaluated in rank order, in tiles of
+    ``RANK_TILE_ROWS`` ranks, and scattered back, and ``_add_totals``
+    loops to its tile's widest span; none of that may move a bit of
+    ``num``/``den`` or the integer ``count`` that decides validity.
+    """
+
+    N = 3000
+    GRID = np.linspace(0.01, 0.3, 30)
+
+    def _data(self, case: str) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(11)
+        if case == "duplicated":
+            u = np.repeat(rng.uniform(0.0, 1.0, self.N // 3), 3)
+            u = u[rng.permutation(self.N)]
+            return u, u * u + rng.uniform(-0.2, 0.2, self.N)
+        u = rng.uniform(0.0, 1.0, self.N)
+        return float(case) + u, u * u + rng.uniform(-0.2, 0.2, self.N)
+
+    @pytest.mark.parametrize("case", ["0", "1e6", "duplicated"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_blocks_concatenate_to_the_whole(self, kernel, case):
+        x, y = self._data(case)
+        assert window_sum_path(self.N, self.GRID.size, kernel) == "sorted"
+        sample = fastgrid._SortedSample(x, y, self.GRID, get_kernel(kernel))
+        whole = sample.window_sums(0, self.N)
+        assert whole[2].dtype == np.int64
+        for sizes in ((1, 7, 333), (333, 7, 1)):
+            parts = [sample.window_sums(a, b) for a, b in _blocks(self.N, sizes)]
+            for pieces, ref in zip(zip(*parts), whole):
+                got = np.concatenate(pieces)
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
+
+class TestPinnedCurveBytes:
+    """sha256 of sorted-path curve bytes, pinned.
+
+    The cache fingerprints (``test_digests_are_pinned``) hash a sweep's
+    *inputs*; these hash its *output*, so any change to a sorted-path
+    curve's bits fails here.  The samples use uniform draws, products and
+    rounding only, which give the same bits on every platform.
+    """
+
+    GRID = np.linspace(0.002, 0.1, 50)
+
+    @staticmethod
+    def _digest(curve: np.ndarray) -> str:
+        return hashlib.sha256(curve.tobytes()).hexdigest()
+
+    def test_exact_benchmark_pool_dataset(self):
+        s = paper_dgp(8000, seed=101)
+        assert self._digest(cv_scores_fastgrid(s.x, s.y, self.GRID)) == (
+            "26148c67a12aaf76c0c44b157e3ec5ea412ad0a1074759853bcdad8cb0958cc3"
+        )
+
+    def test_triweight_far_from_origin(self):
+        s = paper_dgp(3000, seed=102)
+        curve = cv_scores_fastgrid(s.x + 1e6, s.y, self.GRID, "triweight")
+        assert self._digest(curve) == (
+            "164753610ea4813e1cf7ac0d11da821f970ef1c039d58caea37714757b2f84fd"
+        )
+
+    def test_tricube_on_tied_x(self):
+        s = paper_dgp(5000, seed=103)
+        curve = cv_scores_fastgrid(np.round(s.x, 2), s.y, self.GRID, "tricube")
+        assert self._digest(curve) == (
+            "dbc0938f1c22e2df89ad44b23944209909470b24d513d78153b2b4f705d74e75"
+        )

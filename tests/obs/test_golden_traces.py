@@ -16,7 +16,8 @@ import pytest
 
 import repro.cuda_port  # noqa: F401 - registers gpusim + gpusim-tiled
 from repro.core.api import select_bandwidth
-from repro.obs import Tracer, chrome_trace, span_tree
+from repro.core.fastgrid import cv_scores_fastgrid, fastgrid_row_contributions
+from repro.obs import Tracer, chrome_trace, span_tree, use_tracer
 
 N = 32
 K = 5
@@ -246,6 +247,33 @@ class TestGoldenAttributes:
         tracer, _ = run_traced(*sample, "numpy")
         assert "numeric.empty_windows" in tracer.counters()
         assert "numeric.kahan_compensation" in tracer.maxima()
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_traced_fold_is_the_plain_fold(self, sample, block_rows):
+        """Tracing returns the untraced curve bit for bit, and its drift
+        counter is the row-by-row Neumaier compensation of that fold."""
+        x, y = sample
+        grid = np.linspace(0.05, 0.5, K)
+        plain = cv_scores_fastgrid(x, y, grid, block_rows=block_rows)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = cv_scores_fastgrid(x, y, grid, block_rows=block_rows)
+        assert np.array_equal(traced, plain)
+
+        rows = fastgrid_row_contributions(x, y, grid, "epanechnikov", 0, N)
+        total = np.zeros(K)
+        comp = np.zeros(K)
+        for row in rows:
+            acc = total + row
+            comp += np.where(
+                np.abs(total) >= np.abs(row),
+                (total - acc) + row,
+                (row - acc) + total,
+            )
+            total = acc
+        assert tracer.maxima()["numeric.kahan_compensation"] == float(
+            np.max(np.abs(comp))
+        )
 
 
 CHROME_TRACE_SCHEMA = {
