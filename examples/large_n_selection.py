@@ -56,7 +56,7 @@ def main() -> None:
     n = 20_000
     grid = BandwidthGrid.evenly_spaced(0.01, 0.30, 15)
     print(f"\nplanning n = {n:,}, k = 15 under different budgets:")
-    for budget in ("16MiB", "64MiB", "2GiB"):
+    for budget in ("32MiB", "64MiB", "2GiB"):
         plan = plan_fastgrid_blocks(n, grid.values, "epanechnikov", memory_budget=budget)
         print(
             f"  {budget:>7}: {plan.n_blocks:>4} blocks of "

@@ -8,10 +8,11 @@ full-sample scale by the known ``h ∼ n^(−1/5)`` rate, and aggregate in
 log space.  It is a different *estimator* from the exact sweep, not a
 faster route to the same answer: since the exact sweep takes the
 sort-once path, the time it saves is small.  At n = 100,000 on the
-interior grid ``linspace(0.002, 0.1, 50)`` the default plan (r = 20,
-m = 3,163) took 1.4 s against 3.4 s for the exact ``numpy`` sweep
-(medians of 5 alternated runs each on one 2-core x86-64 host, a ratio of
-2.4×), and it selected 0.00814 where the exact sweep selected 0.0080.
+interior grid ``linspace(0.002, 0.1, 50)`` (paper DGP, seed 0) the
+default plan (r = 20, m = 3,163) took 0.81 s against 0.99 s for the
+exact ``numpy`` sweep (medians of 5 alternated runs each on one 2-core
+x86-64 host, a ratio of 1.2×), and it selected 0.00885 where the exact
+sweep selected 0.0080.
 
 Grid-matched rescaling
 ----------------------

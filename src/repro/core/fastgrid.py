@@ -239,12 +239,18 @@ def _window_sums_for_block(
 SORTED_MIN_N_PER_K: float = 10.0
 SORTED_MIN_N: int = 500
 
-#: Rows per rank-ordered tile of :meth:`_SortedSample.window_sums`: one
+#: Sorted positions per tile of :meth:`_SortedSample.contributions`: one
 #: octave's ``(k_octave, tile)`` float64 temporaries then fit a core's L2
-#: cache at k = 50.  Measured best of 256–4,096 on a 2-core x86-64 host
-#: (n = 8,000, k = 50).  Rows are partition-invariant, so the tile size
-#: never changes a bit.
+#: cache at k = 50, and the tile's window sums are reduced to residuals
+#: before the next tile starts.  Measured best of 256–4,096 on a 2-core
+#: x86-64 host (n = 8,000, k = 50).  Rows are partition-invariant, so the
+#: tile size never changes a bit.
 RANK_TILE_ROWS: int = 1024
+
+#: Window positions per batch of :meth:`_SortedSample._direct_sums`, the
+#: fallback for windows that escape their neighbourhood: a few float64
+#: temporaries of this length (8 MiB each) at most.
+DIRECT_BATCH: int = 1 << 20
 
 
 def window_sum_path(
@@ -272,24 +278,24 @@ def window_sum_path(
     return "binned"
 
 
-def _segmented_cumsum(
-    values: np.ndarray, seg: np.ndarray, longest: int
-) -> np.ndarray:
-    """Inclusive prefix sums of ``values`` (R×n) restarting at each segment.
+def _pad_up(count: np.ndarray) -> np.ndarray:
+    """``count`` rounded up to a multiple of 1/8 of its power of two."""
+    step = np.left_shift(1, np.maximum(np.frexp(count)[1] - 4, 0))
+    return -(-count // step) * step
 
-    A Hillis–Steele doubling scan: ⌈log₂ longest⌉ whole-array passes, each
-    adding in the partial sum ``step`` positions back when it lies in the
-    same segment.  Every sum touches only its own segment, so rounding
-    stays relative to local magnitudes (a global ``cumsum`` differenced
-    at segment starts would not).
+
+def _two_sided_prefix(block: np.ndarray, zero: int) -> None:
+    """Prefix sums of ``block`` (R × rows × columns) that vanish at ``zero``.
+
+    In place, column ``j`` becomes ``Σ_{zero < i <= j} v_i`` right of
+    column ``zero`` (which holds 0) and ``−Σ_{j <= i < zero} v_i`` left of
+    it, each summed sequentially outward from ``zero``.
     """
-    out = values.copy()
-    step = 1
-    while step < longest:
-        same = seg[step:] == seg[:-step]
-        out[:, step:] += np.where(same, out[:, :-step], 0.0)
-        step *= 2
-    return out
+    np.cumsum(block[:, :, zero:], axis=2, out=block[:, :, zero:])
+    if zero:
+        outward = block[:, :, zero - 1::-1]
+        np.cumsum(outward, axis=2, out=outward)
+        np.negative(block[:, :, :zero], out=block[:, :, :zero])
 
 
 def _octave_columns(grid: np.ndarray) -> list[slice]:
@@ -304,17 +310,33 @@ def _octave_columns(grid: np.ndarray) -> list[slice]:
 
 
 class _Octave:
-    """Locally anchored prefix sums for grid columns within a factor of 2.
+    """Neighbourhood-anchored prefix sums for grid columns within a factor of 2.
 
     The sorted sample is cut into cells of width ``R·h_max`` of the
-    octave; each non-empty cell is one segment, anchored at its middle
-    element (an exact data value, so ``x − anchor`` is an exact
-    difference for nearby points).  A window of half-width ``R·h`` with
-    ``h > h_max/2`` then spans at most 3 segments, and the binomial
-    re-centring below works with ``|u| ≤ R·h_max`` and
-    ``|anchor − x_i| ≤ 2·R·h_max`` — a bounded loss of digits.  Only
-    non-empty segments exist, so the bookkeeping is O(n) however small
+    octave.  Each non-empty cell ``s`` has an anchor, its middle element
+    (an exact data value, so ``x − anchor`` is an exact difference for
+    nearby points), and a *neighbourhood*: the non-empty cells whose index
+    is ``s − 1``, ``s`` or ``s + 1``, a contiguous run of sorted positions
+    ``[nb_lo, nb_hi)``.  Over it the octave keeps prefix sums of ``u^r``
+    and ``y·u^r`` with ``u = x − anchor[s]``, based at the anchor: the
+    sum at position q runs from the anchor to q, so ``Z[hi] − Z[lo]`` is
+    the sum over ``[lo, hi)`` and every stored sum carries only the
+    magnitudes between the anchor and its position.  A window of
+    half-width ``R·h <= R·h_max`` around a point of cell ``s`` lies inside
+    that neighbourhood — up to rounding of the cell edges, which
+    :meth:`_SortedSample.window_sums` detects — so each of its sums is one
+    prefix difference, re-centred once on ``x_i`` with
+    ``δ = anchor[s] − x_i``: ``|u| <= 2·R·h_max`` and ``|δ| <= R·h_max``,
+    a bounded loss of digits.  Only non-empty cells have neighbourhoods
+    and a point lies in at most three, so storage is O(n) however small
     ``h`` is relative to the spread.
+
+    ``prefix`` stacks ``Σu^r`` (r = 1..top) then ``Σy·u^r`` (r = 0..top),
+    one column per slot; ``Σu^0`` is the window count, an exact integer
+    taken from positions instead.  Per sorted position ``p``: ``base[p]``
+    maps a position of ``p``'s neighbourhood to its prefix column,
+    ``nb_lo[p]``/``nb_hi[p]`` bound that neighbourhood and ``delta[p]`` is
+    the re-centring shift.
     """
 
     def __init__(
@@ -327,44 +349,79 @@ class _Octave:
         new = np.empty(n, dtype=bool)
         new[0] = True
         np.not_equal(cell[1:], cell[:-1], out=new[1:])
-        self.seg_start = np.flatnonzero(new)
-        self.seg = np.cumsum(new) - 1
-        seg_stop = np.append(self.seg_start[1:], n)
-        self.anchor = xs[(self.seg_start + seg_stop - 1) // 2]
-        u = xs - self.anchor[self.seg]
-        moments = [np.ones(n, dtype=np.float64)]
-        for _ in range(top):
-            moments.append(moments[-1] * u)
-        moments += [ys * m for m in moments]
-        prefix = _segmented_cumsum(
-            np.stack(moments), self.seg,
-            int(np.max(seg_stop - self.seg_start)),
-        )
-        self.totals = prefix[:, seg_stop - 1]
-        # Column t + 1 holds the inclusive prefix at sorted position t and
-        # column 0 is zero, so the exclusive prefix at ``a`` is column ``a``
-        # — or column 0 when ``a`` opens its segment.
-        self.zprefix = np.concatenate(
-            [np.zeros((prefix.shape[0], 1), dtype=np.float64), prefix], axis=1
-        )
-        self.excl_col = np.arange(n)
-        self.excl_col[self.seg_start] = 0
-
-    def exclusive(self, a: np.ndarray) -> np.ndarray:
-        """Moment sums over ``a``'s segment strictly before position ``a``."""
-        return self.zprefix[:, self.excl_col[a]]
-
-    def inclusive(self, a: np.ndarray) -> np.ndarray:
-        """Moment sums over ``a``'s segment up to and including ``a``."""
-        return self.zprefix[:, a + 1]
+        seg_start = np.flatnonzero(new)
+        seg_stop = np.append(seg_start[1:], n)
+        adjacent = np.equal(np.diff(cell[seg_start]), 1.0)
+        nb_lo = seg_start.copy()
+        nb_lo[1:][adjacent] = seg_start[:-1][adjacent]
+        nb_hi = seg_stop.copy()
+        nb_hi[:-1][adjacent] = seg_stop[1:][adjacent]
+        at = (seg_start + seg_stop - 1) // 2
+        anchor = xs[at]
+        # Neighbourhood s is one row of prefix columns with its anchor's
+        # column, whose prefix is 0, after ``left[s]`` columns: the column
+        # of sorted position q is ``left[s] + q − at[s]``.  Rows are stored
+        # grouped by their (left, right) extents, each padded up to a
+        # multiple of 1/8 of its power of two, so every group is one
+        # (segments, columns) block whose halves ``np.cumsum`` scans
+        # outward from the anchor column: each prefix is the plain
+        # sequential sum from the anchor to its position, so rounding stays
+        # relative to the magnitudes between them (a global ``cumsum``
+        # differenced at segment starts would not), and at most 1/8 of the
+        # columns are padding.
+        left = _pad_up(at - nb_lo)
+        right = _pad_up(nb_hi - at)
+        width = left + right + 1
+        order = np.lexsort((right, left))
+        first = np.empty_like(width)
+        first[order] = np.cumsum(width[order]) - width[order]
+        owner = np.repeat(order, width[order])
+        col = np.arange(owner.shape[0]) - first[owner] - left[owner]
+        # Left of the anchor a column sums the value at its own position,
+        # right of it the value just before.
+        src = np.clip(at[owner] + col - (col > 0), 0, n - 1)
+        empty = col == 0
+        del col
+        u = xs[src] - anchor[owner]
+        u[empty] = 0.0
+        yu = ys[src]
+        yu[empty] = 0.0
+        del src, empty
+        self.prefix = np.empty((2 * top + 1, owner.shape[0]), dtype=np.float64)
+        del owner
+        self.prefix[top] = yu
+        power = u
+        for r in range(1, top + 1):
+            if r > 1:
+                power = power * u
+            self.prefix[r - 1] = power
+            np.multiply(yu, power, out=self.prefix[top + r])
+        del u, yu, power
+        edges = np.flatnonzero(
+            np.diff(left[order]) | np.diff(right[order])
+        ) + 1
+        for group in np.split(order, edges):
+            s = group[0]
+            lo = int(first[s])
+            block = self.prefix[:, lo:lo + group.shape[0] * int(width[s])]
+            _two_sided_prefix(
+                block.reshape(self.prefix.shape[0], group.shape[0], -1),
+                int(left[s]),
+            )
+        seg = np.cumsum(new) - 1
+        self.base = (first + left - at)[seg]
+        self.nb_lo = nb_lo[seg]
+        self.nb_hi = nb_hi[seg]
+        self.delta = anchor[seg] - xs
 
 
 class _SortedSample:
     """The whole sample sorted once, with per-octave prefix sums.
 
     Built once per ``(x, y, grid, kernel)`` and reused by every row block
-    (see :func:`_sorted_sample`); :meth:`window_sums` then costs
-    O(rows·k·log n) per block.
+    (see :func:`_sorted_sample`).  Rows are *sorted positions*: row ``p``
+    is the observation of rank ``p``, with ``xs[p]`` and ``ys[p]``.
+    :meth:`window_sums` costs O(rows·k·log n) per tile.
     """
 
     def __init__(
@@ -376,15 +433,13 @@ class _SortedSample:
         self.kernel = kern
         order = np.argsort(x, kind="stable")
         self.xs = x[order]
-        self.rank = np.empty_like(order)
-        self.rank[order] = np.arange(order.shape[0])
+        self.ys = y[order]
         self.powers = [t.power for t in kern.poly_terms]
         self.top = max(self.powers)
         # The binned path's own membership threshold, bit for bit.
         self.cutoff = grid * kern.support_radius
-        ys = y[order]
         self.octaves = [
-            _Octave(self.xs, ys, cols, self.cutoff[cols.stop - 1], self.top)
+            _Octave(self.xs, self.ys, cols, self.cutoff[cols.stop - 1], self.top)
             for cols in _octave_columns(grid)
         ]
 
@@ -445,161 +500,198 @@ class _SortedSample:
             todo = todo[moved]
         return lo, hi
 
-    def _shift(
-        self, oc: _Octave, seg: np.ndarray, raw: np.ndarray, xi: np.ndarray
-    ) -> list[np.ndarray]:
-        """Re-centre anchored moment sums on ``x_i``.
-
-        ``raw`` stacks ``Σu^r`` then ``Σy·u^r`` (r = 0..top) about the
-        anchor of ``seg``; the result lists ``Σ(x_l − x_i)^p`` then
-        ``Σy_l·(x_l − x_i)^p`` for each kernel power p, by Horner's rule
-        in ``δ = anchor − x_i`` over the binomial expansion.
-        """
-        delta = oc.anchor[seg] - xi
-        half = self.top + 1
-        out = []
-        for base in (0, half):
-            for p in self.powers:
-                acc = raw[base]
-                for r in range(1, p + 1):
-                    # In place after the first step: these are (k, rows)
-                    # arrays and the allocations would dominate.
-                    acc = acc * delta if r == 1 else np.multiply(
-                        acc, delta, out=acc
-                    )
-                    coef = math.comb(p, r)
-                    acc += raw[base + r] if coef == 1 else coef * raw[base + r]
-                out.append(acc)
-        return out
-
-    def _left_moments(
-        self, oc: _Octave, xi: np.ndarray, lo: np.ndarray, pos: np.ndarray
-    ) -> list[np.ndarray]:
-        """:meth:`_shift` sums over sorted positions ``[lo, pos)``.
-
-        ``X[pos] − X[lo] + Σ_{seg(lo) <= s < seg(pos)} total[s]`` with ``X``
-        the exclusive in-segment prefix, every piece re-centred from its
-        own segment's anchor.  An empty range has ``lo = pos`` and so
-        cancels exactly.
-        """
-        s_lo = oc.seg[lo]
-        s_pos = oc.seg[pos]
-        sums = [
-            t - h
-            for t, h in zip(
-                self._shift(oc, s_pos, oc.exclusive(pos), xi),
-                self._shift(oc, s_lo, oc.exclusive(lo), xi),
-            )
-        ]
-        self._add_totals(oc, xi, sums, s_pos - 1, s_pos - s_lo, -1)
-        return sums
-
-    def _right_moments(
-        self, oc: _Octave, xi: np.ndarray, pos: np.ndarray, hi: np.ndarray
-    ) -> list[np.ndarray]:
-        """:meth:`_shift` sums over sorted positions ``[pos, hi)``, hi > pos.
-
-        ``I[hi − 1] − X[pos] + Σ_{seg(pos) <= s < seg(hi − 1)} total[s]``
-        with ``I`` the inclusive in-segment prefix.
-        """
-        s_pos = oc.seg[pos]
-        s_last = oc.seg[hi - 1]
-        sums = [
-            t - h
-            for t, h in zip(
-                self._shift(oc, s_last, oc.inclusive(hi - 1), xi),
-                self._shift(oc, s_pos, oc.exclusive(pos), xi),
-            )
-        ]
-        self._add_totals(oc, xi, sums, s_pos, s_last - s_pos, 1)
-        return sums
-
-    def _add_totals(
-        self,
-        oc: _Octave,
-        xi: np.ndarray,
-        sums: list[np.ndarray],
-        first: np.ndarray,
-        span: np.ndarray,
-        step: int,
-    ) -> None:
-        """Add the whole segments ``first + step·d`` for ``0 <= d < span``.
-
-        ``first`` is per row, so each segment total is a per-row gather;
-        a window half never covers more than one whole segment except
-        through rounding of the cell edges.
-        """
-        last_seg = oc.seg_start.shape[0] - 1
-        for d in range(int(span.max(initial=0))):
-            seg = np.clip(first + step * d, 0, last_seg)
-            covered = d < span
-            for acc, part in zip(
-                sums, self._shift(oc, seg, oc.totals[:, seg], xi)
-            ):
-                acc += np.where(covered, part, 0.0)
-
-    def _octave_sums(
-        self, oc: _Octave, xi: np.ndarray, pos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(num, den, count)`` over ``oc``'s columns, ``(k_octave, rows)``.
-
-        Column ``c`` belongs to the row at sorted position ``pos[0, c]``.
-        """
-        lo, hi = self._window_bounds(xi, self.cutoff[oc.cols, None])
-        left = self._left_moments(oc, xi, lo, pos)
-        right = self._right_moments(oc, xi, pos, hi)
-        h_cols = self.grid[oc.cols, None]
-        n_pow = len(self.powers)
-        num = np.zeros(lo.shape, dtype=np.float64)
-        den = np.zeros(lo.shape, dtype=np.float64)
-        for t, term in enumerate(self.kernel.poly_terms):
-            sign = -1.0 if term.power % 2 else 1.0
-            if term.power == 0:
-                s_d = (hi - lo).astype(np.float64)
-            else:
-                s_d = right[t] + sign * left[t]
-            s_yd = right[n_pow + t] + sign * left[n_pow + t]
-            scale = term.coefficient / (
-                int_power(h_cols, term.power) if term.power else 1.0
-            )
-            num += scale * s_yd
-            den += scale * s_d
-        return num, den, hi - lo
-
     def window_sums(
-        self, start: int, stop: int
+        self, a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(num, den, count)`` for rows ``[start, stop)``, all ``(m, k)``.
+        """``(num, den, count)`` for sorted positions ``[a, b)``, each ``(k, b − a)``.
 
         ``num``/``den`` are the binned path's quantities (self included);
-        ``count`` is the exact window population, self included.
-
-        The block is evaluated in rank order and column-major — one
-        ``(k_octave, rows)`` array per quantity, rows sorted by position
-        in the sorted sample — so every ``searchsorted`` key row and every
-        prefix-sum gather rises monotonically through memory.  Rows go in
-        tiles of :data:`RANK_TILE_ROWS` consecutive ranks, so one octave's
-        temporaries stay cache-sized.  Each entry's arithmetic is
-        elementwise or a per-row gather, so neither the order rows are
-        computed in nor the rows they share a tile with can change their
-        bits; each octave is scattered back to index order as soon as it
-        is done.
+        ``count`` is the exact window population, self included.  Column
+        ``c`` is the row at sorted position ``a + c``: rank order and
+        column-major, so every ``searchsorted`` key row and every
+        prefix-sum gather rises monotonically through memory.  Each
+        entry's arithmetic is elementwise or a per-row gather, so the rows
+        a row shares its range with never change its bits.
         """
-        rank = self.rank[start:stop]
-        order = np.argsort(rank, kind="stable")
-        shape = (stop - start, self.grid.shape[0])
+        shape = (self.grid.shape[0], b - a)
         num = np.empty(shape, dtype=np.float64)
         den = np.empty(shape, dtype=np.float64)
         count = np.empty(shape, dtype=np.int64)
-        for lo in range(0, order.shape[0], RANK_TILE_ROWS):
-            tile = order[lo:lo + RANK_TILE_ROWS]
-            pos = rank[tile][None, :]
-            xi = self.xs[pos]
-            for oc in self.octaves:
-                num[tile, oc.cols], den[tile, oc.cols], count[tile, oc.cols] = (
-                    part.T for part in self._octave_sums(oc, xi, pos)
-                )
+        xi = self.xs[None, a:b]
+        for oc in self.octaves:
+            cols = oc.cols
+            lo, hi = self._window_bounds(xi, self.cutoff[cols, None])
+            np.subtract(hi, lo, out=count[cols])
+            self._octave_sums(oc, a, b, lo, hi, num[cols], den[cols])
         return num, den, count
+
+    def _octave_sums(
+        self, oc: _Octave, a: int, b: int, lo: np.ndarray, hi: np.ndarray,
+        num: np.ndarray, den: np.ndarray,
+    ) -> None:
+        """Fill ``num``/``den`` (``(k_octave, b − a)`` views) from windows ``[lo, hi)``.
+
+        Each sum is one prefix difference in the row's neighbourhood:
+        ``Z[hi] − Z[lo]`` for even powers, and ``Z[hi] + Z[lo] − 2·Z[p]``
+        (the right half minus the left half) for odd ones, where
+        ``|x_l − x_i|^p`` changes sign across ``p``.  A window that
+        leaves its neighbourhood — possible only through rounding of the
+        cell edges — is summed directly instead (:meth:`_direct_sums`).
+        """
+        top = self.top
+        nb_lo, nb_hi = oc.nb_lo[a:b], oc.nb_hi[a:b]
+        escaped = (lo < nb_lo) | (hi > nb_hi)
+        fallback = bool(escaped.any())
+        # Gather inside the neighbourhood; escaped entries are replaced.
+        g_lo, g_hi = (
+            (np.maximum(lo, nb_lo), np.minimum(hi, nb_hi)) if fallback
+            else (lo, hi)
+        )
+        base = oc.base[a:b]
+        z_hi = np.take(oc.prefix, g_hi + base, axis=1)
+        z_lo = np.take(oc.prefix, g_lo + base, axis=1)
+        raws = {0: ((g_hi - g_lo).astype(np.float64), z_hi - z_lo)}
+        if any(p % 2 for p in self.powers):
+            pos = np.arange(a, b)
+            z_hi += z_lo
+            z_hi -= 2.0 * np.take(oc.prefix, pos + base, axis=1)[:, None, :]
+            raws[1] = ((g_hi + g_lo - 2 * pos).astype(np.float64), z_hi)
+        delta = oc.delta[a:b]
+        h_cols = self.grid[oc.cols, None]
+        for t, term in enumerate(self.kernel.poly_terms):
+            count, raw = raws[term.power % 2]
+            s_d = _shift(count, raw[:top], delta, term.power)
+            s_yd = _shift(raw[top], raw[top + 1:], delta, term.power)
+            scale = term.coefficient / (
+                int_power(h_cols, term.power) if term.power else 1.0
+            )
+            if t:
+                num += scale * s_yd
+                den += scale * s_d
+            else:
+                np.multiply(scale, s_yd, out=num)
+                np.multiply(scale, s_d, out=den)
+        if fallback:
+            self._direct_sums(escaped, a, lo, hi, h_cols, num, den)
+
+    def _direct_sums(
+        self, where: np.ndarray, a: int, lo: np.ndarray, hi: np.ndarray,
+        h_cols: np.ndarray, num: np.ndarray, den: np.ndarray,
+    ) -> None:
+        """Overwrite the entries ``where`` marks with sums taken term by term.
+
+        The checked fallback for a window that left its neighbourhood:
+        ``Σ y_l·|x_l − x_i|^p`` over its positions ``[lo, hi)`` directly,
+        as the binned path forms them.  Entries go in batches of about
+        :data:`DIRECT_BATCH` window positions, so tied rows that escape
+        together cannot blow up the temporaries; each entry's sums do not
+        depend on its batch.
+        """
+        entries = np.argwhere(where)
+        size = (hi - lo)[where]
+        ends = np.cumsum(size)
+        start = 0
+        while start < size.shape[0]:
+            stop = max(start + 1, int(np.searchsorted(
+                ends, ends[start] - size[start] + DIRECT_BATCH, side="right"
+            )))
+            self._direct_batch(
+                *entries[start:stop].T, size[start:stop], a, lo, h_cols,
+                num, den,
+            )
+            start = stop
+
+    def _direct_batch(
+        self, j: np.ndarray, c: np.ndarray, size: np.ndarray, a: int,
+        lo: np.ndarray, h_cols: np.ndarray, num: np.ndarray, den: np.ndarray,
+    ) -> None:
+        """:meth:`_direct_sums` for entries ``(j, c)`` with windows ``size`` long."""
+        owner = np.repeat(np.arange(j.shape[0]), size)
+        pos = np.arange(int(size.sum())) - np.repeat(
+            np.cumsum(size) - size - lo[j, c], size
+        )
+        dist = np.abs(self.xs[a + c][owner] - self.xs[pos])
+        yw = self.ys[pos]
+        num[j, c] = 0.0
+        den[j, c] = 0.0
+        for term in self.kernel.poly_terms:
+            d_pow = int_power(dist, term.power) if term.power else None
+            s_d = np.bincount(owner, weights=d_pow, minlength=j.shape[0])
+            s_yd = np.bincount(
+                owner, weights=yw if d_pow is None else yw * d_pow,
+                minlength=j.shape[0],
+            )
+            scale = term.coefficient / (
+                int_power(h_cols[j, 0], term.power) if term.power else 1.0
+            )
+            num[j, c] += scale * s_yd
+            den[j, c] += scale * s_d
+
+    def contributions(self, start: int, stop: int) -> tuple[np.ndarray, int]:
+        """Squared LOO residual rows for sorted positions ``[start, stop)``.
+
+        Rows go in tiles of :data:`RANK_TILE_ROWS` positions, and each
+        tile's window sums are reduced to residuals while they are
+        cache-sized, so no block-wide ``(m, k)`` sums ever exist.  Also
+        returns the number of empty windows.
+        """
+        out = np.empty((stop - start, self.grid.shape[0]), dtype=np.float64)
+        empty = 0
+        for a in range(start, stop, RANK_TILE_ROWS):
+            b = min(a + RANK_TILE_ROWS, stop)
+            num, den, count = self.window_sums(a, b)
+            squares, valid = _loo_squares(
+                num, den, self.ys[None, a:b], self.kernel, count
+            )
+            out[a - start:b - start] = squares.T
+            empty += valid.size - int(np.count_nonzero(valid))
+        return out, empty
+
+
+def _shift(
+    zero: np.ndarray, higher: np.ndarray, delta: np.ndarray, power: int
+) -> np.ndarray:
+    """``Σ_r C(p, r)·δ^(p−r)·m_r`` with ``m_0 = zero``, ``m_r = higher[r − 1]``.
+
+    Re-centres moment sums about an anchor on ``x_i`` (``δ = anchor −
+    x_i``) by Horner's rule in ``δ`` over the binomial expansion.
+    """
+    acc = zero
+    for r in range(1, power + 1):
+        # In place after the first step: these are (k_octave, rows) arrays
+        # and the allocations would dominate.
+        acc = acc * delta if r == 1 else np.multiply(acc, delta, out=acc)
+        coef = math.comb(power, r)
+        acc += higher[r - 1] if coef == 1 else coef * higher[r - 1]
+    return acc
+
+
+def _loo_squares(
+    num: np.ndarray,
+    den: np.ndarray,
+    y: np.ndarray,
+    kern: Kernel,
+    count: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out squared residuals, and which windows are non-empty.
+
+    Observation i appears in its own window at every bandwidth with
+    distance 0, touching only the power-0 term; ``y`` broadcasts against
+    ``num``/``den`` (both are updated in place).  ``count``, the exact
+    window population where a path has it, rules out self-only windows
+    whose ``den`` keeps a rounding residual.
+    """
+    zero_terms = [t for t in kern.poly_terms if t.power == 0]
+    if zero_terms:
+        c0 = sum(t.coefficient for t in zero_terms)
+        num -= c0 * y
+        den -= c0
+    valid = den > 0.0
+    if count is not None:
+        valid &= count > 1
+    g_loo = np.where(valid, num / np.where(valid, den, 1.0), 0.0)
+    resid = np.where(valid, y - g_loo, 0.0)
+    return resid * resid, valid
 
 
 _LAST_SORTED: _SortedSample | None = None
@@ -644,32 +736,32 @@ def fastgrid_row_contributions(
 ) -> np.ndarray:
     """Per-observation squared-residual k-vectors for rows ``[start, stop)``.
 
-    Returns a float64 ``(stop - start, k)`` matrix whose row ``i`` is
-    observation ``start + i``'s contribution to ``n · CV_lc(h)`` at every
-    grid bandwidth.  Each row depends only on its own observation and the
-    *whole* sample — never on which other rows share the block — so the
-    matrix is **partition-invariant**: any batching of ``range(n)``
-    produces the identical bits row by row.  Folding the rows in global
-    index order (:func:`repro.utils.numeric.fold_rows`) therefore yields
-    a CV curve that is bit-for-bit independent of block size, chunk size,
-    and worker count — the invariant the blockwise/shared-memory backends
-    are tested against.
+    Returns a float64 ``(stop - start, k)`` matrix whose row ``i`` is one
+    observation's contribution to ``n · CV_lc(h)`` at every grid
+    bandwidth.  On the binned path row ``i`` is observation ``start + i``;
+    on the sorted path (:func:`window_sum_path`) rows are positions in the
+    sample sorted by x, so row ``i`` is the observation of rank
+    ``start + i``.  Either way ``range(n)`` covers every observation once.
+    Each row depends only on its own observation and the *whole* sample —
+    never on which other rows share the block — so the matrix is
+    **partition-invariant**: any batching of ``range(n)`` produces the
+    identical bits row by row.  Folding the rows in row order
+    (:func:`repro.utils.numeric.fold_rows`) therefore yields a CV curve
+    that is bit-for-bit independent of block size, chunk size, and worker
+    count — the invariant the blockwise/shared-memory backends are tested
+    against.
 
     This is the unit of work for the out-of-core blockwise engine: the
-    block's working set is O(B·n + B·k) while the full sweep never
-    materialises anything n×n.
+    block's working set is O(B·n + B·k) on the binned path and O(B·k) on
+    the sorted one, and the full sweep never materialises anything n×n.
     """
     kern = require_fast_grid_kernel(kernel_name)
     grid = np.asarray(bandwidths, dtype=float)
-    np_dtype = np.dtype(dtype)
     x = np.asarray(x)
     y = np.asarray(y)
     _check_block(x.shape[0], start, stop)
-    x_block = x[start:stop]
-    y_block = y[start:stop]
     tracer = current_tracer()
     path = window_sum_path(x.shape[0], grid.shape[0], kern, dtype)
-    count = None
     with tracer.span("block", start=start, stop=stop):
         if path == "sorted":
             with tracer.span("sort", rows=stop - start):
@@ -678,35 +770,24 @@ def fastgrid_row_contributions(
                     np.ascontiguousarray(y, dtype=np.float64),
                     grid, kern,
                 )
+            # The reduction runs fused into the sweep's tiles; its span
+            # only records their tally.
             with tracer.span("sweep", rows=stop - start):
-                num, den, count = sample.window_sums(start, stop)
-        else:
-            num, den = _window_sums_for_block(
-                x_block, x, y, grid, kern, np_dtype
-            )
-
-        # Leave-one-out correction: observation i appears in its own window
-        # at every bandwidth with distance 0, touching only the power-0 term.
+                out, empty = sample.contributions(start, stop)
+            with tracer.span("reduction", rows=stop - start):
+                if tracer.enabled:
+                    tracer.counter("numeric.empty_windows", float(empty))
+            return out
+        num, den = _window_sums_for_block(
+            x[start:stop], x, y, grid, kern, np.dtype(dtype)
+        )
         with tracer.span("reduction", rows=stop - start):
-            zero_terms = [t for t in kern.poly_terms if t.power == 0]
-            if zero_terms:
-                c0 = sum(t.coefficient for t in zero_terms)
-                num -= c0 * y_block[:, None]
-                den -= c0
-
-            valid = den > 0.0
-            if count is not None:
-                # A self-only window leaves a rounding residual in the
-                # sorted path's ``den``; its integer population does not.
-                valid &= count > 1
+            out, valid = _loo_squares(num, den, y[start:stop, None], kern)
             if tracer.enabled:
                 tracer.counter(
                     "numeric.empty_windows",
-                    float(num.size - int(np.count_nonzero(valid))),
+                    float(valid.size - int(np.count_nonzero(valid))),
                 )
-            g_loo = np.where(valid, num / np.where(valid, den, 1.0), 0.0)
-            resid = np.where(valid, y_block[:, None] - g_loo, 0.0)
-            out: np.ndarray = resid * resid
     return out
 
 
@@ -886,9 +967,8 @@ def cv_scores_fastgrid(
             # Traced path: the identical fold plus a Neumaier compensation
             # term that *measures* per-row summation drift without touching
             # the returned values (Langrené & Warin motivate tracking it).
-            # ``np.add.accumulate`` down axis 0 is the same strict
-            # sequential add as ``fold_rows``, so the block's running sums
-            # come out bit for bit and the drift terms are vectorised.
+            # ``fold_rows`` leaves the running sums in ``running``, so the
+            # drift terms are vectorised over the block.
             comp = np.zeros_like(sq_sums)
             running = np.empty(
                 (min(rows, n) + 1, grid.shape[0]), dtype=np.float64
@@ -898,11 +978,7 @@ def cv_scores_fastgrid(
                     x, y, grid, kern.name, sl.start, sl.stop, dtype
                 )
                 m = contrib.shape[0]
-                running[0] = sq_sums
-                running[1 : m + 1] = contrib
-                np.add.accumulate(
-                    running[: m + 1], axis=0, out=running[: m + 1]
-                )
+                fold_rows(contrib, sq_sums, running=running)
                 prev, acc = running[:m], running[1 : m + 1]
                 fold_rows(
                     np.where(
@@ -912,7 +988,6 @@ def cv_scores_fastgrid(
                     ),
                     comp,
                 )
-                sq_sums = running[m].copy()
             tracer.record_max(
                 "numeric.kahan_compensation", float(np.max(np.abs(comp)))
             )

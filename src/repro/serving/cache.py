@@ -63,7 +63,9 @@ __all__ = [
 
 #: v2: keys carry the window-sum path (``sorted``/``binned``), so entries
 #: written before the sorted path existed never serve a sorted-path sweep.
-_FORMAT_VERSION = 2
+#: v3: sorted-path curves take neighbourhood-anchored window sums and fold
+#: their rows in rank order, so every sorted-path curve changed bits.
+_FORMAT_VERSION = 3
 
 #: Artifact namespaces (file prefixes / stats keys).
 _KINDS = ("selection", "curve", "blocks")

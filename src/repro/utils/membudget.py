@@ -192,11 +192,16 @@ def sweep_bytes(
     * **binned** — each row holds an n-long distance row, the int64
       bin/offset/index triple and one distance-power and weighted-Y row
       per polynomial term: O(n) bytes per row;
-    * **sorted** — each row holds only k-length moment gathers, window
+    * **sorted** — each row is charged k-length moment gathers, window
       sums and residuals (``8·(top+1) + 4·n_terms + 16`` of them): O(k)
-      bytes per row.  The price is the sample sorted once, with
-      ``2·(top+1)`` anchored prefix sums per grid octave, charged to
-      ``fixed`` together with the transient arrays of building one octave.
+      bytes per row, an upper bound since the gathers live per tile of
+      rows.  The price is the sample sorted once and, per grid octave,
+      the neighbourhood prefix sums: ``2·top + 1`` rows over at most
+      ``4.5·n`` columns (a point sits in at most three neighbourhoods,
+      each adds one empty-prefix slot, and padding adds at most 1/8),
+      plus four n-long per-position arrays.  Both are charged to
+      ``fixed``, together with the transient arrays of building one
+      octave.
 
     Deliberately counts arrays that overlap only briefly — the plan must
     be an upper bound, not a best case.
@@ -205,8 +210,14 @@ def sweep_bytes(
     if output_matrix:
         fixed += n * k * 8
     if path == "sorted":
-        moments = 2 * (top_power + 1)
-        fixed += n * 8 * (6 + n_octaves * (2 * moments + 4) + 4 * moments + 3)
+        moments = 2 * top_power + 1
+        columns = 9 * n // 2
+        fixed += 8 * (
+            6 * n
+            + n_octaves * (moments * columns + 4 * n)
+            + max(4, moments) * columns
+            + 3 * n
+        )
         per_row = (8 * (top_power + 1) + 4 * n_terms + 16) * k * 8
     else:
         per_row = (

@@ -10,9 +10,13 @@ rounding only.  The contract (DESIGN.md, "Sort-once path"):
 * ``h_opt`` on the same grid index;
 * window membership decided by the binned predicate ``|x_i − x_l| <=
   grid[j]·R`` exactly — checked against a brute-force count;
+* windows that leave their cell's neighbourhood through rounding of the
+  cell edges are summed by the checked fallback — against brute-force
+  counts and the ``math.fsum`` oracle;
 * bit-for-bit agreement among the row-block executors (numpy and
-  blocked-shm) at any block size, because every row is computed
-  independently of its block — down to the raw window sums;
+  blocked-shm) at any block size, because every row (a position in the
+  sorted sample) is computed independently of its block — down to the
+  raw window sums;
 * float32 sweeps keep the binned bits;
 * pinned curve bytes: a change that moves any bit of a sorted-path curve
   must re-pin here on purpose (and bump the cache ``_FORMAT_VERSION``).
@@ -160,7 +164,7 @@ class TestAgainstBinned:
         sample = fastgrid._SortedSample(x, y, grid, kern)
         _, _, count = sample.window_sums(0, x.size)
         np.testing.assert_array_equal(
-            count, _brute_counts(x, grid, kern.support_radius)
+            count.T, _brute_counts(sample.xs, grid, kern.support_radius)
         )
 
     @pytest.mark.parametrize("offset", OFFSETS)
@@ -204,17 +208,100 @@ class TestAgainstBinned:
     ):
         # h_min is 1e7 times below the spread: 15 octaves, most cut into
         # cells far narrower than the data spacing.  Only non-empty
-        # cells become segments, so every octave stays O(n).
+        # cells have neighbourhoods and a point sits in at most three, so
+        # every octave stays O(n): 3·N points plus one empty-prefix slot
+        # per neighbourhood, padded by at most 1/8.
         x, y = _sample(N, 6, offset)
         grid = np.geomspace(1e-7, 0.5, 30)
         got = cv_scores_fastgrid(x, y, grid, kernel)
         ref = binned(lambda: cv_scores_fastgrid(x, y, grid, kernel))
         _assert_contract(got, ref, kernel)
-        sample = fastgrid._SortedSample(x, y, grid, get_kernel(kernel))
+        kern = get_kernel(kernel)
+        sample = fastgrid._SortedSample(x, y, grid, kern)
         assert len(sample.octaves) == 15
+        top = max(t.power for t in kern.poly_terms)
         for octave in sample.octaves:
-            assert octave.seg_start.size <= N
-            assert octave.zprefix.shape[1] == N + 1
+            assert octave.prefix.shape[0] == 2 * top + 1
+            assert octave.prefix.shape[1] <= (3 * N + N) * 9 // 8
+            for per_row in (octave.base, octave.nb_lo, octave.nb_hi, octave.delta):
+                assert per_row.shape == (N,)
+
+
+class TestNeighbourhoodEdges:
+    """Windows that leave their neighbourhood through cell-edge rounding.
+
+    In exact arithmetic a window of half-width ``R·h <= W`` (``W = R·h_max``
+    of the octave) around a point of cell ``s`` stays inside cells
+    ``s − 1 .. s + 1``.  But the cell index ``floor((x − x_min) / W)`` and
+    the membership test ``|x_i − x_l| <= R·h`` round separately, and at
+    the pair ``A``, ``B`` below (found by search) they disagree:
+    ``|B − A| <= W`` while their cells are two apart.  Each of their top
+    windows then escapes its neighbourhood, and the checked fallback must
+    sum it directly.  Around them sit ties and points on ``fl(x_min +
+    m·W)``, the cell edges themselves.
+    """
+
+    W = 0.05482027171885534
+    X_MIN = 0.589889487029958
+    A = 14.678699318775779
+    B = 14.733519590494634
+    GRID = W * np.array([0.55, 0.7, 0.85, 1.0])
+
+    def _data(self) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(12)
+        edges = self.X_MIN + np.arange(250, 266) * self.W
+        x = np.concatenate([
+            [self.X_MIN],
+            np.repeat([self.A, self.B], 3),
+            np.repeat(edges, 2),
+            rng.uniform(self.A - 3 * self.W, self.B + 3 * self.W, 60),
+        ])
+        x = x[rng.permutation(x.size)]
+        return x, np.sin(x) + rng.normal(0.0, 0.1, x.size)
+
+    def test_the_pair_escapes_its_neighbourhood(self):
+        cell = np.floor((np.array([self.A, self.B]) - self.X_MIN) / self.W)
+        assert abs(self.B - self.A) <= self.GRID[-1]
+        assert cell[1] - cell[0] == 2
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fallback_matches_brute_force_and_fsum_oracle(
+        self, kernel, monkeypatch
+    ):
+        from tests.core.test_loocv_oracle import _oracle
+
+        x, y = self._data()
+        escaped = []
+        direct = fastgrid._SortedSample._direct_sums
+
+        def spy(sample, where, *args):
+            escaped.append(int(np.count_nonzero(where)))
+            return direct(sample, where, *args)
+
+        monkeypatch.setattr(fastgrid._SortedSample, "_direct_sums", spy)
+        kern = get_kernel(kernel)
+        sample = fastgrid._SortedSample(x, y, self.GRID, kern)
+        _, _, count = sample.window_sums(0, x.size)
+        assert sum(escaped) >= 2 * 3
+        np.testing.assert_array_equal(
+            count.T, _brute_counts(sample.xs, self.GRID, kern.support_radius)
+        )
+
+        monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 0)
+        monkeypatch.setattr(fastgrid, "SORTED_MIN_N_PER_K", 0.0)
+        assert window_sum_path(x.size, self.GRID.size, kernel) == "sorted"
+        # The escaped point sits on the window's edge, where only uniform
+        # weighs it clearly above 0: its curve is the one a skipped
+        # fallback would move.
+        got = cv_scores_fastgrid(x, y, self.GRID, kernel)
+        exact = _oracle(x, y, self.GRID, kernel)
+        np.testing.assert_allclose(got, exact, rtol=RTOL[kernel], atol=0.0)
+        assert int(np.argmin(got)) == int(np.argmin(exact))
+        # One escaped window per batch: the same bits.
+        monkeypatch.setattr(fastgrid, "DIRECT_BATCH", 1)
+        assert cv_scores_fastgrid(x, y, self.GRID, kernel).tobytes() == (
+            got.tobytes()
+        )
 
 
 class TestBinnedBitsKept:
@@ -237,8 +324,13 @@ class TestExecutorsAgreeBitForBit:
             assert cv_scores_fastgrid(
                 x, y, grid, kernel, block_rows=rows
             ).tobytes() == ref
+        # A budget just above the sorted sample's residency partitions the
+        # rows into blocks.
+        assert fastgrid.plan_fastgrid_blocks(
+            N, grid, kernel, memory_budget="4MiB"
+        ).n_blocks > 1
         assert cv_scores_fastgrid(
-            x, y, grid, kernel, memory_budget="2MiB"
+            x, y, grid, kernel, memory_budget="4MiB"
         ).tobytes() == ref
         for rows in (13, 200):
             assert cv_scores_blocked_shm(
@@ -280,12 +372,13 @@ def _blocks(n: int, sizes: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 class TestWindowSumsRowBlocks:
-    """``window_sums`` rows do not depend on which rows share their block.
+    """Sorted-path rows do not depend on which positions share their block.
 
-    Each block is evaluated in rank order, in tiles of
-    ``RANK_TILE_ROWS`` ranks, and scattered back, and ``_add_totals``
-    loops to its tile's widest span; none of that may move a bit of
-    ``num``/``den`` or the integer ``count`` that decides validity.
+    On the sorted path a row block is a range of positions in the sorted
+    sample.  Its rows go in tiles of ``RANK_TILE_ROWS`` positions and each
+    tile's window sums are reduced to residuals on the spot; neither the
+    block nor the tile boundaries may move a bit of ``num``/``den``, of
+    the integer ``count`` that decides validity, or of the residual rows.
     """
 
     N = 3000
@@ -302,18 +395,26 @@ class TestWindowSumsRowBlocks:
 
     @pytest.mark.parametrize("case", ["0", "1e6", "duplicated"])
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_blocks_concatenate_to_the_whole(self, kernel, case):
+    def test_blocks_concatenate_to_the_whole(self, kernel, case, monkeypatch):
         x, y = self._data(case)
         assert window_sum_path(self.N, self.GRID.size, kernel) == "sorted"
         sample = fastgrid._SortedSample(x, y, self.GRID, get_kernel(kernel))
         whole = sample.window_sums(0, self.N)
         assert whole[2].dtype == np.int64
+        rows, _ = sample.contributions(0, self.N)
+        assert rows.tobytes() == fastgrid_row_contributions(
+            x, y, self.GRID, kernel, 0, self.N
+        ).tobytes()
+        monkeypatch.setattr(fastgrid, "RANK_TILE_ROWS", 7)
         for sizes in ((1, 7, 333), (333, 7, 1)):
-            parts = [sample.window_sums(a, b) for a, b in _blocks(self.N, sizes)]
+            blocks = _blocks(self.N, sizes)
+            parts = [sample.window_sums(a, b) for a, b in blocks]
             for pieces, ref in zip(zip(*parts), whole):
-                got = np.concatenate(pieces)
+                got = np.concatenate(pieces, axis=1)
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
+            got = np.concatenate([sample.contributions(a, b)[0] for a, b in blocks])
+            assert got.tobytes() == rows.tobytes()
 
 
 class TestPinnedCurveBytes:
@@ -323,30 +424,50 @@ class TestPinnedCurveBytes:
     *inputs*; these hash its *output*, so any change to a sorted-path
     curve's bits fails here.  The samples use uniform draws, products and
     rounding only, which give the same bits on every platform.
+
+    Curves that change bits invalidate every cached curve, so a re-pin
+    comes with a bump of ``serving.cache._FORMAT_VERSION``: the digest of
+    the pin table is filed under the cache format it was pinned for, and
+    a re-pinned table under an unbumped format fails.
     """
 
     GRID = np.linspace(0.002, 0.1, 50)
+    PINS = {
+        "exact_benchmark_pool_dataset":
+            "c9f9b72ee4f7b61ee445b1fa37265f6c755c038b2f7d3c6fd067ae9c9b8b12db",
+        "triweight_far_from_origin":
+            "513615d91385b30f9a2a8c991c679c60968a2c7cfb27ab744059764136027a86",
+        "tricube_on_tied_x":
+            "5fc9df23a3b32b063f29c2c648be8c0f26951877a13e19ce5db2a8d24141e401",
+    }
+    PINS_BY_CACHE_FORMAT = {
+        3: "4cd38391937a55379db03570156055cb907969903f5f238e9e2118c2618d234b",
+    }
 
     @staticmethod
     def _digest(curve: np.ndarray) -> str:
         return hashlib.sha256(curve.tobytes()).hexdigest()
 
+    def test_pins_belong_to_the_cache_format(self):
+        from repro.serving import cache
+
+        table = json.dumps(self.PINS, sort_keys=True).encode()
+        assert self.PINS_BY_CACHE_FORMAT[cache._FORMAT_VERSION] == (
+            hashlib.sha256(table).hexdigest()
+        )
+
     def test_exact_benchmark_pool_dataset(self):
         s = paper_dgp(8000, seed=101)
         assert self._digest(cv_scores_fastgrid(s.x, s.y, self.GRID)) == (
-            "26148c67a12aaf76c0c44b157e3ec5ea412ad0a1074759853bcdad8cb0958cc3"
+            self.PINS["exact_benchmark_pool_dataset"]
         )
 
     def test_triweight_far_from_origin(self):
         s = paper_dgp(3000, seed=102)
         curve = cv_scores_fastgrid(s.x + 1e6, s.y, self.GRID, "triweight")
-        assert self._digest(curve) == (
-            "164753610ea4813e1cf7ac0d11da821f970ef1c039d58caea37714757b2f84fd"
-        )
+        assert self._digest(curve) == self.PINS["triweight_far_from_origin"]
 
     def test_tricube_on_tied_x(self):
         s = paper_dgp(5000, seed=103)
         curve = cv_scores_fastgrid(np.round(s.x, 2), s.y, self.GRID, "tricube")
-        assert self._digest(curve) == (
-            "dbc0938f1c22e2df89ad44b23944209909470b24d513d78153b2b4f705d74e75"
-        )
+        assert self._digest(curve) == self.PINS["tricube_on_tied_x"]

@@ -73,24 +73,24 @@ class TestFingerprints:
         x, y = _stable_sample()
         grid = GRID.values
         assert curve_fingerprint(x, y, grid, "epanechnikov") == (
-            "2b4508e88a51d1d8c43beafbacfba038067464bba1f0ba3c3eacbf37d425869e"
+            "95d59fa249ca264a6867a9cfc357e9e2ee9014f17f890832a0be9b618a0aad0e"
         )
         assert curve_fingerprint(x[:40], y[:40], grid, "epanechnikov") == (
-            "124a3f207fa5cd1a5bc1b2bc88741e032a631c7d0c282c408c5b4448b3128644"
+            "bc76e566ee0e6668c894a81f90fbe4cde26edb90530b9ed72af3cbca0c014a69"
         )
         assert curve_fingerprint(
             x, y, grid, "epanechnikov", dtype="float32"
-        ) == "69d403591a2eeca1b5edda8307abd206a6025706297e33a021c7f25eb3494e4d"
+        ) == "4d023822b525cce8b28f64edc0107f415b3a5ef02c7c40b6b5c4c0ede70b0066"
         assert curve_fingerprint(
             x, y, grid, "epanechnikov", backend="gpusim"
-        ) == "0fd22b0accb1c8086d8ec08e753966f327cbfd6ca0e2b239744e8aee8739864b"
+        ) == "6032329a136bc9c5c6d50e9a6d62b99a1984a8bc29a831cb9b47e2ede9e025bd"
         assert selection_fingerprint(x, y, grid, "epanechnikov") == (
-            "cb263c52a02d229362cf28019c496dff68bfdedd6fbf6d6ab1a4e3c0a43e03cc"
+            "1b0d459b1568ab1c6c51c9f6e9148ce30095a5f1fa80f7d7e55b86bfbb483ad7"
         )
         assert selection_fingerprint(
             x, y, grid, "epanechnikov", backend="blocked-shm",
             options={"refine_rounds": 1},
-        ) == "5ed62cf745a0fe09fab9eb3dd051e31cf2b6d7736470749c20c0ea5528a34e57"
+        ) == "d850c8f96ad783b949248f13925b817599b8f706c49307bfb1e1f5b1a1c0762f"
 
     def test_bagged_key_follows_the_subsample_size(self, monkeypatch):
         x, y = _stable_sample()
@@ -105,10 +105,10 @@ class TestFingerprints:
         # m = 560 sweeps sorted, m = 300 binned.
         sorted_key = key(560)
         assert sorted_key == (
-            "f91f1c39b0f48154b4eb36d0681e95214bf01782ef5f736093e10f27bca4a79f"
+            "9c87e6774a903938b4bfb9eea1bf7ee003b9423f7767abcb006d3fad85a5d198"
         )
         assert key(300) == (
-            "0f5e0117e4b5e18f64a133fbd99bd123ca49059967eb73684604fa9ac8f6f00e"
+            "9d658addb038f3e3afad9b0bdb2a51d96f5f0f64168131e1fa6769191770931e"
         )
         # Move the crossover: the same m now sweeps binned, under a new key.
         monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 10**18)
