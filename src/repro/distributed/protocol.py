@@ -43,7 +43,10 @@ __all__ = [
 
 #: Bumped on any incompatible message change; both sides verify it so
 #: version skew surfaces as a typed protocol error, not a silent drift.
-PROTOCOL_VERSION = 1
+#: v2: on the sorted path a block's rows ``[start, stop)`` are positions
+#: in the sorted sample, not observation indices, so a v1 peer's blocks
+#: would tile a different set of observations.
+PROTOCOL_VERSION = 2
 
 
 def payload_checksum(rows: np.ndarray, start: int, stop: int) -> str:

@@ -132,3 +132,25 @@ def test_version_skew_is_a_typed_error() -> None:
     with pytest.raises(DistributedProtocolError) as excinfo:
         decode_compute_request(req)
     assert "version skew" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("version", [1, PROTOCOL_VERSION + 1])
+def test_compute_messages_from_another_version_are_rejected(version: int) -> None:
+    # A v1 peer's sorted-path blocks cover observation indices, not sorted
+    # positions; folding them with this version's blocks would count some
+    # observations twice and miss others, so skew must fail loudly.
+    assert PROTOCOL_VERSION == 2
+    req = _wire(encode_compute_request("ds1", 0, 0, 0, 4))
+    req["version"] = version
+    with pytest.raises(DistributedProtocolError, match="version skew"):
+        decode_compute_request(req)
+    resp = _wire(
+        encode_compute_response(
+            decode_compute_request(_wire(encode_compute_request("ds1", 0, 0, 0, 4))),
+            np.ones((4, 3)),
+            "w0",
+        )
+    )
+    resp["version"] = version
+    with pytest.raises(DistributedProtocolError, match="version skew"):
+        decode_compute_rows(resp, k=3)
