@@ -54,14 +54,10 @@ class LintConfig:
     #: the two serving boundary modules convert every fault into a typed
     #: per-request outcome (an HTTP status / a failed future) instead of
     #: crashing the shared event loop.
-    #: The distributed coordinator is the fleet's classification layer:
-    #: dispatch threads route arbitrary transport failures into the
-    #: delivery queue for code-based retry/degrade decisions.
     resilience_modules: tuple[str, ...] = (
         "resilience/*.py",
         "serving/scheduler.py",
         "serving/server.py",
-        "distributed/coordinator.py",
     )
     #: SRV001: event-loop modules where blocking calls stall all requests.
     serving_modules: tuple[str, ...] = ("serving/*.py",)
@@ -76,7 +72,7 @@ class LintConfig:
         "utils/*.py",
     )
     #: DET001/002: reduction-path modules where iteration order is part
-    #: of the bit-identical-fold contract the distributed layer inherits.
+    #: of the bit-identical-fold contract every parallel backend inherits.
     determinism_modules: tuple[str, ...] = (
         "core/*.py",
         "kde/*.py",

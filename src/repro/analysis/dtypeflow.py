@@ -1,7 +1,7 @@
 """Intraprocedural dtype propagation over a four-point lattice.
 
-The float32 fast path (ROADMAP item 1) and the distributed fold
-(item 2) both rest on one invariant: *a value's precision is chosen
+The float32 fast path and the parallel row fold both rest on one
+invariant: *a value's precision is chosen
 once, at a named seed, and never drifts silently*.  This module gives
 the DTY rules the machinery to check that statically:
 

@@ -2,7 +2,7 @@
 
 PR 1's engine analyses one module at a time, which is enough for the
 syntactic rule families (NUM/PAR/GPU/ROB/SRV/OBS) but not for the
-contracts the fast-grid sweep and distributed-selection work depend
+contracts the fast-grid sweep and its parallel backends depend
 on: *dtype flow across call boundaries* ("does ``ensure_bandwidths``
 hand me float64?") needs to know what a function defined in another
 module returns.  This module builds that view:

@@ -7,9 +7,8 @@ does not re-raise turns a typed, actionable failure into a silent wrong
 answer — the worst outcome for a numerical reproduction.
 
 ROB002 guards the other half of the fault model: stdlib socket/HTTP
-clients block *forever* by default, so one silent worker would hang the
-distributed coordinator instead of surfacing the typed
-``REPRO_SERVE_TIMEOUT`` the lease machinery classifies on.  Every
+clients block *forever* by default, so one silent peer would hang the
+caller instead of surfacing a typed ``REPRO_SERVE_TIMEOUT``.  Every
 network call must make its deadline explicit.
 """
 
@@ -114,12 +113,11 @@ class NoTimeoutRule(Rule):
     The stdlib network clients (``socket.create_connection``,
     ``urllib.request.urlopen``, ``http.client.HTTPConnection``…) block
     indefinitely when no timeout is given.  In this codebase every such
-    call sits on a fault boundary — the distributed RPC client, the
-    fleet heartbeat, the serving smoke tooling — where "hangs forever"
-    must instead become a typed ``REPRO_SERVE_TIMEOUT`` that the lease
-    and retry machinery can classify.  Passing ``timeout=None``
-    explicitly is allowed: the rule bans the silent default, not an
-    audited decision to wait.
+    call sits on a fault boundary — the serving smoke tooling, any client
+    of ``repro serve`` — where "hangs forever" must instead become a
+    typed ``REPRO_SERVE_TIMEOUT`` the caller can classify.  Passing
+    ``timeout=None`` explicitly is allowed: the rule bans the silent
+    default, not an audited decision to wait.
     """
 
     rule_id = "ROB002"

@@ -29,12 +29,11 @@ Determinism contract
 --------------------
 Subsample draw ``i`` is a pure function of ``(root_seed, i)``
 (:mod:`repro.bagged.plan`), every fast-grid backend in the strict-fold
-family (numpy / blocked-shm / distributed)
-produces byte-identical curves, and aggregation folds the per-subsample
-results in index order.  Hence the bagged ``h_opt`` is bit-for-bit
-identical across backends, across serial vs. pooled dispatch, and
-across fault/retry schedules — a retried subsample re-derives the same
-draw and recomputes the same curve.
+family (numpy / blocked-shm) produces byte-identical curves, and
+aggregation folds the per-subsample results in index order.  Hence the
+bagged ``h_opt`` is bit-for-bit identical across backends, across serial
+vs. pooled dispatch, and across fault/retry schedules — a retried
+subsample re-derives the same draw and recomputes the same curve.
 """
 
 from __future__ import annotations
@@ -64,10 +63,6 @@ if TYPE_CHECKING:  # deferred: serving/resilience import the core back
     from repro.serving.cache import ArtifactCache
 
 __all__ = ["BaggedCVSelector"]
-
-#: Backends whose sweep is already process-parallel; fanning whole
-#: subsamples over a pool on top of them would nest process pools.
-_PARALLEL_BACKENDS = ("blocked-shm", "distributed")
 
 
 def _subsample_unit(
@@ -112,9 +107,8 @@ class BaggedCVSelector(BandwidthSelector):
         subsample sweeps this grid inflated by ``(n/m)^rate``.
     backend:
         Inner sweep backend for each subsample: any registered grid
-        backend — ``"numpy"`` (default), ``"blocked-shm"``,
-        ``"distributed"`` ... All strict-fold backends yield bit-identical
-        bagged selections.
+        backend — ``"numpy"`` (default), ``"blocked-shm"`` ... All
+        strict-fold backends yield bit-identical bagged selections.
     subsamples, subsample_size, root_seed:
         The plan: ``r`` seeded draws of size ``m`` (defaults per
         arXiv:2105.04134's guidance, see :mod:`repro.bagged.plan`).
@@ -127,7 +121,7 @@ class BaggedCVSelector(BandwidthSelector):
         univariate; see :func:`repro.bagged.rescale.rate_exponent`).
     subsample_workers:
         ``> 1`` fans whole subsample sweeps across a process pool
-        (serial backends only — the parallel backends already fan out
+        (serial backends only — ``blocked-shm`` already fans out
         internally).  Dispatch order cannot change the result.
     cache:
         An :class:`~repro.serving.cache.ArtifactCache`: each subsample's
@@ -143,7 +137,7 @@ class BaggedCVSelector(BandwidthSelector):
         byte-identical.
     backend_options:
         Forwarded to every subsample sweep (``memory_budget``,
-        ``workers``, ``fleet``, ``dtype`` ...).
+        ``workers``, ``dtype`` ...).
     """
 
     method = "bagged-cv"
@@ -181,10 +175,10 @@ class BaggedCVSelector(BandwidthSelector):
         self.subsample_workers = check_positive_int(
             subsample_workers, name="subsample_workers"
         )
-        if self.subsample_workers > 1 and backend in _PARALLEL_BACKENDS:
+        if self.subsample_workers > 1 and backend == "blocked-shm":
             raise ValidationError(
-                f"subsample_workers > 1 would nest process pools on the "
-                f"already-parallel {backend!r} backend; parallelise either "
+                "subsample_workers > 1 would nest process pools on the "
+                "already-parallel 'blocked-shm' backend; parallelise either "
                 "across subsamples or inside the sweep, not both"
             )
         self.cache = cache
@@ -417,7 +411,12 @@ class BaggedCVSelector(BandwidthSelector):
 
         outcomes: list[SubsampleOutcome] = []
         for i, scores in enumerate(curves):
-            j = _argmin_with_empty_window_guard(scores)
+            j = _argmin_with_empty_window_guard(
+                scores,
+                float(scaled_values[-1]),
+                self.kernel,
+                lambda i=i: plan.take(i, x, y)[0],
+            )
             outcomes.append(
                 SubsampleOutcome(
                     index=i,

@@ -12,8 +12,6 @@ Subcommands regenerate the paper's artifacts and inspect the library:
   Chrome trace-event JSON (load in chrome://tracing or Perfetto)
 * ``serve``  — JSON-over-HTTP bandwidth-selection service (fingerprint
   cache, micro-batched predict, /metrics)
-* ``workers`` — run a local fleet of sweep workers for
-  ``select --backend distributed`` (or probe a running fleet)
 * ``info``   — registered kernels, backends, devices, programs, serving
   cache status
 * ``lint``   — project-aware static analysis (also ``repro-lint``)
@@ -28,9 +26,7 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 #: ``--backend`` choices shared by ``select``, ``trace`` and ``serve``.
-BACKEND_CHOICES = (
-    "numpy", "python", "blocked-shm", "gpusim", "gpusim-tiled", "distributed",
-)
+BACKEND_CHOICES = ("numpy", "python", "blocked-shm", "gpusim", "gpusim-tiled")
 
 
 def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
@@ -122,15 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="numpy",
         choices=BACKEND_CHOICES,
     )
-    sel.add_argument(
-        "--workers",
-        type=str,
-        default=None,
-        metavar="N|HOST:PORT,...",
-        help="fleet for --backend distributed: a worker count to spawn "
-        "locally, or comma-separated endpoints of a running fleet "
-        "(default: $REPRO_WORKERS, else lossless local degradation)",
-    )
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument(
         "--subsamples",
@@ -161,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="working-set byte budget for one fast-grid row block of the "
-        "numpy, blocked-shm and distributed backends, e.g. '2GB' or "
+        "numpy and blocked-shm backends, e.g. '2GB' or "
         "'512MiB' (default: $REPRO_MEM_BUDGET, else unbudgeted)",
     )
     sel.add_argument(
@@ -302,24 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not degrade failed selections down the backend chain",
     )
 
-    wrk = sub.add_parser(
-        "workers",
-        help="run a local fleet of sweep workers (for --backend "
-        "distributed), or probe a running one",
-    )
-    wrk.add_argument(
-        "--count", type=int, default=2,
-        help="how many worker processes to spawn",
-    )
-    wrk.add_argument(
-        "--probe",
-        type=str,
-        default=None,
-        metavar="HOST:PORT,...",
-        help="heartbeat the given endpoints instead of spawning; exit 0 "
-        "only if every worker answers /healthz",
-    )
-
     sub.add_parser(
         "info",
         help="list kernels, backends, devices, programs, serving cache",
@@ -449,8 +418,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         kwargs.update(n_bandwidths=args.k, backend=args.backend)
         if args.mem_budget is not None:
             kwargs["memory_budget"] = args.mem_budget
-        if args.backend == "distributed" and args.workers is not None:
-            kwargs["workers"] = args.workers
     if method == "bagged":
         kwargs["root_seed"] = args.root_seed
         if args.subsamples is not None:
@@ -482,25 +449,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
         kwargs["cache"] = ArtifactCache(args.cache_dir)
     result = select_bandwidth(x, y, method=method, kernel=args.kernel, **kwargs)
-    fleet_report = None
-    if method in ("grid", "bagged") and args.backend == "distributed":
-        from repro.distributed import last_fleet_report
-
-        fleet_report = last_fleet_report()
     if args.json:
         import json
 
         payload = result.to_dict()
         payload["scale_factor"] = bandwidth_to_scale(result.bandwidth, x)
-        if fleet_report is not None:
-            payload["fleet"] = fleet_report.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(result.summary())
     if result.resilience is not None:
         print(result.resilience.summary())
-    if fleet_report is not None:
-        print(fleet_report.summary())
     print(f"  scale factor  : {bandwidth_to_scale(result.bandwidth, x):.4f} "
           "(h / spread*n^-1/5, np convention)")
     return 0
@@ -585,43 +543,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_workers(args: argparse.Namespace) -> int:
-    from repro.distributed import HttpFleet, LocalProcessFleet
-
-    if args.probe is not None:
-        endpoints = [p.strip() for p in args.probe.split(",") if p.strip()]
-        fleet = HttpFleet(endpoints)
-        fleet.heartbeat(timeout=2.0, miss_threshold=1)
-        for handle in fleet.handles:
-            state = "up" if handle.alive else "DOWN"
-            print(f"  {handle.transport.endpoint:<28} {state}")
-        live = fleet.live()
-        print(f"{len(live)}/{len(fleet.handles)} workers answering")
-        return 0 if len(live) == len(fleet.handles) else 1
-
-    import signal
-    import threading
-
-    fleet = LocalProcessFleet(args.count)
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        endpoints = ",".join(h.transport.endpoint for h in fleet.handles)
-        for handle in fleet.handles:
-            print(f"  {handle.worker_id:<12} {handle.transport.endpoint}")
-        print(f"export REPRO_WORKERS={endpoints}")
-        print("fleet up; Ctrl-C to stop", flush=True)
-        stop.wait()
-    finally:
-        fleet.close()
-    print("fleet stopped; bye")
-    return 0
-
-
 def _cmd_info(_: argparse.Namespace) -> int:
     import repro.cuda_port  # noqa: F401 - registers the gpusim backend
-    import repro.distributed.backend  # noqa: F401 - registers "distributed"
     from repro.bench import PROGRAMS
     from repro.core import list_backends
     from repro.data import DGP_REGISTRY
@@ -701,7 +624,6 @@ _COMMANDS = {
     "select": _cmd_select,
     "trace": _cmd_trace,
     "serve": _cmd_serve,
-    "workers": _cmd_workers,
     "info": _cmd_info,
     "lint": _cmd_lint,
 }

@@ -128,12 +128,11 @@ def select_bandwidth(
     backend:
         Execution backend for the grid method (and for each subsample
         sweep of the bagged method): ``"numpy"``, ``"python"``,
-        ``"blocked-shm"``, ``"gpusim"``, ``"gpusim-tiled"``,
-        ``"distributed"``.
+        ``"blocked-shm"``, ``"gpusim"``, ``"gpusim-tiled"``.
     memory_budget:
-        Byte budget for one fast-grid row block of the ``numpy``,
-        ``blocked-shm`` and ``distributed`` backends — an int or a string
-        like ``"2GB"``/``"512MiB"``.  ``None`` consults
+        Byte budget for one fast-grid row block of the ``numpy`` and
+        ``blocked-shm`` backends — an int or a string like
+        ``"2GB"``/``"512MiB"``.  ``None`` consults
         ``$REPRO_MEM_BUDGET``; with neither, blocks keep their unbudgeted
         size (see :func:`repro.core.fastgrid.plan_fastgrid_blocks`).  A
         budget too small for one row raises ``REPRO_MEM_BUDGET``.  Part of
@@ -151,9 +150,9 @@ def select_bandwidth(
         ``True`` or a :class:`~repro.resilience.engine.ResilienceConfig`
         to run on the resilient execution engine: transient faults are
         retried, device-level failures degrade down the backend fallback
-        chain (``gpusim → gpusim-tiled → numpy``; ``blocked-shm`` and
-        ``distributed`` fall back to ``numpy``), and the result carries a
-        ``.resilience`` report.
+        chain (``gpusim → gpusim-tiled → numpy``; ``blocked-shm`` falls
+        back to ``numpy``), and the result carries a ``.resilience``
+        report.
     resume:
         Checkpoint path (grid method only): completed row blocks are
         persisted there and a re-run with the same path resumes instead

@@ -18,10 +18,6 @@ corresponds to one of the paper's execution substrates:
                  :mod:`repro.cuda_port` to avoid an import cycle)
 ``gpusim-``      the same program over O(t·n) device tiles, past
 ``tiled``        the 4 GB wall (also from :mod:`repro.cuda_port`)
-``distributed``  the blockwise sweep leased out to a worker fleet
-                 over JSON-over-HTTP (registered lazily by
-                 :mod:`repro.distributed.backend`); byte-identical
-                 to ``numpy`` and degrades to it losslessly
 ===============  ==================================================
 
 Every backend but ``python`` computes its fast-grid rows through one
@@ -80,16 +76,11 @@ def get_backend(name: str) -> GridBackend:
     if name in ("gpusim", "gpusim-tiled") and name not in BACKEND_REGISTRY:
         # The CUDA port registers itself at import time.
         import repro.cuda_port  # noqa: F401
-    if name == "distributed" and name not in BACKEND_REGISTRY:
-        # The fleet coordinator registers itself at import time.
-        import repro.distributed.backend  # noqa: F401
 
     try:
         return BACKEND_REGISTRY[name]
     except KeyError:
-        known = ", ".join(
-            sorted(set(BACKEND_REGISTRY) | {"gpusim", "gpusim-tiled", "distributed"})
-        )
+        known = ", ".join(sorted(set(BACKEND_REGISTRY) | {"gpusim", "gpusim-tiled"}))
         raise BackendError(f"unknown backend {name!r}; known: {known}") from None
 
 

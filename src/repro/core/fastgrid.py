@@ -703,7 +703,7 @@ def _sorted_sample(
     """The sorted sample for these inputs, reusing the last one built.
 
     Row blocks of one sweep arrive as separate calls (from the block loop,
-    the resilient engine, pool workers, fleet leases); the sort and prefix
+    the resilient engine, pool workers); the sort and prefix
     sums are built once and matched on exact input bytes afterwards.
     """
     global _LAST_SORTED
@@ -809,8 +809,8 @@ def plan_fastgrid_blocks(
     """How many rows one fast-grid block holds: the one sizing rule.
 
     Every executor of the row seam — the ``numpy`` chunk loop, the
-    ``blocked-shm`` pool, the resilient engine's sub-chunks and the fleet
-    coordinator's leases — takes its block size from here.  The row model
+    ``blocked-shm`` pool and the resilient engine's sub-chunks — takes its
+    block size from here.  The row model
     follows :func:`window_sum_path`: the binned path holds O(n) bytes per
     row, the sorted path O(k) per row plus the sorted sample's O(n)
     residency (:func:`repro.utils.membudget.sweep_bytes`).
@@ -941,7 +941,7 @@ def cv_scores_fastgrid(
     Accumulation is the canonical strict row-order fold carried across
     block boundaries, so the returned curve is bit-for-bit independent of
     the block size and the budget — and bit-identical to the
-    ``blocked-shm`` and ``distributed`` backends at any block size.
+    ``blocked-shm`` backend at any block size and worker count.
     """
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)

@@ -28,8 +28,8 @@ if TYPE_CHECKING:  # deferred: both packages import the core back
     from repro.resilience.engine import ResilienceConfig
     from repro.serving.cache import ArtifactCache
 
-from repro.exceptions import SelectionError, ValidationError
-from repro.kernels import get_kernel
+from repro.exceptions import EmptyWindowError, SelectionError, ValidationError
+from repro.kernels import Kernel, get_kernel
 from repro.core.backends import get_backend
 from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
 from repro.core.loocv import cv_score, dense_cv_block_stats, loo_estimates
@@ -58,7 +58,12 @@ class BandwidthSelector(ABC):
         """Choose the CV-optimal (or rule-of-thumb) bandwidth for (x, y)."""
 
 
-def _argmin_with_empty_window_guard(scores: np.ndarray) -> int:
+def _argmin_with_empty_window_guard(
+    scores: np.ndarray,
+    h_max: float,
+    kernel: Kernel,
+    sample_x: Callable[[], np.ndarray],
+) -> int:
     """Grid argmin that is robust to the h→0 degeneracy of ``CV_lc``.
 
     As h shrinks, leave-one-out windows empty out, ``M(X_i)`` zeroes every
@@ -67,12 +72,29 @@ def _argmin_with_empty_window_guard(scores: np.ndarray) -> int:
     bandwidth), so such zeros can only form a *prefix* of the (ascending)
     grid's score array: the guard skips leading zeros before taking the
     argmin.  A zero *after* a positive score is a genuinely perfect fit
-    and remains eligible.  If every score is zero (e.g. constant Y, where
-    any bandwidth is perfect), the largest bandwidth — maximal validity —
-    is returned.
+    and remains eligible.
+
+    If every score is zero, either y is constant on every window (any
+    bandwidth is perfect, so the largest, ``h_max``, is returned) or
+    every window is empty even at ``h_max`` and the curve says nothing:
+    :class:`~repro.exceptions.EmptyWindowError`.  Each point's nearest
+    neighbour is adjacent in sorted order, so the smallest gap of the
+    sorted sample decides whether any pair ``i != j`` has positive
+    weight (tied x, a zero gap, does).  ``sample_x`` supplies the swept
+    x and is called only in that all-zero case.
     """
     positive = np.flatnonzero(scores > 0.0)
     if positive.size == 0:
+        gap = float(np.min(np.diff(np.sort(sample_x()))))
+        if not float(kernel(gap / h_max)) > 0.0:
+            raise EmptyWindowError(
+                "every leave-one-out window is empty at every grid "
+                f"bandwidth: the closest pair of x is {gap:.6g} apart, so "
+                f"no pair has positive {kernel.name} weight even at the "
+                f"largest bandwidth {h_max:.6g}; every CV score is 0 and "
+                "carries no information, so use a grid that reaches larger "
+                "bandwidths"
+            )
         return int(scores.shape[0] - 1)
     first = int(positive[0])
     return first + int(np.argmin(scores[first:]))
@@ -259,7 +281,9 @@ class GridSearchSelector(BandwidthSelector):
             with tracer.span("evaluate-grid", round=0, k=len(grid)):
                 scores = sweep(grid.values, first=True)
             with tracer.span("argmin", k=len(grid)):
-                best_j = _argmin_with_empty_window_guard(scores)
+                best_j = _argmin_with_empty_window_guard(
+                    scores, grid.maximum, self.kernel, lambda: x
+                )
             best_h = float(grid.values[best_j])
             best_score = float(scores[best_j])
             n_evals = len(grid)
@@ -269,7 +293,9 @@ class GridSearchSelector(BandwidthSelector):
                 current = current.refine_around(best_h)
                 with tracer.span("refine", round=round_idx + 1, k=len(current)):
                     finer = sweep(current.values, first=False)
-                    j = _argmin_with_empty_window_guard(finer)
+                    j = _argmin_with_empty_window_guard(
+                        finer, current.maximum, self.kernel, lambda: x
+                    )
                 if finer[j] <= best_score:
                     best_h = float(current.values[j])
                     best_score = float(finer[j])

@@ -23,6 +23,7 @@ __all__ = [
     "DataShapeError",
     "BandwidthGridError",
     "DegenerateDataError",
+    "EmptyWindowError",
     "SelectionError",
     "BackendError",
     "GpuSimError",
@@ -44,12 +45,6 @@ __all__ = [
     "RegistryError",
     "OverloadError",
     "ServeTimeoutError",
-    "DistributedError",
-    "WorkerUnavailableError",
-    "LeaseExpiredError",
-    "PayloadChecksumError",
-    "DistributedProtocolError",
-    "FleetLostError",
     "error_code",
 ]
 
@@ -97,6 +92,19 @@ class DegenerateDataError(ReproError):
     """
 
     code = "REPRO_DEGENERATE_DATA"
+
+
+class EmptyWindowError(ValidationError):
+    """Every leave-one-out window is empty at every grid bandwidth.
+
+    Then every CV score is exactly 0 and the curve says nothing about
+    the bandwidth, so no grid point can be chosen.  Raised only when no
+    pair ``i != j`` has positive kernel weight at the largest grid
+    bandwidth; constant ``Y`` with non-empty windows also scores 0
+    everywhere and remains a legal answer.
+    """
+
+    code = "REPRO_EMPTY_WINDOW"
 
 
 class SelectionError(ReproError):
@@ -272,82 +280,11 @@ class OverloadError(ServingError):
 
 
 class ServeTimeoutError(ServingError):
-    """A request exceeded its deadline (server side) or timed out (client).
+    """A served request exceeded its deadline or its connection timed out.
 
-    Shared between the serving server (per-request deadline / connection
-    read timeout, mapped to HTTP 504) and the distributed RPC client
-    (a worker that accepted a connection but never answered).  Either
-    way the work may or may not have run — the caller must treat the
-    outcome as unknown and rely on at-most-once fold accounting before
-    retrying.
+    Raised by the serving server on a per-request deadline or a
+    connection read timeout, and mapped to HTTP 504.  The work may or may
+    not have run, so the caller must treat the outcome as unknown.
     """
 
     code = "REPRO_SERVE_TIMEOUT"
-
-
-class DistributedError(ReproError):
-    """Base class for coordinator/worker fleet errors (``REPRO_DIST_*``).
-
-    Models the failure surface of ROADMAP item 2's sharded selection:
-    everything that can go wrong *between* processes — unreachable
-    workers, expired block leases, corrupt payloads — as opposed to the
-    in-process faults the resilience layer already classifies.
-    """
-
-    code = "REPRO_DIST"
-
-
-class WorkerUnavailableError(DistributedError):
-    """A worker endpoint refused, dropped, or reset the connection.
-
-    Models a killed pod / crashed worker process: the request provably
-    did not complete on this worker, so the block can be re-dispatched
-    to another worker without double-fold risk.
-    """
-
-    code = "REPRO_DIST_UNREACHABLE"
-
-
-class LeaseExpiredError(DistributedError):
-    """A block lease passed its deadline before a result arrived.
-
-    Models a straggling or hung worker: the coordinator re-dispatches
-    the block under a new lease epoch; any late result from the old
-    epoch is discarded by the at-most-once fold accounting.
-    """
-
-    code = "REPRO_DIST_LEASE_EXPIRED"
-
-
-class PayloadChecksumError(DistributedError):
-    """A worker's partial result failed its payload checksum.
-
-    Models corruption on the wire or in a worker's memory: the rows do
-    not hash to the checksum the worker computed over its own output
-    (or the checksum itself is malformed), so the block is recomputed
-    rather than folded.
-    """
-
-    code = "REPRO_DIST_CHECKSUM"
-
-
-class DistributedProtocolError(DistributedError):
-    """A fleet message is structurally malformed (not a fault, a bug).
-
-    Unknown message fields, missing block bounds, a response for a
-    dataset the worker never staged: these indicate version skew or a
-    programming error, not a transient fault, so they are not retried.
-    """
-
-    code = "REPRO_DIST_PROTOCOL"
-
-
-class FleetLostError(DistributedError):
-    """No live workers remain (fleet unreachable or quorum lost).
-
-    The coordinator raises this to trigger the lossless degradation
-    spur: the sweep falls back to the local ``numpy`` backend with an
-    explicit report — never a wrong answer.
-    """
-
-    code = "REPRO_DIST_FLEET_LOST"

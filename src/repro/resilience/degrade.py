@@ -9,11 +9,10 @@ an explicit memory budget when one is given, always completes.  So::
 
     gpusim  →  gpusim-tiled  →  numpy (serial)
 
-The parallel host executors sit on spurs that join at the terminal:
+The parallel host executor sits on a spur that joins at the terminal:
 ``blocked-shm`` degrades to ``numpy`` when its POSIX segments vanish
-(``REPRO_SHM_SEGMENT``) or its workers keep dying, and ``distributed``
-when the fleet is lost.  Both compute the same block partials as
-``numpy``, so these fallbacks are bit-exact.
+(``REPRO_SHM_SEGMENT``) or its workers keep dying.  It computes the same
+block partials as ``numpy``, so this fallback is bit-exact.
 
 Decisions match on the stable ``REPRO_*`` error *codes* (see
 :mod:`repro.exceptions`), not on class identity, so refactoring the
@@ -53,11 +52,10 @@ DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = (
 )
 
 #: Off-chain entry points that join the default chain at its terminal:
-#: the shared-memory pool and the fleet compute the same block partials
-#: as the serial sweep, so losing either degrades losslessly.
+#: the shared-memory pool computes the same block partials as the serial
+#: sweep, so losing it degrades losslessly.
 _CHAIN_SPURS: dict[str, tuple[str, ...]] = {
     "blocked-shm": ("blocked-shm", "numpy"),
-    "distributed": ("distributed", "numpy"),
 }
 
 #: Transient faults: retry on the same backend.
@@ -67,9 +65,6 @@ RETRYABLE_CODES = frozenset(
         "REPRO_BLOCK_TIMEOUT",
         "REPRO_KERNEL_EXEC",
         "REPRO_DATA_CORRUPT",
-        "REPRO_DIST_UNREACHABLE",
-        "REPRO_DIST_LEASE_EXPIRED",
-        "REPRO_DIST_CHECKSUM",
         "REPRO_SERVE_TIMEOUT",
     }
 )
@@ -86,7 +81,6 @@ DEGRADABLE_CODES = frozenset(
         "REPRO_POOL_STATE",
         "REPRO_SHM_SEGMENT",
         "REPRO_RETRY_EXHAUSTED",
-        "REPRO_DIST_FLEET_LOST",
     }
 )
 
@@ -104,8 +98,8 @@ def is_degradable(exc: BaseException) -> bool:
 def fallback_chain(backend: str) -> tuple[str, ...]:
     """The degradation sequence starting from ``backend``.
 
-    A backend on the default chain degrades along its suffix; spur
-    backends (``blocked-shm``, ``distributed``) join it at the terminal; any
+    A backend on the default chain degrades along its suffix; the spur
+    backend (``blocked-shm``) joins it at the terminal; any
     other backend (``python``, a user-registered one) falls straight back
     to the serial terminal, which cannot structurally fail.
     """

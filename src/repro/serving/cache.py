@@ -76,9 +76,7 @@ _KINDS = ("selection", "curve", "blocks")
 #: Backends whose sweeps may take the sorted window-sum path
 #: (:func:`repro.core.fastgrid.window_sum_path`); every other backend —
 #: python, gpusim* — keeps the binned bits.
-_SORTED_CAPABLE: frozenset[str] = frozenset(
-    {"numpy", "blocked-shm", "distributed"}
-)
+_SORTED_CAPABLE: frozenset[str] = frozenset({"numpy", "blocked-shm"})
 
 
 def sweep_path(

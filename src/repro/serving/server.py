@@ -88,9 +88,8 @@ class ServingConfig:
     #: connections cannot pin the accept loop's resources.
     read_timeout_s: float = 30.0
     #: Per-request execution deadline; past it the request is answered
-    #: with a typed ``REPRO_SERVE_TIMEOUT`` 504 (the same code the
-    #: distributed RPC client raises for a silent worker).  ``None``
-    #: disables the deadline.
+    #: with a typed ``REPRO_SERVE_TIMEOUT`` 504.  ``None`` disables the
+    #: deadline.
     request_deadline_s: float | None = 120.0
     #: Run selections on the resilient engine (backend degrade chain).
     resilience: bool = True
@@ -431,14 +430,7 @@ class ServingApp:
         ]
         if isinstance(self.tracer, Tracer):
             lines.extend(trace_metrics_lines(self.tracer))
-        # Per-worker fleet health gauges (set by the distributed
-        # coordinator) ride along so one scrape covers the whole stack.
-        from repro.distributed.coordinator import fleet_metrics
-
-        fleet_text = fleet_metrics().render_text()
-        return (
-            self.metrics.render_text() + fleet_text + "\n".join(lines) + "\n"
-        )
+        return self.metrics.render_text() + "\n".join(lines) + "\n"
 
     @staticmethod
     def _error_payload(exc: ReproError) -> dict[str, Any]:

@@ -111,9 +111,8 @@ class TestSelection:
             )
 
     def test_nested_pool_rejected(self) -> None:
-        for backend in ("blocked-shm", "distributed"):
-            with pytest.raises(ValidationError, match="nest"):
-                BaggedCVSelector(backend=backend, subsample_workers=2)
+        with pytest.raises(ValidationError, match="nest"):
+            BaggedCVSelector(backend="blocked-shm", subsample_workers=2)
 
 
 class TestCrossBackendBitForBit:

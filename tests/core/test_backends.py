@@ -17,11 +17,13 @@ class TestRegistry:
         names = set(list_backends())
         assert {"python", "numpy", "blocked-shm"} <= names
 
-    @pytest.mark.parametrize("name", ["multicore", "blocked"])
+    @pytest.mark.parametrize("name", ["multicore", "blocked", "distributed"])
     def test_deleted_names_are_unknown(self, name):
         with pytest.raises(BackendError, match="unknown backend") as info:
             get_backend(name)
         assert info.value.code == "REPRO_BACKEND"
+        known = str(info.value).split("known:", 1)[1]
+        assert name not in known.replace(",", " ").split()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):

@@ -163,7 +163,24 @@ class TestBlockedEqualsDense:
             )
             assert got.tobytes() == ref.tobytes(), f"B={rows}"
 
-    def test_blocked_shm_matches_fastgrid_bit_for_bit(self) -> None:
+    @pytest.mark.parametrize(("path", "n"), [("sorted", 600), ("binned", 157)])
+    @pytest.mark.parametrize("block_rows", [32, 100])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_blocked_shm_matches_fastgrid_bit_for_bit(
+        self, workers, block_rows, path, n
+    ) -> None:
+        # Every partition of the rows over blocks and workers folds to the
+        # all-at-once numpy bits, on both window-sum paths.
+        x, y = _sample(n, seed=5)
+        grid = np.linspace(0.02, 0.6, 7)
+        assert window_sum_path(n, grid.size, "epanechnikov") == path
+        ref = cv_scores_fastgrid(x, y, grid, "epanechnikov")
+        got = cv_scores_blocked_shm(
+            x, y, grid, "epanechnikov", block_rows=block_rows, workers=workers
+        )
+        assert got.tobytes() == ref.tobytes()
+
+    def test_blocked_shm_odd_partitions_match_fastgrid(self) -> None:
         x, y = _sample(157, seed=5)
         grid = np.linspace(0.02, 0.6, 7)
         ref = cv_scores_fastgrid(x, y, grid, "epanechnikov")

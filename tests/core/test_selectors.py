@@ -14,7 +14,12 @@ from repro.core.selectors import (
 from repro.core.api import select_bandwidth
 from repro.core.backends import BACKEND_REGISTRY, register_backend
 from repro.data import paper_dgp, sine_dgp
-from repro.exceptions import BackendError, SelectionError, ValidationError
+from repro.exceptions import (
+    BackendError,
+    EmptyWindowError,
+    SelectionError,
+    ValidationError,
+)
 
 
 class TestGridSearchSelector:
@@ -89,7 +94,8 @@ class TestBackendNameResolution:
     @pytest.mark.parametrize("resilience", [None, True])
     @pytest.mark.parametrize("method", ["grid", "bagged"])
     @pytest.mark.parametrize(
-        "name", ["nope", "compiled", "blocked-compiled", "multicore", "blocked"]
+        "name",
+        ["nope", "compiled", "blocked-compiled", "multicore", "blocked", "distributed"],
     )
     def test_unknown_name_raises_typed_error(
         self, paper_sample_small, name, method, resilience
@@ -155,16 +161,16 @@ class TestDegenerateBandwidthGuards:
         assert res.bandwidth >= 0.3
         assert res.score > 0.0
 
-    def test_all_zero_scores_pick_largest_bandwidth(self):
+    def test_all_empty_windows_raise_instead_of_picking_a_bandwidth(self):
         # Every grid point below the minimal pairwise distance: all
-        # windows empty, all scores exactly 0 — the guard falls back to
-        # maximal smoothing instead of crowning a spurious minimum.
+        # windows empty, all scores exactly 0 — no grid point carries
+        # information, so the guard refuses rather than crowning one.
         x = np.linspace(0, 1, 20)
         y = x + 1.0
         grid = BandwidthGrid(np.array([1e-6, 1e-5, 1e-4]))
-        res = GridSearchSelector(grid=grid).select(x, y)
-        np.testing.assert_array_equal(res.scores, 0.0)
-        assert res.bandwidth == pytest.approx(1e-4)
+        with pytest.raises(EmptyWindowError) as info:
+            GridSearchSelector(grid=grid).select(x, y)
+        assert info.value.code == "REPRO_EMPTY_WINDOW"
 
     def test_constant_y_fits_perfectly_at_any_bandwidth(self):
         # Constant Y: scores are numerically ~0 everywhere; selection

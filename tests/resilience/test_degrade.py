@@ -70,9 +70,8 @@ class TestFallbackChain:
 
     def test_blocked_shm_joins_at_blocked(self) -> None:
         # The shm spur degrades straight to its bit-identical serial twin,
-        # the blocked numpy sweep; so does the fleet.
+        # the blocked numpy sweep.
         assert fallback_chain("blocked-shm") == ("blocked-shm", "numpy")
-        assert fallback_chain("distributed") == ("distributed", "numpy")
 
     def test_unknown_backend_falls_to_serial(self) -> None:
         assert fallback_chain("python") == ("python", "numpy")

@@ -3,9 +3,7 @@
 The degrade chain is disabled here on purpose: with ``fallback=False``
 the engine must surface the typed ``REPRO_RETRY_EXHAUSTED`` error
 naming the exact block, and the checkpoint must hold every *completed*
-block while never committing a partial result for the failed one — the
-same at-most-once discipline the distributed coordinator's lease
-accounting enforces.
+block while never committing a partial result for the failed one.
 """
 
 from __future__ import annotations

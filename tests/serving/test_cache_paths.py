@@ -37,7 +37,7 @@ def sample() -> tuple[np.ndarray, np.ndarray]:
 
 class TestSweepPath:
     def test_sorted_capable_backends_follow_the_rule(self):
-        for backend in ("numpy", "blocked-shm", "distributed"):
+        for backend in ("numpy", "blocked-shm"):
             assert sweep_path(N, 20, "epanechnikov", backend=backend) == "sorted"
         assert sweep_path(40, 20, "epanechnikov") == "binned"
 

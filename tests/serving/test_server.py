@@ -113,7 +113,8 @@ class TestRoutes:
         assert snap["http_errors_total"] == 0
 
     @pytest.mark.parametrize(
-        "backend", ["nope", "compiled", "blocked-compiled", "multicore", "blocked"]
+        "backend",
+        ["nope", "compiled", "blocked-compiled", "multicore", "blocked", "distributed"],
     )
     def test_unknown_backend_is_400(self, backend):
         # The server runs selections resiliently by default; an unknown

@@ -23,6 +23,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["select", "--method", "magic"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--backend", "distributed"],
+            ["select", "--workers", "2"],
+            ["workers", "--count", "2"],
+        ],
+        ids=["distributed-backend", "select-workers", "workers-command"],
+    )
+    def test_removed_options_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
     def test_select_json_flag(self):
         args = build_parser().parse_args(["select", "--json"])
         assert args.json is True

@@ -45,7 +45,7 @@ def test_grid_bagged_served_and_worker_paths_never_load_scipy():
 
         import numpy as np
 
-        import repro, repro.cli, repro.serving.server, repro.distributed.worker
+        import repro, repro.cli, repro.serving.server
         from repro import NadarayaWatson, select_bandwidth
         from repro.core.fastgrid import window_sum_path
         from repro.serving import ServingApp, ServingConfig

@@ -87,7 +87,6 @@ def test_every_chained_backend_resolves(name):
 
 def test_cli_backend_choices_are_the_resolvable_backends():
     import repro.cuda_port  # noqa: F401 - registers gpusim + gpusim-tiled
-    import repro.distributed.backend  # noqa: F401 - registers distributed
     from repro.cli import BACKEND_CHOICES
     from repro.core.backends import list_backends
 
@@ -95,10 +94,8 @@ def test_cli_backend_choices_are_the_resolvable_backends():
 
 
 def test_bagged_parallel_backends_resolve():
-    from repro.bagged.selector import _PARALLEL_BACKENDS
-
-    for name in _PARALLEL_BACKENDS:
-        assert callable(get_backend(name))
+    # The one backend the bagged selector refuses to nest a pool under.
+    assert callable(get_backend("blocked-shm"))
 
 
 def test_benchmark_tracing_targets_resolve():
