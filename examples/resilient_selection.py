@@ -1,15 +1,16 @@
-"""Resilient selection: surviving crashes, resuming mid-sweep, degrading.
+"""Resilient selection: surviving crashes, running out of retries, degrading.
 
-The CV objective decomposes into per-row-block partial sums, so the
-sweep can absorb worker crashes, resume after a hard stop, and fall
-back down the backend chain without changing a single bit of the
-answer.  This example demonstrates all three, using the deterministic
-fault injector the chaos suite runs on:
+The resilient engine calls the registered backend whole: a transient
+fault re-runs the sweep, and a backend that cannot finish hands over to
+the next one on its fallback chain.  Every curve it returns is the bits
+of the backend that finished it.  This example demonstrates all three,
+using the deterministic fault injector the chaos suite runs on:
 
 * a blocked-shm (multi-core) sweep under injected worker crashes — same bandwidth,
   bit for bit, with the absorbed faults itemised in the report;
-* a "power cut" mid-sweep — the retry budget dies, the checkpoint
-  survives, and a second run resumes the finished blocks from disk;
+* a worker that dies on every call — the retry budget runs out and the
+  sweep degrades to the serial numpy backend, whose curve is the clean
+  one byte for byte;
 * the 4 GB device-memory wall — the gpusim backend dies on
   ``cudaMalloc`` and the engine degrades to the tiled out-of-core
   variant (§V future work) with the bandwidth intact.
@@ -17,18 +18,11 @@ fault injector the chaos suite runs on:
 Run:  python examples/resilient_selection.py
 """
 
-import tempfile
-from pathlib import Path
+import numpy as np
 
 from repro import select_bandwidth
 from repro.data import sine_dgp
-from repro.resilience import (
-    FaultInjector,
-    FaultSpec,
-    RetryBudgetExceeded,
-    RetryPolicy,
-    inject_faults,
-)
+from repro.resilience import FaultInjector, FaultSpec, RetryPolicy, inject_faults
 from repro.resilience.engine import ResilienceConfig, resilient_cv_scores
 
 
@@ -39,7 +33,7 @@ def crash_storm(x, y) -> None:
     storm = FaultInjector(
         [
             FaultSpec(site="pool.worker", kind="crash", at=(1,)),
-            FaultSpec(site="data.block", kind="nan", at=(6,)),
+            FaultSpec(site="data.block", kind="nan", at=(0,)),
         ],
         seed=7,
     )
@@ -52,36 +46,24 @@ def crash_storm(x, y) -> None:
     print(survived.resilience.summary(), "\n")
 
 
-def resume_after_crash(x, y, grid, ckpt: Path) -> None:
-    print("=== 2. power cut mid-sweep, then resume ===")
-    # One block is doomed: the sweep has 7 blocks, so draw 2 poisons the
-    # third block in the first wave and draw 7 poisons its only retry —
-    # the run dies, but every *finished* block has already been
-    # checkpointed atomically.
-    doomed = FaultInjector(
-        [FaultSpec(site="data.block", kind="nan", at=(2, 7))], seed=0
+def retries_run_out(x, y, grid) -> None:
+    print("=== 2. every worker keeps dying: blocked-shm -> numpy ===")
+    dying = FaultInjector(
+        [FaultSpec(site="pool.worker", kind="crash", rate=1.0)], seed=0
     )
-    config = ResilienceConfig(
-        policy=RetryPolicy(max_retries=1, base_delay=0.0),
-        checkpoint=ckpt,
-        keep_checkpoint=True,
+    config = ResilienceConfig(policy=RetryPolicy(max_retries=1, base_delay=0.0))
+    with inject_faults(dying):
+        scores, report = resilient_cv_scores(
+            x, y, grid, backend="blocked-shm", config=config
+        )
+    clean, _ = resilient_cv_scores(x, y, grid, backend="numpy")
+    trail = " -> ".join(
+        f"{a['backend']}({a['outcome']})" for a in report.backend_attempts
     )
-    with inject_faults(doomed):
-        try:
-            resilient_cv_scores(x, y, grid, backend="numpy", config=config)
-        except RetryBudgetExceeded as exc:
-            print(f"first run died: {exc}")
-    print(f"checkpoint survives: {ckpt.exists()}")
-
-    # The re-run replays the finished blocks from disk and only computes
-    # the one that never landed.
-    config = ResilienceConfig(checkpoint=ckpt)
-    scores, report = resilient_cv_scores(
-        x, y, grid, backend="numpy", config=config
-    )
+    print(f"attempts: {trail}")
     print(
-        f"resumed run: {report.blocks_resumed}/{report.blocks_total} blocks "
-        f"replayed from disk, h* = {grid[scores.argmin()]:.6f}\n"
+        f"h* = {grid[scores.argmin()]:.6f}, the clean numpy curve byte for "
+        f"byte: {scores.tobytes() == clean.tobytes()}\n"
     )
 
 
@@ -105,13 +87,7 @@ def main() -> None:
     x, y = sample.x, sample.y
 
     crash_storm(x, y)
-
-    import numpy as np
-
-    grid = np.linspace(0.005, 0.3, 40)
-    with tempfile.TemporaryDirectory() as tmp:
-        resume_after_crash(x, y, grid, Path(tmp) / "sweep.ckpt.npz")
-
+    retries_run_out(x, y, np.linspace(0.005, 0.3, 40))
     degrade_past_the_memory_wall(x, y)
 
 

@@ -154,24 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument(
         "--resilient",
         action="store_true",
-        help="run on the resilient execution engine (retry, checkpoint, "
-        "backend fallback); implied by the other resilience flags",
-    )
-    sel.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="checkpoint file: completed row blocks are saved there and a "
-        "re-run with the same path resumes instead of recomputing "
-        "(grid method only)",
+        help="run on the resilient execution engine (retry, backend "
+        "fallback); implied by the other resilience flags",
     )
     sel.add_argument(
         "--max-retries",
         type=int,
         default=None,
         metavar="N",
-        help="retries per failed block before degrading (default 2)",
+        help="retries per failed sweep before degrading (default 2)",
     )
     sel.add_argument(
         "--fallback",
@@ -426,7 +417,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
             kwargs["subsample_size"] = args.subsample_size
     wants_resilience = (
         args.resilient
-        or args.resume is not None
         or args.max_retries is not None
         or args.fallback is not None
     )
@@ -440,10 +430,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         kwargs["resilience"] = ResilienceConfig(
             policy=policy,
             fallback=args.fallback if args.fallback is not None else True,
-            keep_checkpoint=args.resume is not None,
         )
-        if args.resume is not None:
-            kwargs["resume"] = args.resume
     if args.cache_dir is not None:
         from repro.serving import ArtifactCache
 

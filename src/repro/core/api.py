@@ -12,8 +12,9 @@ Power users construct selectors directly from
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
+import functools
+import inspect
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -89,6 +90,57 @@ def _selection_cache_key(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _keyword_names(func: Callable[..., Any]) -> frozenset[str]:
+    """The keyword-only parameters ``func`` names (its ``**`` catch-all aside)."""
+    return frozenset(
+        name
+        for name, param in inspect.signature(func).parameters.items()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    )
+
+
+def _refuse_unread_options(
+    canonical: str, backend: str, options: dict[str, Any]
+) -> None:
+    """Raise ``REPRO_VALIDATION`` for options that nothing would read.
+
+    An option is read when the method's selector names it, or, for the
+    grid and bagged methods, when a backend on the requested backend's
+    fallback chain names it: every candidate on the chain receives the
+    same options.  The backends' ``**`` catch-alls would otherwise drop a
+    misspelt or retired option without a word.
+    """
+    if canonical == "grid":
+        selector: Callable[..., Any] = GridSearchSelector
+    elif canonical == "bagged":
+        from repro.bagged.selector import BaggedCVSelector
+
+        selector = BaggedCVSelector
+    elif canonical == "numeric":
+        selector = NumericalOptimizationSelector
+    else:
+        selector = RuleOfThumbSelector
+    named = set(_keyword_names(selector.__init__))
+    if canonical in ("grid", "bagged"):
+        from repro.core.backends import get_backend
+        from repro.resilience.degrade import fallback_chain
+
+        for name in fallback_chain(backend):
+            named |= _keyword_names(get_backend(name))
+    unread = sorted(set(options) - named)
+    if unread:
+        where = (
+            f"the {canonical} method on backend {backend!r}"
+            if canonical in ("grid", "bagged")
+            else f"the {canonical} method"
+        )
+        raise ValidationError(
+            f"unknown option(s) {', '.join(unread)}: nothing in {where} "
+            f"reads them; known options: {', '.join(sorted(named))}"
+        )
+
+
 def select_bandwidth(
     x: np.ndarray,
     y: np.ndarray,
@@ -101,7 +153,6 @@ def select_bandwidth(
     memory_budget: int | float | str | None = None,
     cache: "ArtifactCache | None" = None,
     resilience: "ResilienceConfig | bool | None" = None,
-    resume: str | Path | None = None,
     trace: "bool | TracerLike | None" = None,
     **options: Any,
 ) -> SelectionResult:
@@ -152,11 +203,7 @@ def select_bandwidth(
         retried, device-level failures degrade down the backend fallback
         chain (``gpusim → gpusim-tiled → numpy``; ``blocked-shm`` falls
         back to ``numpy``), and the result carries a ``.resilience``
-        report.
-    resume:
-        Checkpoint path (grid method only): completed row blocks are
-        persisted there and a re-run with the same path resumes instead
-        of recomputing them.  Implies ``resilience=True``.
+        report.  The curve is the bits of the backend that finished it.
     trace:
         ``True`` to record a hierarchical trace of this selection into a
         fresh :class:`~repro.obs.Tracer` and attach its JSON-ready
@@ -173,7 +220,9 @@ def select_bandwidth(
         bit-for-bit identical with tracing on and off.
     options:
         Forwarded to the selector constructor (``refine_rounds``,
-        ``workers``, ``n_restarts``, ``dtype``, ...).
+        ``workers``, ``n_restarts``, ``dtype``, ...).  An option that
+        neither the method's selector nor any backend on the requested
+        backend's fallback chain names raises ``REPRO_VALIDATION``.
 
     Returns
     -------
@@ -202,16 +251,13 @@ def select_bandwidth(
         # Into the option dict before the cache key is computed, so the
         # fingerprint distinguishes budgeted configurations.
         options["memory_budget"] = memory_budget
+    _refuse_unread_options(canonical, backend, options)
     if canonical == "bagged":
         # Make (root seed, r, m) explicit before the fingerprint is
         # computed, so defaulted and spelled-out plans share a cache key.
         from repro.bagged.plan import resolve_plan_options
 
         options = resolve_plan_options(int(x.shape[0]), options)
-    if canonical != "grid" and resume is not None:
-        raise ValidationError(
-            "resume= (checkpointing) is only supported by the grid method"
-        )
 
     tracer: TracerLike = current_tracer() if trace is None else coerce_tracer(trace)
 
@@ -258,7 +304,6 @@ def select_bandwidth(
                         backend=backend,
                         cache=cache,
                         resilience=resilience,
-                        resume=resume,
                         **options,
                     )
                 elif canonical == "bagged":

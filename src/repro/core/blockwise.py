@@ -28,7 +28,6 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.fastgrid import (
-    fastgrid_block_sums,
     fastgrid_row_contributions,
     plan_fastgrid_blocks,
     require_fast_grid_kernel,
@@ -45,7 +44,6 @@ from repro.utils.validation import check_paired_samples
 __all__ = [
     "cv_scores_blocked_shm",
     "shm_block_rows",
-    "shm_block_sums",
 ]
 
 
@@ -68,27 +66,6 @@ def shm_block_rows(
     )
     workspace["out"][start:stop, :] = contrib
     return start, stop
-
-
-def shm_block_sums(
-    kernel_name: str,
-    start: int,
-    stop: int,
-    dtype: str = "float64",
-    memory_budget: int | float | str | None = None,
-) -> np.ndarray:
-    """Block k-vector partial read from the attached workspace.
-
-    The resilient engine's blocked-shm work unit: same partial sums as
-    the serial ``numpy`` candidate (identical bits for an identical
-    partition — what makes shm -> numpy degradation lossless), with
-    the inputs attached rather than pickled.
-    """
-    workspace = current_workspace()
-    return fastgrid_block_sums(
-        workspace["x"], workspace["y"], workspace["grid"],
-        kernel_name, start, stop, dtype, memory_budget,
-    )
 
 
 def _balanced(plan: BlockPlan, workers: int) -> BlockPlan:

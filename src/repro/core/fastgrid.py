@@ -247,6 +247,20 @@ SORTED_MIN_N: int = 500
 #: tile size never changes a bit.
 RANK_TILE_ROWS: int = 1024
 
+#: Bytes one unbudgeted binned chunk's rows may hold, as charged by
+#: :func:`repro.utils.membudget.sweep_bytes`, and the fewest rows it takes
+#: when its rows are larger.  At served-mix's binned shape (n = 2,000,
+#: k = 500) this gives 80 rows: 0.30 s and an 11 MiB tracemalloc peak per
+#: sweep, against 0.41 s and 260 MiB for the whole 2,000-row chunk of the
+#: 256 MiB chunk budget (medians of 5 on a 2-core x86-64 host; 40–120 rows
+#: all ran within 0.29–0.32 s).  The floor keeps large samples off a
+#: handful of rows: at n = 25,000 (float32, the simulated device's tiles)
+#: 8,000 rows took 21.3 s in 16-row chunks, 19.2 s in 67-row ones and
+#: 20.2 s in 190-row ones (2 runs each, CPU time, same host).  Rows are
+#: partition-invariant, so the chunk size never changes a bit.
+BINNED_CHUNK_BYTES: int = 16 * 1024 * 1024
+BINNED_MIN_ROWS: int = 64
+
 #: Window positions per batch of :meth:`_SortedSample._direct_sums`, the
 #: fallback for windows that escape their neighbourhood: a few float64
 #: temporaries of this length (8 MiB each) at most.
@@ -702,8 +716,8 @@ def _sorted_sample(
 ) -> _SortedSample:
     """The sorted sample for these inputs, reusing the last one built.
 
-    Row blocks of one sweep arrive as separate calls (from the block loop,
-    the resilient engine, pool workers); the sort and prefix
+    Row blocks of one sweep arrive as separate calls (from the block loop
+    or pool workers); the sort and prefix
     sums are built once and matched on exact input bytes afterwards.
     """
     global _LAST_SORTED
@@ -809,21 +823,23 @@ def plan_fastgrid_blocks(
     """How many rows one fast-grid block holds: the one sizing rule.
 
     Every executor of the row seam — the ``numpy`` chunk loop, the
-    ``blocked-shm`` pool and the resilient engine's sub-chunks — takes its
-    block size from here.  The row model
+    ``blocked-shm`` pool and the simulated-device tiles' sub-chunks —
+    takes its block size from here.  The row model
     follows :func:`window_sum_path`: the binned path holds O(n) bytes per
     row, the sorted path O(k) per row plus the sorted sample's O(n)
     residency (:func:`repro.utils.membudget.sweep_bytes`).
 
     With no ``memory_budget`` the block is the chunk that keeps one
-    block's temporaries within the 256 MiB chunk budget, capped by
-    ``max_rows``.  A budget only ever lowers that row count, and raises the
-    typed ``REPRO_MEM_BUDGET`` error when not even one row fits.  Only an
+    block's modelled temporaries within the 256 MiB chunk budget (sorted
+    path) or :data:`BINNED_CHUNK_BYTES`, but at least
+    :data:`BINNED_MIN_ROWS` rows (binned path), capped by ``max_rows``.
+    A budget only ever lowers that row count, and raises the typed
+    ``REPRO_MEM_BUDGET`` error when not even one row fits.  Only an
     explicit ``memory_budget`` counts here: the host sweeps resolve
     ``$REPRO_MEM_BUDGET`` where they take their arguments
     (:func:`repro.utils.membudget.requested_budget`) and pass it down, so
-    the simulated-device programs, which call :func:`fastgrid_block_sums`
-    without one, keep their unbudgeted sub-chunks.  Rows are
+    the simulated-device programs, whose :func:`fastgrid_block_sums` takes
+    none, keep their unbudgeted sub-chunks.  Rows are
     partition-invariant (:func:`fastgrid_row_contributions`), so the block
     size never changes a curve's bits.
     """
@@ -843,15 +859,15 @@ def plan_fastgrid_blocks(
         output_matrix=output_matrix,
     )
     fixed, per_row = sweep_bytes(n, k, **model)
+    # The row model's own per-row bytes, sized against the chunk budget;
+    # binned rows, O(n) bytes each, against the smaller binned one.
     if path == "sorted":
-        # The row model's own per-row bytes, sized against the chunk budget.
         rows = suggest_chunk_rows(per_row, itemsize=1, working_arrays=1)
     else:
-        # The binned chunk keeps its coarser count of n-long temporaries
-        # rather than ``per_row``: that count is the one every binned
-        # shape has always been chunked by (served-mix's (2000, 500)
-        # among them), and a budget still fits ``per_row`` below.
-        rows = suggest_chunk_rows(n, working_arrays=4 + n_terms)
+        rows = suggest_chunk_rows(
+            per_row, itemsize=1, working_arrays=1,
+            budget_bytes=BINNED_CHUNK_BYTES, minimum=BINNED_MIN_ROWS,
+        )
     if max_rows is not None:
         rows = min(rows, max_rows)
     if memory_budget is not None:
@@ -877,14 +893,12 @@ def fastgrid_block_sums(
     start: int,
     stop: int,
     dtype: str = "float64",
-    memory_budget: int | float | str | None = None,
 ) -> np.ndarray:
     """Squared-residual sums over observations ``[start, stop)``.
 
-    The unit of work for the resilient engine: top-level (hence
-    picklable) and self-contained, so worker processes can be handed
-    ``(x, y, grid, kernel, row range)`` and return a k-vector that the
-    parent simply adds up.  The full CV score is the
+    The unit of work for the simulated-device programs' tiles:
+    self-contained, returning a k-vector that the caller simply adds up.
+    The full CV score is the
     sum of these blocks over a partition of ``range(n)``, divided by n.
 
     The within-block reduction is the canonical strict row-order fold, so
@@ -895,15 +909,12 @@ def fastgrid_block_sums(
     folded in order into the same accumulator — the identical fold, so
     the bits do not depend on the sub-chunk size, and a many-thousand-row
     device tile never materialises its whole rows×n distance slab at once.
-    Only an explicit ``memory_budget`` shrinks the sub-chunks; the
-    environment budget is the calling host sweep's to resolve.
+    The sub-chunks are unbudgeted: a memory budget is the host sweeps'.
     """
     n = int(np.shape(x)[0])
     _check_block(n, start, stop)
     total = np.zeros(len(bandwidths), dtype=np.float64)
-    rows = plan_fastgrid_blocks(
-        n, bandwidths, kernel_name, dtype, memory_budget=memory_budget
-    ).block_rows
+    rows = plan_fastgrid_blocks(n, bandwidths, kernel_name, dtype).block_rows
     for lo in range(start, stop, rows):
         fold_rows(
             fastgrid_row_contributions(

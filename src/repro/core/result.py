@@ -50,8 +50,7 @@ class SelectionResult:
     resilience:
         The :class:`~repro.resilience.degrade.ResilienceReport` of the
         run when the selector ran with ``resilience=`` enabled (recorded
-        faults, retries, backend degradations, resumed blocks); ``None``
-        otherwise.
+        faults, retries, backend degradations); ``None`` otherwise.
     """
 
     bandwidth: float

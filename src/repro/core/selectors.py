@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -133,16 +132,14 @@ class GridSearchSelector(BandwidthSelector):
         Refinement rounds are cached per refined grid too.
     resilience:
         ``True``, a :class:`~repro.resilience.engine.ResilienceConfig`,
-        or ``None`` (default).  When enabled, the sweep runs on the
-        resilient execution engine: transient faults (worker crashes,
-        timeouts, kernel-launch failures, corrupt blocks) are retried,
-        structural faults (device OOM) degrade along the backend fallback
-        chain, and the :class:`~repro.resilience.degrade.ResilienceReport`
-        is attached to the result.
-    resume:
-        Checkpoint file path: the first sweep records completed row
-        blocks there and a re-run with the same path replays them instead
-        of recomputing.  Implies ``resilience=True``.
+        or ``None`` (default).  When enabled, each sweep runs on the
+        resilient execution engine: a sweep hit by a transient fault
+        (worker crash, timeout, kernel-launch failure, corrupt scores) is
+        re-run, structural faults (device OOM) degrade along the backend
+        fallback chain, and the
+        :class:`~repro.resilience.degrade.ResilienceReport` is attached
+        to the result.  The curve is the bits of the backend that
+        finished it.
     """
 
     method = "grid-search"
@@ -157,7 +154,6 @@ class GridSearchSelector(BandwidthSelector):
         refine_rounds: int = 0,
         cache: "ArtifactCache | None" = None,
         resilience: "ResilienceConfig | bool | None" = None,
-        resume: str | Path | None = None,
         **backend_options: Any,
     ) -> None:
         self.kernel = get_kernel(kernel)
@@ -168,10 +164,10 @@ class GridSearchSelector(BandwidthSelector):
         if refine_rounds < 0:
             raise ValidationError(f"refine_rounds must be >= 0, got {refine_rounds}")
         self.refine_rounds = int(refine_rounds)
-        if resilience is not None or resume is not None:
+        if resilience is not None:
             from repro.resilience.engine import ResilienceConfig
 
-            self.resilience = ResilienceConfig.coerce(resilience, resume=resume)
+            self.resilience = ResilienceConfig.coerce(resilience)
         else:
             self.resilience = None
         self.backend_options = backend_options
@@ -245,8 +241,7 @@ class GridSearchSelector(BandwidthSelector):
 
             def evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
                 # Refinement rounds reuse whatever backend the first sweep
-                # settled on (no point re-walking a failed chain prefix)
-                # and skip the checkpoint (its fingerprint is per-grid).
+                # settled on (no point re-walking a failed chain prefix).
                 target = self.backend_name
                 if not first and engine.report.backend_used:
                     target = engine.report.backend_used
@@ -257,7 +252,6 @@ class GridSearchSelector(BandwidthSelector):
                     self.kernel,
                     backend=target,
                     backend_options=self.backend_options,
-                    checkpoint_enabled=first,
                 )
 
         else:

@@ -39,7 +39,6 @@ __all__ = [
     "WorkerCrashError",
     "BlockTimeoutError",
     "DataCorruptionError",
-    "CheckpointError",
     "ServingError",
     "CacheError",
     "RegistryError",
@@ -216,11 +215,11 @@ class WorkerCrashError(ReproError):
 
 
 class BlockTimeoutError(ReproError):
-    """A work unit exceeded its per-block deadline.
+    """A work unit's result never arrived.
 
     Models a hung worker (deadlocked fork, livelocked NFS read...): the
-    parent gives up on the in-flight result, rebuilds the pool, and
-    recomputes the block.
+    parent gives up on the in-flight result, retires the pool, and
+    re-runs the work.
     """
 
     code = "REPRO_BLOCK_TIMEOUT"
@@ -231,16 +230,10 @@ class DataCorruptionError(ReproError):
 
     Models silent data corruption — a bad DIMM, a truncated shard, an
     undetected float overflow in a worker — caught by the resilience
-    layer's finiteness check on every block of partial CV sums.
+    layer's finiteness check on every backend's CV scores.
     """
 
     code = "REPRO_DATA_CORRUPT"
-
-
-class CheckpointError(ReproError):
-    """A checkpoint file is unreadable or belongs to a different sweep."""
-
-    code = "REPRO_CHECKPOINT"
 
 
 class ServingError(ReproError):

@@ -249,23 +249,6 @@ class WorkerPool:
         """``map`` over the pool; falls back to serial when 1 worker."""
         return self.starmap(func, [(item,) for item in items])
 
-    def apply_async(
-        self, func: Callable, args: tuple = ()
-    ) -> "mp.pool.AsyncResult":
-        """Submit one work unit; returns the ``AsyncResult`` future.
-
-        The resilience engine's submission primitive: per-unit results can
-        be collected with a deadline (``.get(timeout)``) and retried
-        individually.  Always runs on the pool (opening it on demand) so a
-        hung unit cannot block the parent.
-        """
-        self.open()
-        assert self._pool is not None
-        kind = faults.draw("pool.worker", getattr(func, "__name__", "work-unit"))
-        if kind is not None:
-            return self._pool.apply_async(faults.faulty_call, (kind, func, *args))
-        return self._pool.apply_async(func, args)
-
     def _under_fault_plan(
         self, func: Callable, args_list: list[tuple]
     ) -> tuple[Callable, list[tuple]]:

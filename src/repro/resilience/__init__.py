@@ -1,23 +1,21 @@
-"""Resilient execution layer: fault injection, retry, checkpoint, degrade.
+"""Resilient execution layer: fault injection, retry, degrade.
 
-The paper's pipeline is embarrassingly parallel per observation, which
-makes it naturally fault-tolerant: any lost row block can be recomputed,
-checkpointed, or shifted to a slower backend without changing the CV sums
-at all.  This package exploits that:
+The paper's pipeline is embarrassingly parallel per observation, and
+since a whole sweep takes seconds, a failed sweep is simply run again or
+shifted to a slower backend.  This package does that:
 
 * :mod:`~repro.resilience.faults` — deterministic, seeded fault injection
   (worker crashes/timeouts, simulated ``cudaMalloc``/kernel-launch
   failures, NaN block corruption) keyed by seed + site so failures replay
   exactly;
 * :mod:`~repro.resilience.policy` — bounded retries with exponential
-  backoff and deterministic jitter, plus per-block deadlines;
-* :mod:`~repro.resilience.checkpoint` — resumable per-row-block partial
-  sums for the O(n² log n) sweep (``resume=`` on the public selectors);
+  backoff and deterministic jitter;
 * :mod:`~repro.resilience.degrade` — the backend fallback chain
   ``gpusim → gpusim-tiled → numpy`` driven by stable
   ``REPRO_*`` error codes, reported in a :class:`ResilienceReport`;
 * :mod:`~repro.resilience.engine` — the resilient execution engine that
-  the public selectors call when ``resilience=`` is enabled.
+  the public selectors call when ``resilience=`` is enabled; it runs the
+  registered backends whole, so a resilient curve is the backend's own.
 
 This ``__init__`` stays light on purpose: :mod:`repro.parallel.pool`
 imports the fault hooks at module load, so the engine (which imports the
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.resilience.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.resilience.degrade import (
     DEFAULT_FALLBACK_CHAIN,
     DEGRADABLE_CODES,
@@ -63,7 +60,6 @@ __all__ = [
     "ResilientEngine",
     "RetryBudgetExceeded",
     "RetryPolicy",
-    "SweepCheckpoint",
     "active_injector",
     "fallback_chain",
     "inject_faults",
@@ -71,13 +67,12 @@ __all__ = [
     "is_retryable",
     "resilient_cv_scores",
     "run_with_retry",
-    "sweep_fingerprint",
 ]
 
 #: Engine names resolved lazily (the engine imports the worker pool,
 #: which imports the fault hooks from this package at module load).
 _ENGINE_EXPORTS = frozenset(
-    {"ResilientEngine", "ResilienceConfig", "resilient_cv_scores", "default_block_rows"}
+    {"ResilientEngine", "ResilienceConfig", "resilient_cv_scores"}
 )
 
 

@@ -11,15 +11,16 @@ an explicit memory budget when one is given, always completes.  So::
 
 The parallel host executor sits on a spur that joins at the terminal:
 ``blocked-shm`` degrades to ``numpy`` when its POSIX segments vanish
-(``REPRO_SHM_SEGMENT``) or its workers keep dying.  It computes the same
-block partials as ``numpy``, so this fallback is bit-exact.
+(``REPRO_SHM_SEGMENT``) or its workers keep dying.  Both fold the same
+per-observation rows in the same strict order, so this fallback is
+bit-exact.
 
 Decisions match on the stable ``REPRO_*`` error *codes* (see
 :mod:`repro.exceptions`), not on class identity, so refactoring the
 exception hierarchy cannot silently change fallback behaviour:
 
 * **retryable** codes mark transient faults — retry the same backend
-  (worker crash, block timeout, kernel-launch failure, corrupt block);
+  (worker crash, block timeout, kernel-launch failure, corrupt scores);
 * **degradable** codes mark structural faults — no retry will help on
   this backend, move down the chain (device OOM, constant/shared memory
   exhaustion, bad launch configuration, unknown backend, retired pool);
@@ -52,8 +53,8 @@ DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = (
 )
 
 #: Off-chain entry points that join the default chain at its terminal:
-#: the shared-memory pool computes the same block partials as the serial
-#: sweep, so losing it degrades losslessly.
+#: the shared-memory pool folds the same rows as the serial sweep, so
+#: losing it degrades losslessly.
 _CHAIN_SPURS: dict[str, tuple[str, ...]] = {
     "blocked-shm": ("blocked-shm", "numpy"),
 }
@@ -128,18 +129,12 @@ class ResilienceReport:
     backend_attempts: list[dict[str, str]] = field(default_factory=list)
     #: Every fault absorbed: {"stage", "code", "error"} per event.
     faults: list[dict[str, str]] = field(default_factory=list)
-    #: Total retry attempts across all blocks and backends.
+    #: Total retry attempts across all sweeps and backends.
     retries: int = 0
-    #: Blocks recomputed after a fault (= failed block attempts).
-    blocks_recomputed: int = 0
-    #: Blocks replayed from a checkpoint instead of recomputed.
-    blocks_resumed: int = 0
-    #: Total row blocks in the sweep partition.
+    #: Sweeps the engine ran (one per requested CV curve).
     blocks_total: int = 0
     #: Times a crashed/hung pool was torn down and reforked.
     pool_rebuilds: int = 0
-    #: Checkpoint file in use, if any.
-    checkpoint_path: str | None = None
     #: Backoff sleeps actually taken (seconds), in order.
     sleeps: list[float] = field(default_factory=list)
 
@@ -177,11 +172,8 @@ class ResilienceReport:
             "backend_attempts": list(self.backend_attempts),
             "faults": list(self.faults),
             "retries": self.retries,
-            "blocks_recomputed": self.blocks_recomputed,
-            "blocks_resumed": self.blocks_resumed,
             "blocks_total": self.blocks_total,
             "pool_rebuilds": self.pool_rebuilds,
-            "checkpoint_path": self.checkpoint_path,
             "sleeps": list(self.sleeps),
         }
 
@@ -192,12 +184,9 @@ class ResilienceReport:
             + (" (degraded)" if self.degraded else ""),
             f"  faults absorbed : {len(self.faults)}",
             f"  retries         : {self.retries}",
-            f"  blocks          : {self.blocks_total} total, "
-            f"{self.blocks_resumed} resumed, {self.blocks_recomputed} recomputed",
+            f"  sweeps          : {self.blocks_total}",
             f"  pool rebuilds   : {self.pool_rebuilds}",
         ]
-        if self.checkpoint_path:
-            lines.append(f"  checkpoint      : {self.checkpoint_path}")
         if self.backend_attempts:
             trail = ", ".join(
                 f"{a['backend']}={a['outcome']}" for a in self.backend_attempts

@@ -12,13 +12,11 @@ whether the ``i``-th event at that site fails.  Instrumented sites:
                     (:class:`~repro.exceptions.DeviceMemoryError`)
 ``gpusim.launch``   a simulated kernel launch
                     (:class:`~repro.exceptions.KernelExecutionError`)
-``data.block``      a block of partial CV sums (NaN/Inf corruption,
+``data.block``      one backend's CV scores (NaN/Inf corruption,
                     applied by :func:`corrupt` in the resilient engine)
 ``shm.segment``     a shared-memory workspace attach/create
                     (:class:`~repro.exceptions.SharedSegmentError` — an
                     externally unlinked or purged ``/dev/shm`` segment)
-``shm.worker``      a shared-memory pool work unit (crash or timeout,
-                    raised inside the child like ``pool.worker``)
 ``bagged.subsample``  one subsample sweep of the bagged selector
                     (crash or timeout; the deterministic re-draw on
                     retry is what the bagged chaos suite exercises)
@@ -86,7 +84,6 @@ KNOWN_SITES = (
     "gpusim.launch",
     "data.block",
     "shm.segment",
-    "shm.worker",
     "bagged.subsample",
 )
 
@@ -124,7 +121,7 @@ class FaultSpec:
         the injector's site-seeded generator.
     max_triggers:
         Stop firing after this many triggers (``None`` = unbounded).  A
-        retried block *advances* the site counter, so a spec with
+        retried work unit *advances* the site counter, so a spec with
         ``at=(2,)`` fails the third event once and lets the retry through —
         exactly a transient fault.
     """

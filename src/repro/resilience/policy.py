@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from repro.exceptions import ReproError, ValidationError, error_code
 from repro.utils.rng import derive_rng
 
-__all__ = ["RetryPolicy", "RetryBudgetExceeded", "run_with_retry", "describe_policy"]
+__all__ = ["RetryPolicy", "RetryBudgetExceeded", "run_with_retry"]
 
 T = TypeVar("T")
 
@@ -47,9 +47,6 @@ class RetryPolicy:
         Fractional jitter: the delay is scaled by ``1 + jitter·u`` with
         ``u ~ U[0, 1)`` from a generator seeded by ``seed`` — decorrelates
         retry storms across workers while staying replayable.
-    block_timeout:
-        Per-block deadline (seconds) for pool submissions; ``None``
-        disables the deadline.
     seed:
         Seed of the jitter sequence.
     """
@@ -59,7 +56,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.1
-    block_timeout: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -75,10 +71,6 @@ class RetryPolicy:
             )
         if self.jitter < 0.0:
             raise ValidationError(f"jitter must be >= 0, got {self.jitter}")
-        if self.block_timeout is not None and self.block_timeout <= 0.0:
-            raise ValidationError(
-                f"block_timeout must be positive, got {self.block_timeout}"
-            )
 
     def delay(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff before retry ``attempt`` (1-based), jittered from ``rng``."""
@@ -150,15 +142,3 @@ def run_with_retry(
             if pause > 0.0:
                 do_sleep(pause)
 
-
-def describe_policy(policy: RetryPolicy) -> dict[str, Any]:
-    """JSON-friendly snapshot of a policy (for reports and logs)."""
-    return {
-        "max_retries": policy.max_retries,
-        "base_delay": policy.base_delay,
-        "multiplier": policy.multiplier,
-        "max_delay": policy.max_delay,
-        "jitter": policy.jitter,
-        "block_timeout": policy.block_timeout,
-        "seed": policy.seed,
-    }

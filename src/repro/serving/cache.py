@@ -2,32 +2,28 @@
 
 Every expensive artifact in the pipeline is a pure function of the
 inputs that produced it: the CV score curve is determined by
-``(x, y, grid, kernel, dtype)``; the selected bandwidth additionally by
-the method and its options; a row block's partial sums by the block
-bounds.  The cache therefore keys everything on the SHA-256 dataset
-fingerprint already used by the checkpoint layer
-(:func:`repro.resilience.checkpoint.sweep_fingerprint`) — a hit is
-*bit-for-bit* equivalent to recomputing, because the stored values are
-the exact float64 outputs of a previous run with identical inputs.
+``(x, y, grid, kernel, backend, dtype)``; the selected bandwidth
+additionally by the method and its options.  The cache therefore keys
+everything on a SHA-256 dataset fingerprint (:func:`sweep_fingerprint`)
+— a hit is *bit-for-bit* equivalent to recomputing, because the stored
+values are the exact float64 outputs of a previous run with identical
+inputs.
 
 Two tiers:
 
 * **memory** — an LRU of deserialised artifacts under a byte budget, so
   a hot serving loop never touches disk;
 * **disk** — one file per artifact (``<kind>-<fingerprint>.npz``, atomic
-  temp-file + ``os.replace`` writes, mirroring the checkpoint store),
-  surviving process restarts and shared between replicas on one host.
+  temp-file + ``os.replace`` writes), surviving process restarts and
+  shared between replicas on one host.
 
-Three artifact kinds map onto the paper's cost model:
+Two artifact kinds map onto the paper's cost model:
 
 ==============  ========================================================
 ``selection``   a full :class:`~repro.core.result.SelectionResult` —
                 skips the whole selection (sweep + argmin)
 ``curve``       the k-vector CV score curve for one exact grid — skips
                 the O(n² log n) sweep but re-runs the (cheap) argmin
-``blocks``      per-row-block partial sums — the unit the resilient
-                engine checkpoints; lets a partially warm sweep recompute
-                only missing blocks
 ==============  ========================================================
 
 Reads never raise on corrupt entries: an unreadable or
@@ -51,13 +47,13 @@ import numpy as np
 
 from repro.exceptions import CacheError, ValidationError
 from repro.core.result import SelectionResult
-from repro.resilience.checkpoint import sweep_fingerprint
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
     "curve_fingerprint",
     "selection_fingerprint",
+    "sweep_fingerprint",
     "sweep_path",
 ]
 
@@ -65,13 +61,32 @@ __all__ = [
 #: written before the sorted path existed never serve a sorted-path sweep.
 #: v3: sorted-path curves take neighbourhood-anchored window sums and fold
 #: their rows in rank order, so every sorted-path curve changed bits.
-_FORMAT_VERSION = 3
+#: v4: resilient sweeps return their backend's own bits (they were the
+#: engine's block sums), so curves served with resilience on changed.
+_FORMAT_VERSION = 4
 
 #: Artifact namespaces (file prefixes / stats keys).
-_KINDS = ("selection", "curve", "blocks")
+_KINDS = ("selection", "curve")
 
 
 # -- fingerprints -----------------------------------------------------------
+
+
+def sweep_fingerprint(
+    x: np.ndarray,
+    y: np.ndarray,
+    bandwidths: np.ndarray,
+    kernel_name: str,
+    dtype: str,
+) -> str:
+    """SHA-256 hex digest of the data, grid, kernel and dtype of a sweep."""
+    digest = hashlib.sha256()
+    digest.update(f"{kernel_name}|{dtype}|".encode())
+    for arr in (x, y, bandwidths):
+        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+        digest.update(str(a.shape).encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
 
 #: Backends whose sweeps may take the sorted window-sum path
 #: (:func:`repro.core.fastgrid.window_sum_path`); every other backend —
@@ -122,7 +137,7 @@ def curve_fingerprint(
     path = sweep_path(
         len(x), len(bandwidths), kernel_name, backend=backend, dtype=dtype
     )
-    base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
+    base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype)
     digest = hashlib.sha256()
     digest.update(f"curve|v{_FORMAT_VERSION}|{backend}|{path}|".encode())
     digest.update(base.encode())
@@ -156,7 +171,7 @@ def selection_fingerprint(
         int(swept or len(x)), len(bandwidths), kernel_name, backend=backend,
         dtype=str(opts.get("dtype", dtype)),
     )
-    base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
+    base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype)
     digest = hashlib.sha256()
     digest.update(
         f"selection|v{_FORMAT_VERSION}|{method}|{backend}|{path}|".encode()
@@ -356,36 +371,6 @@ class ArtifactCache:
             return np.asarray(payload["scores"], dtype=np.float64).copy()
         except (KeyError, ValueError):
             self._note_corrupt("curve", fingerprint)
-            return None
-
-    # -- per-block partial sums -------------------------------------------
-
-    def put_blocks(
-        self, fingerprint: str, starts: np.ndarray, sums: np.ndarray
-    ) -> None:
-        """Store per-row-block partial sums (the checkpoint artifact)."""
-        starts_arr = np.asarray(starts, dtype=np.int64)
-        sums_arr = np.asarray(sums, dtype=np.float64)
-        if sums_arr.ndim != 2 or sums_arr.shape[0] != starts_arr.shape[0]:
-            raise CacheError(
-                f"blocks payload malformed: {starts_arr.shape[0]} starts "
-                f"vs sums of shape {sums_arr.shape}"
-            )
-        self._put(
-            "blocks", fingerprint, {"starts": starts_arr, "sums": sums_arr}
-        )
-
-    def get_blocks(self, fingerprint: str) -> dict[int, np.ndarray] | None:
-        """Cached ``{start: k-vector}`` block sums, or ``None`` on a miss."""
-        payload = self._get("blocks", fingerprint)
-        if payload is None:
-            return None
-        try:
-            starts = np.asarray(payload["starts"], dtype=np.int64)
-            sums = np.asarray(payload["sums"], dtype=np.float64)
-            return {int(s): sums[i].copy() for i, s in enumerate(starts)}
-        except (KeyError, ValueError, IndexError):
-            self._note_corrupt("blocks", fingerprint)
             return None
 
     # -- introspection -----------------------------------------------------

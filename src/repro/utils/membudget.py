@@ -260,8 +260,8 @@ def plan_blocks(
         Charge the n×k float64 per-row contribution matrix against the
         fixed working set (the shared-memory variant materialises it).
     max_rows:
-        Optional cap on the chosen block size (e.g. a checkpoint
-        granularity requirement).
+        Optional cap on the chosen block size (e.g. a caller's
+        ``block_rows=``).
 
     Raises
     ------

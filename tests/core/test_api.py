@@ -109,11 +109,69 @@ class TestMethodAliasTable:
             select_bandwidth(s.x, s.y, method="rot", resilience=True)
 
     def test_non_grid_rejects_resume(self, paper_sample_small):
+        # No selector or backend reads resume=: it is refused as unknown.
         s = paper_sample_small
-        with pytest.raises(ValidationError, match="resume"):
+        with pytest.raises(ValidationError, match="unknown option.*resume") as err:
             select_bandwidth(
                 s.x, s.y, method="rot", resume="checkpoint.npz"
             )
+        assert err.value.code == "REPRO_VALIDATION"
+
+
+class TestUnreadOptions:
+    """An option that no code on the call reads is refused, not dropped."""
+
+    @pytest.mark.parametrize(
+        "method", ["grid", "bagged", "numeric", "rule-of-thumb"]
+    )
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"fleet": 1},
+            {"memory_bugdet": "64MiB"},
+            {"resume": "sweep.ckpt.npz"},
+            {"bogus_option": 3},
+        ],
+        ids=["fleet", "memory_bugdet", "resume", "bogus_option"],
+    )
+    def test_unread_option_raises_validation(
+        self, paper_sample_small, method, option
+    ):
+        s = paper_sample_small
+        plan = {"subsamples": 3, "subsample_size": 30} if method == "bagged" else {}
+        with pytest.raises(ValidationError, match="unknown option") as err:
+            select_bandwidth(s.x, s.y, method=method, **plan, **option)
+        assert err.value.code == "REPRO_VALIDATION"
+        assert next(iter(option)) in str(err.value)
+
+    def test_an_option_only_another_backend_reads_is_refused(
+        self, paper_sample_small
+    ):
+        # workers= steers blocked-shm's pool; the numpy sweep never reads it.
+        s = paper_sample_small
+        with pytest.raises(ValidationError, match="workers"):
+            select_bandwidth(s.x, s.y, n_bandwidths=8, workers=2)
+
+    @pytest.mark.parametrize(
+        ("backend", "option"),
+        [
+            ("blocked-shm", {"workers": 1}),
+            ("gpusim", {"tile_rows": 64}),
+            ("blocked-shm", {"dtype": "float64"}),
+            ("python", {"block_rows": 16}),
+        ],
+        ids=["shm-workers", "gpusim-chain-tile-rows", "shm-dtype", "python-chain-block-rows"],
+    )
+    def test_options_of_the_fallback_chain_are_accepted(
+        self, paper_sample_small, backend, option
+    ):
+        # gpusim's chain runs through gpusim-tiled (tile_rows=) and every
+        # chain ends on numpy (block_rows=), so their options are read.
+        s = paper_sample_small
+        res = select_bandwidth(
+            s.x, s.y, n_bandwidths=8, backend=backend, **option
+        )
+        assert res.backend == backend
 
 
 class TestArtifactCacheIntegration:

@@ -127,7 +127,7 @@ class TestDispatchSemantics:
         resilient = engine.cv_scores(
             s.x, s.y, small_grid.values, "epanechnikov", backend=name
         )
-        np.testing.assert_allclose(resilient, ref, rtol=1e-5)
+        assert resilient.tobytes() == ref.tobytes()
 
     def test_numpy_memory_budget_partition_keeps_the_bits(
         self, paper_sample_small, small_grid

@@ -87,27 +87,48 @@ class TestPlanFor:
         assert large.fixed_bytes > 9 * small.fixed_bytes
         assert small.bytes_per_row < binned.bytes_per_row
 
-    @pytest.mark.parametrize(
-        ("n", "k", "path"),
-        [(8000, 50, "sorted"), (3163, 50, "sorted"), (2000, 500, "binned")],
-    )
-    def test_unbudgeted_rows_are_one_chunk_at_the_benchmark_shapes(
-        self, n, k, path, monkeypatch
+    @pytest.mark.parametrize(("n", "k"), [(8000, 50), (3163, 50)])
+    def test_unbudgeted_sorted_rows_are_one_chunk_at_the_benchmark_shapes(
+        self, n, k, monkeypatch
     ) -> None:
         from repro.utils.chunking import suggest_chunk_rows
         from repro.utils.membudget import MEMORY_BUDGET_ENV
 
         monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
         grid = np.linspace(0.002, 0.1, k)
-        assert window_sum_path(n, k, "epanechnikov") == path
+        assert window_sum_path(n, k, "epanechnikov") == "sorted"
         plan = plan_fastgrid_blocks(n, grid, "epanechnikov")
-        if path == "sorted":
-            expected = suggest_chunk_rows(k, working_arrays=8 * 3 + 4 * 2 + 16)
-        else:
-            expected = suggest_chunk_rows(n, working_arrays=4 + 2)
-        assert plan.block_rows == expected
+        expected = suggest_chunk_rows(k, working_arrays=8 * 3 + 4 * 2 + 16)
+        assert plan.block_rows == expected == 8192
         assert plan.budget_bytes is None
         assert plan.n_blocks == 1
+
+    def test_unbudgeted_binned_rows_fit_the_binned_chunk_bytes(
+        self, monkeypatch
+    ) -> None:
+        # served-mix's cold sweeps: n = 2,000 on a 500-point grid take the
+        # binned path, whose rows are O(n) bytes each.  Sized from the
+        # row model against BINNED_CHUNK_BYTES they run in chunks of at
+        # most 128 rows, not as one 2,000-row chunk of about 260 MiB;
+        # rows too large for that keep BINNED_MIN_ROWS.
+        from repro.core.fastgrid import BINNED_CHUNK_BYTES, BINNED_MIN_ROWS
+        from repro.utils.membudget import MEMORY_BUDGET_ENV
+
+        monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
+        n, k = 2000, 500
+        assert window_sum_path(n, k, "epanechnikov") == "binned"
+        plan = plan_fastgrid_blocks(
+            n, np.linspace(0.002, 0.1, k), "epanechnikov"
+        )
+        assert plan.block_rows == BINNED_CHUNK_BYTES // plan.bytes_per_row
+        assert BINNED_MIN_ROWS < plan.block_rows <= 128
+        assert plan.budget_bytes is None
+        assert plan.n_blocks > 1
+        large = plan_fastgrid_blocks(
+            25_000, np.linspace(0.002, 0.1, 50), "epanechnikov", "float32"
+        )
+        assert large.bytes_per_row * BINNED_MIN_ROWS > BINNED_CHUNK_BYTES
+        assert large.block_rows == BINNED_MIN_ROWS
 
     @pytest.mark.parametrize("n", [400, 4000])
     def test_a_budget_only_ever_lowers_the_rows(self, n) -> None:
@@ -247,6 +268,25 @@ class TestMemoryWall:
             2_000, "4MiB", k=50, path="sorted"
         )
         assert peak <= 1.5 * predicted, (peak, predicted)
+
+    def test_unbudgeted_binned_sweep_at_the_served_shape(self, monkeypatch):
+        # served-mix's cold sweep shape (n = 2,000, k = 500, binned path)
+        # with no budget: chunks sized against BINNED_CHUNK_BYTES keep the
+        # real peak small; one 2,000-row chunk peaked at about 260 MiB.
+        from repro.utils.membudget import MEMORY_BUDGET_ENV
+
+        monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
+        x, y = _sample(2000, seed=3)
+        grid = np.linspace(0.002, 0.1, 500)
+        assert window_sum_path(2000, 500, "epanechnikov") == "binned"
+        tracemalloc.start()
+        try:
+            scores = cv_scores_fastgrid(x, y, grid, "epanechnikov")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(scores).all()
+        assert peak <= 32 * 1024**2, peak
 
     @pytest.mark.perf
     def test_n20000_sweep_breaks_the_paper_wall(self) -> None:

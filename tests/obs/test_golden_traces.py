@@ -205,11 +205,19 @@ class TestGoldenTrees:
         assert plan["predicted_peak_bytes"] <= plan["budget_bytes"]
 
     def test_resilient_tree_structure(self, sample):
+        # The engine calls the registered backend whole: its span tree
+        # hangs under the candidate span, unchanged.
         tracer, _ = run_traced(*sample, "numpy", resilience=True)
         names = [name for _, name in shape(tracer)]
         prefix = ["select_bandwidth", "grid-search", "evaluate-grid",
-                  "resilient-sweep", "candidate", "wave"]
+                  "resilient-sweep", "candidate", "backend:numpy"]
         assert names[: len(prefix)] == prefix
+        plain, _ = run_traced(*sample, "numpy")
+        plain_names = [name for _, name in shape(plain)]
+        start = plain_names.index("backend:numpy")
+        stop = plain_names.index("argmin")
+        swept = names[len(prefix) - 1 : len(prefix) - 1 + stop - start]
+        assert swept == plain_names[start:stop]
         assert names.count("block") >= 1
         assert names[-1] == "argmin"
 

@@ -131,11 +131,6 @@ class TestWorkerPoolLifecycle:
 
 
 class TestExecution:
-    def test_apply_async_returns_future(self):
-        with WorkerPool(2) as pool:
-            future = pool.apply_async(_square, (6,))
-            assert future.get(timeout=30) == 36
-
     def test_map_parallel(self):
         with WorkerPool(2) as pool:
             assert pool.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]

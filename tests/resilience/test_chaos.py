@@ -1,12 +1,14 @@
 """Chaos suite: inject every fault class into every backend and demand
 bit-for-bit identical bandwidth selection.
 
-The invariant under test is the paper's own decomposition: the CV curve
-is a sum of per-row-block partial sums, so recomputing a block (retry),
-replaying it from disk (resume), or absorbing a transient fault must not
-change a single bit of the scores.  Degrading to a *different* backend
+The resilient engine calls each registered backend whole, so a retried
+sweep is the same sweep run again: absorbing a transient fault must not
+change a single bit of the scores.  Fault indices count whole-call
+events: ``data.block`` is one backend's curve, ``pool.worker`` one row
+block of a ``blocked-shm`` call.  Degrading to a *different* backend
 legitimately changes floating-point ordering, so those cases assert the
-selected bandwidth (the argmin) instead of the raw scores.
+selected bandwidth (the argmin) instead of the raw scores; the
+``blocked-shm → numpy`` spur stays byte-exact.
 
 Seeds sweep a CI matrix via ``REPRO_CHAOS_SEED`` (see conftest).
 """
@@ -20,14 +22,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointError
 from repro.resilience import FaultInjector, FaultSpec, inject_faults
-from repro.resilience.engine import (
-    ResilienceConfig,
-    default_block_rows,
-    resilient_cv_scores,
-)
-from repro.resilience.policy import RetryBudgetExceeded, RetryPolicy
+from repro.resilience.engine import resilient_cv_scores
 
 pytestmark = pytest.mark.chaos
 
@@ -40,26 +36,27 @@ def no_shm_litter():
     if os.path.isdir("/dev/shm"):
         assert glob.glob("/dev/shm/repro-shm-*") == []
 
-#: A budget that splits each engine block of the chaos sample into
-#: sub-chunks: the budgeted numpy sweep, the old ``blocked`` backend.
+#: A budget that splits the chaos sample's sweep into several row
+#: blocks: the budgeted numpy sweep, the old ``blocked`` backend.
 BUDGET = {"memory_budget": "256KiB"}
 
 #: (backend, options, fault spec) cells where the fault is absorbed *in
 #: place* (retry on the same backend) — scores must match bit for bit.
-#: The ``multicore-*`` cells fault the process pool of blocked-shm, the
+#: The ``multicore-*`` cells fault the 2-worker pool of blocked-shm, the
 #: multi-core backend; the ``blocked-*`` cells run the budgeted numpy
-#: sweep.
+#: sweep.  A ``data.block`` event is one whole curve, so index 0 faults
+#: the first call and index 1 its retry.
 RETRY_CELLS = [
     pytest.param(
         "numpy",
         {},
-        FaultSpec(site="data.block", kind="nan", at=(2,)),
+        FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="numpy-nan-block",
     ),
     pytest.param(
         "numpy",
         {},
-        FaultSpec(site="data.block", kind="inf", at=(0, 5)),
+        FaultSpec(site="data.block", kind="inf", at=(0, 1)),
         id="numpy-inf-blocks",
     ),
     pytest.param(
@@ -71,13 +68,13 @@ RETRY_CELLS = [
     pytest.param(
         "blocked-shm",
         {"workers": 2},
-        FaultSpec(site="pool.worker", kind="timeout", at=(3,)),
+        FaultSpec(site="pool.worker", kind="timeout", at=(0, 3)),
         id="multicore-block-timeout",
     ),
     pytest.param(
         "blocked-shm",
         {"workers": 2},
-        FaultSpec(site="data.block", kind="nan", at=(1,)),
+        FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="multicore-nan-block",
     ),
     pytest.param(
@@ -89,37 +86,37 @@ RETRY_CELLS = [
     pytest.param(
         "gpusim-tiled",
         {},
-        FaultSpec(site="data.block", kind="nan", at=(2,)),
+        FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="gpusim-tiled-nan-block",
     ),
     pytest.param(
         "gpusim-tiled",
         {},
-        FaultSpec(site="data.block", kind="inf", at=(0,)),
+        FaultSpec(site="data.block", kind="inf", at=(0, 1)),
         id="gpusim-tiled-inf-block",
     ),
     pytest.param(
         "numpy",
         BUDGET,
-        FaultSpec(site="data.block", kind="nan", at=(1,)),
+        FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="blocked-nan-block",
     ),
     pytest.param(
         "numpy",
         BUDGET,
-        FaultSpec(site="data.block", kind="inf", at=(0, 2)),
+        FaultSpec(site="data.block", kind="inf", at=(0, 1)),
         id="blocked-inf-blocks",
     ),
     pytest.param(
         "blocked-shm",
         {},
-        FaultSpec(site="shm.worker", kind="crash", at=(1,)),
+        FaultSpec(site="pool.worker", kind="crash", at=(0,)),
         id="blocked-shm-worker-crash",
     ),
     pytest.param(
         "blocked-shm",
         {},
-        FaultSpec(site="shm.worker", kind="timeout", at=(2,)),
+        FaultSpec(site="pool.worker", kind="timeout", at=(0,)),
         id="blocked-shm-worker-timeout",
     ),
     pytest.param(
@@ -273,7 +270,7 @@ class TestSharedMemoryChaos:
         storm = FaultInjector(
             [
                 FaultSpec(
-                    site="shm.worker", kind="crash", rate=0.4, max_triggers=3
+                    site="pool.worker", kind="crash", rate=0.4, max_triggers=3
                 ),
             ],
             seed=chaos_seed,
@@ -285,7 +282,9 @@ class TestSharedMemoryChaos:
         np.testing.assert_array_equal(scores, clean)
         assert report.backend_used == "blocked-shm"
         assert not report.degraded
-        assert report.retries == len(storm.log)
+        # Every crashed call is retried once, whichever of its blocks died.
+        assert report.retries <= len(storm.log)
+        assert (report.retries > 0) == bool(storm.log)
         # The autouse fixture re-checks this, but the point of the test
         # deserves its own assertion: crashes must not leak segments.
         if os.path.isdir("/dev/shm"):
@@ -304,10 +303,9 @@ class TestSharedMemoryChaos:
 
 
 class TestBudgetedDegradationAtLargerN:
-    """n = 4,000 under a 64 MiB budget: the budget shrinks only the
-    sub-chunks inside each engine block, never the engine's partition,
-    so the budgeted shm sweep and its numpy fallback add the same block
-    partials in the same order."""
+    """n = 4,000 under a 64 MiB budget: the budgeted shm sweep and its
+    numpy fallback partition the rows differently, and the strict row
+    fold still gives them the same bits."""
 
     N = 4000
     OPTIONS = {"memory_budget": "64MiB"}
@@ -349,133 +347,6 @@ class TestBudgetedDegradationAtLargerN:
         assert scores.tobytes() == clean.tobytes()
 
 
-class TestCheckpointResume:
-    def _config(self, fast_config, path, *, max_retries, keep=True):
-        return dataclasses.replace(
-            fast_config,
-            policy=RetryPolicy(max_retries=max_retries, base_delay=0.0),
-            checkpoint=path,
-            keep_checkpoint=keep,
-        )
-
-    def test_resume_after_crash_is_bit_for_bit(
-        self, chaos_sample, chaos_grid, chaos_seed, fast_config, tmp_path
-    ) -> None:
-        x, y = chaos_sample
-        clean = _clean_scores(chaos_sample, chaos_grid, "numpy", fast_config)
-        ckpt = tmp_path / "sweep.ckpt.npz"
-
-        # First run: block 2 keeps failing until its budget dies (draw 2 in
-        # the first wave, draw 4 on its lone retry), the other blocks land.
-        doomed = FaultSpec(site="data.block", kind="nan", at=(2, 4))
-        config = self._config(fast_config, ckpt, max_retries=1)
-        with inject_faults(FaultInjector([doomed], seed=chaos_seed)):
-            with pytest.raises(RetryBudgetExceeded):
-                resilient_cv_scores(
-                    x, y, chaos_grid, backend="numpy", config=config
-                )
-        assert ckpt.exists(), "completed blocks must survive the crash"
-
-        # Second run resumes the surviving blocks and finishes fault-free.
-        config = self._config(fast_config, ckpt, max_retries=1, keep=False)
-        scores, report = resilient_cv_scores(
-            x, y, chaos_grid, backend="numpy", config=config
-        )
-        np.testing.assert_array_equal(scores, clean)
-        assert report.blocks_resumed == report.blocks_total - 1
-        assert not ckpt.exists(), "checkpoint is discarded after success"
-
-    def test_resumed_blocks_are_not_recomputed(
-        self, chaos_sample, chaos_grid, fast_config, tmp_path, monkeypatch
-    ) -> None:
-        x, y = chaos_sample
-        ckpt = tmp_path / "sweep.ckpt.npz"
-        config = self._config(fast_config, ckpt, max_retries=0)
-        scores, report = resilient_cv_scores(
-            x, y, chaos_grid, backend="numpy", config=config
-        )
-        assert report.blocks_total > 1
-
-        # the engine imports the block kernel lazily from repro.core.fastgrid
-        import repro.core.fastgrid as fastgrid_mod
-
-        calls = {"n": 0}
-        real = fastgrid_mod.fastgrid_block_sums
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fastgrid_mod, "fastgrid_block_sums", counting)
-        again, rep2 = resilient_cv_scores(
-            x, y, chaos_grid, backend="numpy", config=config
-        )
-        assert calls["n"] == 0, "a full checkpoint must skip every block"
-        assert rep2.blocks_resumed == rep2.blocks_total
-        np.testing.assert_array_equal(again, scores)
-
-    def test_sorted_path_resume_across_degradation_is_bit_for_bit(
-        self, chaos_seed, fast_config, tmp_path
-    ) -> None:
-        """Blocks from two backends in one checkpoint, on the sorted path.
-
-        The checkpoint fingerprint carries no backend and no path; the
-        path follows from (n, k, kernel, dtype), which it does carry.  So
-        blocks written by ``blocked-shm`` and resumed and finished by
-        ``numpy`` must fold to the clean ``numpy`` bits.
-        """
-        from repro.core.fastgrid import window_sum_path
-
-        rng = np.random.default_rng(20170529)
-        x = rng.uniform(0.0, 10.0, 600)
-        y = np.sin(x) + rng.normal(0.0, 0.3, 600)
-        grid = np.linspace(0.2, 3.0, 25)
-        assert window_sum_path(x.shape[0], grid.shape[0], "epanechnikov") == (
-            "sorted"
-        )
-        clean = _clean_scores((x, y), grid, "numpy", fast_config)
-        ckpt = tmp_path / "sweep.ckpt.npz"
-        config = dataclasses.replace(
-            self._config(fast_config, ckpt, max_retries=1), flush_every=1
-        )
-        # Ten blocks of 64 rows.  blocked-shm lands blocks 0-2, then every
-        # worker dies until its retry budget is spent; numpy resumes those
-        # three and lands the other seven, block 6 after one corrupted
-        # attempt.
-        injector = FaultInjector(
-            [
-                FaultSpec(site="shm.worker", kind="crash", at=tuple(range(3, 20))),
-                FaultSpec(site="data.block", kind="nan", at=(6,)),
-            ],
-            seed=chaos_seed,
-        )
-        with inject_faults(injector):
-            scores, report = resilient_cv_scores(
-                x, y, grid, backend="blocked-shm", config=config,
-                backend_options={"workers": 2},
-            )
-        assert [a["backend"] for a in report.backend_attempts] == [
-            "blocked-shm", "numpy",
-        ]
-        assert report.backend_used == "numpy"
-        assert report.blocks_resumed == 3
-        assert any(f["code"] == "REPRO_DATA_CORRUPT" for f in report.faults)
-        np.testing.assert_array_equal(scores, clean)
-        assert scores.tobytes() == clean.tobytes()
-
-    def test_resume_with_wrong_data_refuses(
-        self, chaos_sample, chaos_grid, fast_config, tmp_path
-    ) -> None:
-        x, y = chaos_sample
-        ckpt = tmp_path / "sweep.ckpt.npz"
-        config = self._config(fast_config, ckpt, max_retries=0)
-        resilient_cv_scores(x, y, chaos_grid, backend="numpy", config=config)
-        with pytest.raises(CheckpointError, match="different sweep"):
-            resilient_cv_scores(
-                x, y + 1.0, chaos_grid, backend="numpy", config=config
-            )
-
-
 class TestSelectorEndToEnd:
     def test_grid_selector_bandwidth_survives_chaos(
         self, chaos_sample, chaos_seed, fast_config
@@ -488,10 +359,12 @@ class TestSelectorEndToEnd:
         )
         assert baseline.resilience is not None and baseline.resilience.clean
 
+        # A pool block of the first call crashes, then the first curve
+        # to come back whole is corrupt: two fresh calls, the same bits.
         storm = FaultInjector(
             [
-                FaultSpec(site="pool.worker", kind="crash", at=(2,)),
-                FaultSpec(site="data.block", kind="nan", at=(7,)),
+                FaultSpec(site="pool.worker", kind="crash", at=(1,)),
+                FaultSpec(site="data.block", kind="nan", at=(0,)),
             ],
             seed=chaos_seed,
         )
@@ -523,11 +396,3 @@ class TestSelectorEndToEnd:
         assert chaotic.bandwidth == baseline.bandwidth
         assert chaotic.resilience.retries >= 1
 
-
-class TestPartition:
-    def test_block_rows_is_a_pure_function_of_n(self) -> None:
-        assert default_block_rows(200) == default_block_rows(200)
-        assert default_block_rows(100) == 64
-        n = 100_000
-        rows = default_block_rows(n)
-        assert -(-n // rows) <= 16

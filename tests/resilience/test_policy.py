@@ -13,7 +13,6 @@ from repro.resilience.degrade import is_retryable
 from repro.resilience.policy import (
     RetryBudgetExceeded,
     RetryPolicy,
-    describe_policy,
     run_with_retry,
 )
 
@@ -28,8 +27,6 @@ class TestPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValidationError):
             RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValidationError):
-            RetryPolicy(block_timeout=0.0)
 
     def test_delays_exponential_and_capped(self) -> None:
         policy = RetryPolicy(
@@ -46,11 +43,6 @@ class TestPolicy:
         b = RetryPolicy(max_retries=4, jitter=0.5, seed=4).delays()
         assert a != b
 
-    def test_describe_roundtrip(self) -> None:
-        policy = RetryPolicy(max_retries=7, block_timeout=1.5)
-        snap = describe_policy(policy)
-        assert snap["max_retries"] == 7
-        assert snap["block_timeout"] == 1.5
 
 
 class TestRunWithRetry:

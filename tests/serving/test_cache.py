@@ -104,15 +104,6 @@ class TestMemoryTier:
         with pytest.raises(CacheError):
             cache.put_curve("a" * 64, np.ones(3), np.ones(4))
 
-    def test_blocks_roundtrip(self):
-        cache = ArtifactCache(None)
-        starts = np.array([0, 16, 32])
-        sums = np.arange(9, dtype=np.float64).reshape(3, 3)
-        cache.put_blocks("b" * 64, starts, sums)
-        blocks = cache.get_blocks("b" * 64)
-        assert set(blocks) == {0, 16, 32}
-        np.testing.assert_array_equal(blocks[16], sums[1])
-
     def test_lru_eviction_under_byte_budget(self):
         one_entry = 8 * 6 * 2  # bandwidths + scores, 6 float64 each
         cache = ArtifactCache(None, max_memory_bytes=3 * one_entry)

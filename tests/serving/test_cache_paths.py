@@ -16,11 +16,11 @@ import pytest
 from repro import select_bandwidth
 from repro.core import fastgrid
 from repro.core.grid import BandwidthGrid
-from repro.resilience.checkpoint import sweep_fingerprint
 from repro.serving.cache import (
     ArtifactCache,
     curve_fingerprint,
     selection_fingerprint,
+    sweep_fingerprint,
     sweep_path,
 )
 
@@ -73,24 +73,24 @@ class TestFingerprints:
         x, y = _stable_sample()
         grid = GRID.values
         assert curve_fingerprint(x, y, grid, "epanechnikov") == (
-            "95d59fa249ca264a6867a9cfc357e9e2ee9014f17f890832a0be9b618a0aad0e"
+            "46f98cde511d344641cd38a45ff79a1a25a2cdbdcdfae02848f31b9b99e858b9"
         )
         assert curve_fingerprint(x[:40], y[:40], grid, "epanechnikov") == (
-            "bc76e566ee0e6668c894a81f90fbe4cde26edb90530b9ed72af3cbca0c014a69"
+            "be2fd1968c40c79d99edcd7da976829e9d3c09a1096ac6f0406fa52ac681a934"
         )
         assert curve_fingerprint(
             x, y, grid, "epanechnikov", dtype="float32"
-        ) == "4d023822b525cce8b28f64edc0107f415b3a5ef02c7c40b6b5c4c0ede70b0066"
+        ) == "61c79b6aa8e2f7ae9f4aa97331262a55bdc990ee890ed977154462b353d545cb"
         assert curve_fingerprint(
             x, y, grid, "epanechnikov", backend="gpusim"
-        ) == "6032329a136bc9c5c6d50e9a6d62b99a1984a8bc29a831cb9b47e2ede9e025bd"
+        ) == "972f1f2848ba9f5409feb69565973aaa0e980d699fc5024e357b4283087e633e"
         assert selection_fingerprint(x, y, grid, "epanechnikov") == (
-            "1b0d459b1568ab1c6c51c9f6e9148ce30095a5f1fa80f7d7e55b86bfbb483ad7"
+            "f35a19960838f9e059261565b9ea27420f338f5a190c48a98af16796eb6c0057"
         )
         assert selection_fingerprint(
             x, y, grid, "epanechnikov", backend="blocked-shm",
             options={"refine_rounds": 1},
-        ) == "d850c8f96ad783b949248f13925b817599b8f706c49307bfb1e1f5b1a1c0762f"
+        ) == "999b67b3f8386c4a5359dbd2e54b2e573feb8b7cb5f56f853df6c994420a502b"
 
     def test_bagged_key_follows_the_subsample_size(self, monkeypatch):
         x, y = _stable_sample()
@@ -105,10 +105,10 @@ class TestFingerprints:
         # m = 560 sweeps sorted, m = 300 binned.
         sorted_key = key(560)
         assert sorted_key == (
-            "9c87e6774a903938b4bfb9eea1bf7ee003b9423f7767abcb006d3fad85a5d198"
+            "9fa4ca443d82e531fd98b94bcadefb5538f25e8d9c09fe4f99ef61e22122a1f1"
         )
         assert key(300) == (
-            "9d658addb038f3e3afad9b0bdb2a51d96f5f0f64168131e1fa6769191770931e"
+            "4b7f2a519c7dd4527204b0f4d54f8b5be2139a7c900a4e83a320d5c7d248d664"
         )
         # Move the crossover: the same m now sweeps binned, under a new key.
         monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 10**18)
@@ -117,7 +117,7 @@ class TestFingerprints:
     def test_keys_from_before_the_path_existed_never_match(self, sample):
         x, y = sample
         grid = GRID.values
-        base = sweep_fingerprint(x, y, grid, "epanechnikov", "float64", 0)
+        base = sweep_fingerprint(x, y, grid, "epanechnikov", "float64")
         old = hashlib.sha256()
         old.update(b"curve|v1|numpy|")
         old.update(base.encode())

@@ -29,8 +29,12 @@ class TestParser:
             ["select", "--backend", "distributed"],
             ["select", "--workers", "2"],
             ["workers", "--count", "2"],
+            ["select", "--resume", "sweep.ckpt.npz"],
         ],
-        ids=["distributed-backend", "select-workers", "workers-command"],
+        ids=[
+            "distributed-backend", "select-workers", "workers-command",
+            "select-resume",
+        ],
     )
     def test_removed_options_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

@@ -2,8 +2,9 @@
 
 Deleting a subsystem must also delete every name it registered
 elsewhere: a lint scope glob that matches no file, a fault site nothing
-fires, or a backend on a degradation chain that no longer resolves all
-keep working silently while describing code that is gone.
+fires, a backend on a degradation chain that no longer resolves, or a
+configuration field nothing reads all keep working silently while
+describing code that is gone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from repro.analysis.config import LintConfig
 from repro.core.backends import get_backend
 from repro.resilience import faults
 from repro.resilience.degrade import DEFAULT_FALLBACK_CHAIN, _CHAIN_SPURS
-from repro.resilience.engine import _BLOCK_BACKENDS
+from repro.resilience.engine import ResilienceConfig
+from repro.resilience.policy import RetryPolicy
 from repro.serving.cache import _SORTED_CAPABLE
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -59,11 +61,68 @@ def _fired_sites() -> set[str]:
 
 
 def _chained_backends() -> list[str]:
-    names = set(DEFAULT_FALLBACK_CHAIN) | set(_BLOCK_BACKENDS) | set(_SORTED_CAPABLE)
+    names = set(DEFAULT_FALLBACK_CHAIN) | set(_SORTED_CAPABLE)
     for entry, chain in _CHAIN_SPURS.items():
         names.add(entry)
         names.update(chain)
     return sorted(names)
+
+
+def _read_attributes(nodes: list[ast.AST]) -> set[str]:
+    return {
+        node.attr
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _fields_read_outside(cls: type) -> set[str]:
+    """Fields of dataclass ``cls`` that code in ``src/`` outside it reads.
+
+    A field counts as read when an attribute of that name is loaded
+    outside the class body, or inside one of its public methods that is
+    itself used outside the class.  Validation in ``__post_init__`` is
+    not a reader: it checks a value that nothing may ever use.
+    """
+    outside: list[ast.AST] = []
+    methods: dict[str, ast.AST] = {}
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == cls.__name__
+        ]
+        for node in own:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    methods[item.name] = item
+        if not own:
+            outside.append(tree)
+            continue
+        for stmt in tree.body:
+            if stmt not in own:
+                outside.append(stmt)
+    used = _read_attributes(outside)
+    reached = [node for name, node in methods.items() if name in used]
+    return used | _read_attributes(reached)
+
+
+@pytest.mark.parametrize(
+    ("cls", "field"),
+    [
+        (cls, f.name)
+        for cls in (ResilienceConfig, RetryPolicy)
+        for f in dataclasses.fields(cls)
+    ],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_every_resilience_setting_is_read(cls, field):
+    assert field in _fields_read_outside(cls), (
+        f"{cls.__name__}.{field} is set but nothing in src/ outside the "
+        "class reads it"
+    )
 
 
 @pytest.mark.parametrize(("field", "pattern"), _module_globs())
