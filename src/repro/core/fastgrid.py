@@ -72,14 +72,20 @@ __all__ = [
     "window_sum_path",
 ]
 
+def _resolve_kernel(kernel: str | Kernel) -> Kernel:
+    """A kernel by name; a kernel-like object (a ``ConvolutionKernel``) as is."""
+    return kernel if hasattr(kernel, "poly_terms") else get_kernel(kernel)
+
+
 def require_fast_grid_kernel(kernel: str | Kernel) -> Kernel:
     """Resolve ``kernel`` and check it is eligible for the fast grid search.
 
     Eligibility = compact support **and** a polynomial weight (paper
     footnote 1: Epanechnikov, Uniform, Triangular — plus the other
-    polynomial kernels in :mod:`repro.kernels.polynomial`).
+    polynomial kernels in :mod:`repro.kernels.polynomial`, and the
+    self-convolutions KDE LSCV sums with this sweep).
     """
-    kern = get_kernel(kernel)
+    kern = _resolve_kernel(kernel)
     if not kern.supports_fast_grid:
         raise ValidationError(
             f"kernel {kern.name!r} does not support the sorted fast grid "
@@ -281,7 +287,7 @@ def window_sum_path(
     block's row count — so every row matrix stays partition-invariant.
     float32 sweeps always keep the binned bits.
     """
-    kern = get_kernel(kernel)
+    kern = _resolve_kernel(kernel)
     if (
         np.dtype(dtype) == np.float64
         and kern.supports_fast_grid
@@ -460,8 +466,12 @@ class _SortedSample:
     def matches(
         self, x: np.ndarray, y: np.ndarray, grid: np.ndarray, kern: Kernel
     ) -> bool:
+        # The terms and radius, not just the name: a kernel and its
+        # self-convolution can share a name (both "epanechnikov").
         return (
             kern.name == self.kernel.name
+            and kern.poly_terms == self.kernel.poly_terms
+            and kern.support_radius == self.kernel.support_radius
             and x.shape == self.x.shape
             and grid.shape == self.grid.shape
             and np.array_equal(x.view(np.uint64), self.x.view(np.uint64))

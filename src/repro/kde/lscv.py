@@ -18,7 +18,8 @@ Both double sums are sums of compact polynomial functions of ``d/h`` when
 the kernel is Epanechnikov or Uniform — so exactly the paper's sorted
 window-sum trick applies, with two windows per grid bandwidth (``d <= 2h``
 for the convolution term, ``d <= h`` for the kernel term).
-:func:`lscv_scores_fastgrid` evaluates the whole grid that way; the dense
+:func:`lscv_scores_fastgrid` evaluates the whole grid on the regression
+sweep's own window sums (:mod:`repro.core.fastgrid`) with y ≡ 1; the dense
 :func:`lscv_scores_grid` covers every kernel and is the test oracle.
 """
 
@@ -26,10 +27,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fastgrid import (
+    _SortedSample,
+    _window_sums_for_block,
+    plan_fastgrid_blocks,
+    window_sum_path,
+)
 from repro.exceptions import ValidationError
 from repro.kernels import Kernel, get_kernel
 from repro.kde.convolution import ConvolutionKernel, self_convolution
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
+from repro.utils.numeric import fold_rows
 from repro.utils.validation import as_float_array, ensure_bandwidths
 
 __all__ = [
@@ -124,16 +132,15 @@ def lscv_scores_fastgrid(
     x: np.ndarray,
     bandwidths: np.ndarray,
     kernel: str | Kernel = "epanechnikov",
-    *,
-    chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Fast sorted-window LSCV over a whole grid.
 
-    The KDE counterpart of :func:`repro.core.fastgrid.cv_scores_fastgrid`:
-    pairwise distances are binned once against the bandwidth grid (scaled
-    by each term's window radius) and per-power weighted histograms are
-    cumulated along the grid axis.  O(n² log k + k) total, versus
-    O(k·n²) for the dense loop.
+    The KDE counterpart of :func:`repro.core.fastgrid.cv_scores_fastgrid`,
+    run on the same window-sum engine: each double sum is the regression
+    sweep's denominator with y ≡ 1 (:func:`_pair_sums`).  O(n log n +
+    n·k·log n) on the sorted path, which large samples take
+    (:func:`repro.core.fastgrid.window_sum_path`), else O(n² log k + n·k)
+    on the binned path, versus O(k·n²) for the dense loop.
     """
     x = as_float_array(x, name="x")
     if x.size < 2:
@@ -147,37 +154,40 @@ def lscv_scores_fastgrid(
             "use lscv_scores_grid instead"
         )
     n = x.shape[0]
-    k = grid.shape[0]
-    rows = chunk_rows or suggest_chunk_rows(n, working_arrays=6)
-
-    def window_sums(terms, radius: float) -> np.ndarray:
-        """Σ_{pairs: d <= radius·h_j} Σ_p c_p·d^p/h^p, for every j."""
-        per_power: dict[int, np.ndarray] = {
-            t.power: np.zeros(k, dtype=np.float64) for t in terms
-        }
-        for sl in chunk_slices(n, rows):
-            dist = np.abs(x[sl, None] - x[None, :])
-            first_j = np.minimum(
-                np.searchsorted(grid * radius, dist.ravel(), side="left"), k
-            )
-            for t in terms:
-                w = None if t.power == 0 else (dist**t.power).ravel()
-                hist = np.bincount(first_j, weights=w, minlength=k + 1)[:k]
-                per_power[t.power] += hist
-        total = np.zeros(k, dtype=np.float64)
-        for t in terms:
-            sums = np.cumsum(per_power[t.power])
-            # Self pairs (d = 0) sit in the first bin at every bandwidth and
-            # contribute only to power 0; remove all n of them.
-            if t.power == 0:
-                sums = sums - n
-            total += t.coefficient * sums / (grid**t.power if t.power else 1.0)
-        return total
-
-    conv_sums = window_sums(conv.poly_terms, conv.support_radius)
-    kern_sums = window_sums(kern.poly_terms, kern.support_radius)
+    conv_sums = _pair_sums(x, grid, conv)
+    kern_sums = _pair_sums(x, grid, kern)
     return (
         kern.roughness / (n * grid)
         + conv_sums / (n * n * grid)
         - 2.0 * kern_sums / (n * (n - 1) * grid)
     )
+
+
+def _pair_sums(
+    x: np.ndarray, grid: np.ndarray, kern: Kernel | ConvolutionKernel
+) -> np.ndarray:
+    """``Σ_{i≠j} K(|X_i − X_j|/h)`` at every grid bandwidth.
+
+    Row i's window sum ``Σ_j K(|X_i − X_j|/h)`` (self included) is the
+    fast-grid sweep's ``den`` with y ≡ 1, at ``kern``'s own radius: R for
+    the kernel, 2R for its self-convolution.  The rows are folded in
+    order, then the n self pairs (distance 0, weight ``c₀``) come off.
+    The sample is built here, not through the sweep's one-entry cache:
+    K and K̄ would evict each other there, and it would outlive the call.
+    """
+    n = x.shape[0]
+    ones = np.ones(n, dtype=np.float64)
+    total = np.zeros(grid.shape[0], dtype=np.float64)
+    rows = plan_fastgrid_blocks(n, grid, kern).block_rows
+    sorted_path = window_sum_path(n, grid.shape[0], kern) == "sorted"
+    sample = _SortedSample(x, ones, grid, kern) if sorted_path else None
+    for sl in chunk_slices(n, rows):
+        if sample is not None:
+            den = sample.window_sums(sl.start, sl.stop)[1].T
+        else:
+            den = _window_sums_for_block(
+                x[sl], x, ones, grid, kern, np.dtype(np.float64)
+            )[1]
+        fold_rows(den, total)
+    c0 = sum(t.coefficient for t in kern.poly_terms if t.power == 0)
+    return total - n * c0

@@ -212,27 +212,6 @@ class WorkerPool:
         """Whether the pool has been retired (close/terminate called)."""
         return self._closed
 
-    @property
-    def is_healthy(self) -> bool:
-        """Best-effort liveness check of the underlying worker processes.
-
-        ``False`` means at least one worker died (segfault, OOM kill) —
-        the pool should be :meth:`rebuild`-t before more work is sent.
-        """
-        if self._pool is None:
-            return not self._closed
-        procs = getattr(self._pool, "_pool", None)
-        if not procs:
-            return True
-        return all(proc.is_alive() for proc in procs)
-
-    def ensure_healthy(self) -> bool:
-        """Rebuild if any worker died; returns True when a rebuild happened."""
-        if self._pool is not None and not self.is_healthy:
-            self.rebuild()
-            return True
-        return False
-
     # -- execution ---------------------------------------------------------
 
     def starmap(self, func: Callable, args_list: Sequence[tuple]) -> list:

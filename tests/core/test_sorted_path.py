@@ -44,6 +44,7 @@ from repro.core.fastgrid import (
     window_sum_path,
 )
 from repro.data.generators import paper_dgp
+from repro.kde.convolution import ConvolutionKernel, self_convolution
 from repro.kernels import fast_grid_kernels, get_kernel
 
 #: Curve rtol against the binned path, per kernel (largest power p), as
@@ -363,6 +364,39 @@ class TestNeighbourhoodEdges:
         assert cv_scores_fastgrid(x, y, self.GRID, kernel).tobytes() == (
             got.tobytes()
         )
+
+
+class TestSampleCacheKey:
+    """The one-entry sample cache keys on the polynomial, not the name.
+
+    A kernel and its self-convolution share a name ("epanechnikov"), so a
+    name-only key would hand one of them the other's prefix sums.
+    """
+
+    def test_same_named_kernel_like_gets_its_own_sample(self, monkeypatch):
+        monkeypatch.setattr(fastgrid, "_LAST_SORTED", None)
+        x, y = _sample(N, 0)
+        grid = np.linspace(0.01, 0.3, 20)
+        kern = get_kernel("epanechnikov")
+        first = fastgrid._sorted_sample(x, y, grid, kern)
+        assert fastgrid._sorted_sample(x, y, grid, kern) is first
+        # Same name and radius as the kernel, uniform's terms.
+        other_terms = ConvolutionKernel(
+            name=kern.name, support_radius=kern.support_radius,
+            evaluate=kern, poly_terms=get_kernel("uniform").poly_terms,
+        )
+        # Same name and terms, twice the radius.
+        other_radius = ConvolutionKernel(
+            name=kern.name, support_radius=2.0 * kern.support_radius,
+            evaluate=kern, poly_terms=kern.poly_terms,
+        )
+        for like in (other_terms, other_radius, self_convolution(kern)):
+            assert like.name == kern.name
+            sample = fastgrid._sorted_sample(x, y, grid, like)
+            assert sample is not first
+            assert sample.kernel is like
+            first = fastgrid._sorted_sample(x, y, grid, kern)
+            assert first.kernel is kern
 
 
 class TestBinnedBitsKept:

@@ -1,18 +1,25 @@
 """Tests for least-squares CV in KDE — the paper's named extension."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import fastgrid
+from repro.core.fastgrid import plan_fastgrid_blocks, window_sum_path
 from repro.core.grid import BandwidthGrid
 from repro.data import bimodal_normal_sample, uniform_sample
 from repro.exceptions import ValidationError
+from repro.kde import lscv, select_kde_bandwidth
+from repro.kde.convolution import self_convolution
 from repro.kde.lscv import (
     lscv_score,
     lscv_scores_fastgrid,
     lscv_scores_grid,
     supports_fast_lscv,
 )
+from repro.kernels import get_kernel
 
 
 class TestEligibility:
@@ -97,9 +104,59 @@ class TestLscvBehaviour:
         with pytest.raises(ValidationError):
             lscv_score(np.array([1.0, 2.0]), 0.0)
 
-    def test_chunking_invariance(self, rng):
-        x = rng.normal(size=200)
-        grid = np.array([0.1, 0.3, 0.9])
-        a = lscv_scores_fastgrid(x, grid, chunk_rows=200)
-        b = lscv_scores_fastgrid(x, grid, chunk_rows=11)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+def _lscv_sample(case: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(3)
+    if case == "tied":
+        # About 60 distinct values: every window edge sits on a run of ties.
+        return np.round(rng.normal(size=n), 1)
+    if case == "offset":
+        return 1e6 + rng.uniform(0.0, 1.0, n)
+    return rng.normal(size=n)
+
+
+class TestSortedPath:
+    """LSCV on the regression sweep's sorted window sums (n >= 10·k, n >= 500)."""
+
+    N = 1200
+    K = 12
+
+    @pytest.mark.parametrize("case", ["normal", "tied", "offset"])
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "uniform"])
+    def test_matches_dense_oracle(self, kernel, case):
+        x = _lscv_sample(case, self.N)
+        grid = BandwidthGrid.for_sample(x, self.K)
+        kern = get_kernel(kernel)
+        # Both pair sums take the sorted path: the kernel at radius R and
+        # its self-convolution (odd powers 3 and 5 for Epanechnikov) at 2R.
+        for like in (kern, self_convolution(kern)):
+            assert window_sum_path(self.N, self.K, like) == "sorted"
+        fast = lscv_scores_fastgrid(x, grid.values, kernel)
+        dense = lscv_scores_grid(x, grid.values, kernel)
+        np.testing.assert_allclose(fast, dense, rtol=1e-9)
+        chosen = select_kde_bandwidth(x, kernel=kernel, grid=grid)
+        assert chosen.backend == "fastgrid"
+        assert chosen.bandwidth == grid.values[int(np.argmin(dense))]
+
+    def test_samples_stay_outside_the_sweep_cache(self, monkeypatch):
+        # K and its self-convolution share a name; LSCV builds both samples
+        # itself and leaves the regression sweep's one-entry cache alone.
+        x = _lscv_sample("normal", self.N)
+        sentinel = object()
+        monkeypatch.setattr(fastgrid, "_LAST_SORTED", sentinel)
+        lscv_scores_fastgrid(x, BandwidthGrid.for_sample(x, self.K).values)
+        assert fastgrid._LAST_SORTED is sentinel
+
+
+@pytest.mark.parametrize("n", [200, 1200])
+def test_block_partition_invariance(n, monkeypatch):
+    # Rows are folded in order, so any block size gives the same bits on
+    # both paths (binned at n = 200, sorted at n = 1,200).
+    x = _lscv_sample("normal", n)
+    grid = np.array([0.1, 0.3, 0.9])
+    whole = lscv_scores_fastgrid(x, grid)
+    monkeypatch.setattr(
+        lscv, "plan_fastgrid_blocks",
+        functools.partial(plan_fastgrid_blocks, max_rows=11),
+    )
+    assert lscv_scores_fastgrid(x, grid).tobytes() == whole.tobytes()

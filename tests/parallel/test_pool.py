@@ -122,13 +122,6 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(PoolStateError, match="rebuild"):
             pool.rebuild()
 
-    def test_healthy_pool_is_not_rebuilt(self):
-        with WorkerPool(2) as pool:
-            pool.open()
-            assert pool.is_healthy
-            assert not pool.ensure_healthy()
-            assert pool.rebuilds == 0
-
 
 class TestExecution:
     def test_map_parallel(self):
