@@ -3,28 +3,21 @@
 An AST-based lint framework tuned to the failure modes of this
 reproduction: numerical-correctness hazards (exact float equality around
 the CV argmin, implicit dtypes that break the float32/float64 ablation),
-hot-path hygiene (allocations inside the O(n²) sweep loops), and
-parallel/device safety (unpicklable work units, nondeterministic
-simulated kernels).
+hot-path hygiene (allocations and tracing inside the O(n²) sweep loops),
+determinism (unordered input to the strict folds, unseeded RNG),
+concurrency lifecycles (shared-memory segments, worker pools) and
+parallel/device/serving safety.
 
-Since PR 6 the engine is *whole-program*: every lint run builds one
-:class:`~repro.analysis.project.ProjectIndex` (symbol table + call
-graph) over the linted tree, and the dtype-propagation lattice in
-:mod:`repro.analysis.dtypeflow` resolves calls across module boundaries
-through per-function summaries.  That powers three cross-module rule
-families: **DTY** (dtype flow: silent narrowing, mixed-width
-accumulation, redundant casts), **DET** (determinism: unordered
-iteration into the strict folds, completion-order collection), and
-**CON** (concurrency lifecycles: shm segments, worker pools, fork
-safety).
+Every rule is a pure function of one parsed module: the engine lints a
+tree one file at a time.  Each rule guards a named subject in ``src/``
+(``tests/analysis/test_subjects.py`` mutates that subject and checks the
+rule fires).
 
 Public surface:
 
 * :class:`~repro.analysis.engine.LintEngine` — parse + rule dispatch
-* :class:`~repro.analysis.project.ProjectIndex` — symbol table/call graph
 * :class:`~repro.analysis.config.LintConfig` — project layout knobs
 * :class:`~repro.analysis.findings.Finding` — one diagnostic
-* :class:`~repro.analysis.baseline.Baseline` — the CI ratchet
 * :func:`~repro.analysis.sarif.render_sarif` — SARIF 2.1.0 export
 * :func:`~repro.analysis.rules.default_rules` / ``RULE_REGISTRY``
 * :mod:`repro.analysis.cli` — the ``repro-lint`` console script
@@ -38,22 +31,18 @@ or for a whole file with ``# repro-lint: disable-file=RULE`` on any line.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import LintConfig
 from repro.analysis.engine import LintEngine, ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.project import ProjectIndex
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import RULE_REGISTRY, Rule, default_rules
 from repro.analysis.sarif import render_sarif
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintEngine",
     "ModuleContext",
-    "ProjectIndex",
     "RULE_REGISTRY",
     "Rule",
     "default_rules",

@@ -5,14 +5,11 @@ Usage::
     repro-lint src/                      # lint a tree, text report
     repro-lint --format json src/repro   # machine-readable
     repro-lint --format sarif --output lint.sarif src/
-    repro-lint --baseline lint-baseline.json src/   # ratchet: new-only
-    repro-lint --update-baseline lint-baseline.json src/
-    repro-lint --changed src/            # report only git-dirty files
     repro-lint --select NUM001,NUM004 f.py
     repro-lint --list-rules
 
-Exit status: 0 when clean (or every finding is baselined), 1 when new
-findings (or unparsable files) exist.
+Exit status: 0 when clean, 1 when findings (or unparsable files) exist,
+2 on a usage error.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import Baseline, BaselineError, partition
-from repro.analysis.changed import GitError, changed_files
 from repro.analysis.engine import LintEngine
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import RULE_REGISTRY
@@ -43,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-aware static analysis for the repro codebase: "
-        "numerical correctness, dtype flow, determinism, concurrency "
-        "lifecycles, hot-path hygiene, parallel/device safety.",
+        "numerical correctness, determinism, concurrency lifecycles, "
+        "hot-path hygiene, parallel/device safety.",
     )
     parser.add_argument(
         "paths",
@@ -79,26 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="ratchet file: only findings NOT recorded in FILE fail the run",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the current findings to FILE as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only files modified in git (staged/unstaged/untracked); "
-        "the whole-program index still covers every given path",
     )
     parser.add_argument(
         "--list-rules",
@@ -138,51 +113,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         parser.error(f"path does not exist: {', '.join(missing)}")
-    if args.baseline and args.update_baseline:
-        parser.error("--baseline and --update-baseline are mutually exclusive")
 
-    engine = LintEngine(select=select, ignore=ignore)
-    findings = engine.lint_paths(args.paths)
-
-    if args.changed:
-        # The full project was indexed above; only the *report* narrows.
-        try:
-            dirty = changed_files()
-        except GitError as exc:
-            parser.error(str(exc))
-        findings = [
-            f for f in findings if Path(f.path).resolve() in dirty
-        ]
-
-    if args.update_baseline:
-        Baseline.from_findings(findings).save(args.update_baseline)
-        _emit(
-            f"baseline written: {len(findings)} finding(s) recorded to "
-            f"{args.update_baseline}",
-            None,
-        )
-        return 0
-
-    baselined: list = []
-    if args.baseline:
-        try:
-            ratchet = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            parser.error(str(exc))
-        findings, baselined = partition(findings, ratchet)
-
+    findings = LintEngine(select=select, ignore=ignore).lint_paths(args.paths)
     if args.format == "sarif":
-        _emit(
-            render_sarif(findings, baselined=baselined).rstrip("\n"),
-            args.output,
-        )
+        _emit(render_sarif(findings).rstrip("\n"), args.output)
     elif args.format == "json":
         _emit(render_json(findings), args.output)
     else:
-        text = render_text(findings)
-        if baselined:
-            text += f"\n{len(baselined)} baselined finding(s) suppressed"
-        _emit(text, args.output)
+        _emit(render_text(findings), args.output)
     return 1 if findings else 0
 
 

@@ -3,21 +3,16 @@
 Module-scoped rules (hot-path allocation, API validation, device
 determinism) decide whether they apply to a file by matching its path
 *relative to the package root* against glob patterns.  The defaults
-below encode this repository's layout; tests construct custom configs to
-exercise rules against fixture snippets.
+below encode this repository's layout; every field is read by a rule
+(``tests/test_stale_registries.py`` checks this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fnmatch import fnmatch
-from typing import Any, Mapping
 
 __all__ = ["LintConfig", "DEFAULT_CONFIG"]
-
-
-def _tuple(values: Any) -> tuple[str, ...]:
-    return tuple(str(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -61,17 +56,7 @@ class LintConfig:
     )
     #: SRV001: event-loop modules where blocking calls stall all requests.
     serving_modules: tuple[str, ...] = ("serving/*.py",)
-    #: DTY001-3: modules whose dtype flow is contract, not convenience —
-    #: the float32 fast path (ROADMAP 1) must *choose* every precision
-    #: change.  cuda_port/gpusim are excluded: narrowing to float32 there
-    #: IS the paper's single-precision ablation.
-    dtype_guard_modules: tuple[str, ...] = (
-        "core/*.py",
-        "kde/*.py",
-        "multivariate/*.py",
-        "utils/*.py",
-    )
-    #: DET001/002: reduction-path modules where iteration order is part
+    #: DET001: reduction-path modules where iteration order is part
     #: of the bit-identical-fold contract every parallel backend inherits.
     determinism_modules: tuple[str, ...] = (
         "core/*.py",
@@ -81,15 +66,9 @@ class LintConfig:
         "parallel/*.py",
         "resilience/*.py",
     )
-    #: DET002 additionally covers the serving fan-in.
-    collection_modules: tuple[str, ...] = (
-        "parallel/*.py",
-        "resilience/*.py",
-        "serving/*.py",
-        "core/*.py",
-    )
-    #: CON001-3: modules that own process/shared-memory lifecycles.
+    #: CON001/002: modules that own process/shared-memory lifecycles.
     concurrency_modules: tuple[str, ...] = (
+        "bagged/*.py",
         "parallel/*.py",
         "resilience/*.py",
         "serving/*.py",
@@ -176,24 +155,6 @@ class LintConfig:
         "requests.post",
     )
 
-    # -- ROB002: network calls that must carry an explicit timeout --------
-    #: Canonical dotted names of socket/HTTP client entry points that
-    #: block forever by default.  Every call must pass ``timeout=`` (any
-    #: value, including an explicit None — the point is that unbounded
-    #: blocking is a *decision*, not a default).
-    timeout_required_calls: tuple[str, ...] = (
-        "socket.create_connection",
-        "urllib.request.urlopen",
-        "http.client.HTTPConnection",
-        "http.client.HTTPSConnection",
-        "xmlrpc.client.ServerProxy",
-        "requests.get",
-        "requests.post",
-        "requests.put",
-        "requests.delete",
-        "requests.request",
-    )
-
     # -- GPU001: nondeterminism sources banned on the device --------------
     banned_call_prefixes: tuple[str, ...] = ("time.", "random.")
     #: ``numpy.random.*`` members that are allowed (seeded construction).
@@ -216,12 +177,6 @@ class LintConfig:
     #: reaches one of these must arrive in deterministic order.
     fold_call_names: tuple[str, ...] = ("fold_rows", "compensated_sum")
 
-    # -- DET002: completion-order collection primitives -------------------
-    unordered_collection_calls: tuple[str, ...] = (
-        "imap_unordered",
-        "as_completed",
-    )
-
     # -- CON001/002: resource-owning constructors -------------------------
     #: Terminal (class.method or class) names that allocate a shared
     #: memory segment the caller must close+unlink on every path.
@@ -233,34 +188,9 @@ class LintConfig:
     #: Pool classes whose instances need with/try-finally lifecycles.
     pool_class_names: tuple[str, ...] = ("WorkerPool",)
 
-    # -- CON003: fork-safety and lock discipline --------------------------
-    #: Receiver-name substrings treated as locks for join-under-lock.
-    lock_name_hints: tuple[str, ...] = ("lock", "mutex")
-
-    # -- misc --------------------------------------------------------------
-    #: Extra per-rule disables applied before CLI --select/--ignore.
-    disabled_rules: tuple[str, ...] = field(default_factory=tuple)
-
     def matches(self, rel_path: str, patterns: tuple[str, ...]) -> bool:
         """Whether ``rel_path`` (posix, package-relative) matches any glob."""
         return any(fnmatch(rel_path, pat) for pat in patterns)
-
-    def with_overrides(self, **overrides: Any) -> "LintConfig":
-        """A copy with the given fields replaced (tuples coerced)."""
-        clean = {
-            key: _tuple(value) if isinstance(value, (list, tuple, set)) else value
-            for key, value in overrides.items()
-        }
-        return replace(self, **clean)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "LintConfig":
-        """Build a config from e.g. a parsed ``[tool.repro-lint]`` table."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValueError(f"unknown repro-lint config keys: {sorted(unknown)}")
-        return DEFAULT_CONFIG.with_overrides(**dict(mapping))
 
 
 DEFAULT_CONFIG = LintConfig()

@@ -18,11 +18,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.analysis.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.findings import SYNTAX_RULE_ID, Finding
-from repro.analysis.project import ModuleInfo, ProjectIndex
 from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = ["LintEngine", "ModuleContext", "iter_python_files"]
@@ -116,19 +115,11 @@ class ModuleContext:
 
     path: str
     rel: str
-    source: str
     tree: ast.Module
     config: LintConfig
     aliases: dict[str, str] = field(default_factory=dict)
     nested_functions: frozenset[str] = frozenset()
     exported: frozenset[str] | None = None
-    #: Whole-program view (symbol table, call graph, dtype summaries).
-    #: Always present after a successful parse — single-snippet lints get
-    #: a one-module index so local function summaries still resolve.
-    project: ProjectIndex | None = None
-    #: This module's entry in :attr:`project` (None only for pathological
-    #: cases where the project parse disagreed with the engine parse).
-    module_info: ModuleInfo | None = None
 
     # -- classification ----------------------------------------------------
 
@@ -187,12 +178,6 @@ class ModuleContext:
                 return None
         return None
 
-    def is_module_level_function(self, node: ast.AST) -> bool:
-        """Whether ``node`` is a def whose parent is the module itself."""
-        return isinstance(node, _FUNC_NODES) and isinstance(
-            self.parent_of(node), ast.Module
-        )
-
     def is_public(self, name: str) -> bool:
         """Public = exported via ``__all__`` (or no underscore prefix)."""
         if self.exported is not None:
@@ -205,21 +190,18 @@ class LintEngine:
 
     def __init__(
         self,
-        config: LintConfig | None = None,
-        rules: Sequence["Rule"] | None = None,  # noqa: F821 - fwd ref
         *,
         select: Iterable[str] | None = None,
         ignore: Iterable[str] | None = None,
     ):
         from repro.analysis.rules import default_rules
 
-        self.config = config or DEFAULT_CONFIG
-        active = list(rules) if rules is not None else default_rules()
+        self.config = DEFAULT_CONFIG
         selected = set(select) if select is not None else None
-        ignored = set(ignore or ()) | set(self.config.disabled_rules)
+        ignored = set(ignore or ())
         self.rules = [
             rule
-            for rule in active
+            for rule in default_rules()
             if (selected is None or rule.rule_id in selected)
             and rule.rule_id not in ignored
         ]
@@ -227,55 +209,31 @@ class LintEngine:
     # -- single module -----------------------------------------------------
 
     def lint_source(
-        self,
-        source: str,
-        path: str = "<string>",
-        rel: str | None = None,
-        project: ProjectIndex | None = None,
+        self, source: str, path: str = "<string>", rel: str | None = None
     ) -> list[Finding]:
         """Lint one module given as a string; ``rel`` overrides the
-        package-relative path used for module-scoped rules.
-
-        ``project`` carries the whole-program index when linting a tree
-        (:meth:`lint_paths` builds it once); a single-snippet lint gets a
-        one-module index so cross-function dtype summaries still work
-        within the snippet.
-        """
-        resolved_rel = rel if rel is not None else derive_rel_path(path)
-        info: ModuleInfo | None = None
-        if project is not None:
-            info = project.modules.get(project.by_path.get(str(path), ""))
-        if info is not None:
-            # Reuse the project's parse: same source, already annotated.
-            tree = info.tree
-        else:
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as exc:
-                return [
-                    Finding(
-                        path=path,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        rule_id=SYNTAX_RULE_ID,
-                        message=f"cannot parse file: {exc.msg}",
-                    )
-                ]
-            _annotate_parents(tree)
-        if project is None:
-            project = ProjectIndex.build([(path, resolved_rel, source)])
-            info = project.modules.get(project.by_path.get(str(path), ""))
+        package-relative path used for module-scoped rules."""
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            return [
+                Finding(
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule_id=SYNTAX_RULE_ID,
+                    message=f"cannot parse file: {exc.msg}",
+                )
+            ]
+        _annotate_parents(tree)
         ctx = ModuleContext(
             path=path,
-            rel=resolved_rel,
-            source=source,
+            rel=rel if rel is not None else derive_rel_path(path),
             tree=tree,
             config=self.config,
             aliases=_collect_aliases(tree),
             nested_functions=_collect_nested_functions(tree),
             exported=_collect_exported(tree),
-            project=project,
-            module_info=info,
         )
         findings: list[Finding] = []
         for rule in self.rules:
@@ -284,46 +242,24 @@ class LintEngine:
         suppressions = SuppressionIndex.from_source(source)
         return sorted(f for f in findings if not suppressions.is_suppressed(f))
 
-    def lint_file(
-        self,
-        path: str | Path,
-        rel: str | None = None,
-        project: ProjectIndex | None = None,
-    ) -> list[Finding]:
+    def lint_file(self, path: str | Path) -> list[Finding]:
         """Lint one file on disk."""
         text = Path(path).read_text(encoding="utf-8")
-        return self.lint_source(text, path=str(path), rel=rel, project=project)
+        return self.lint_source(text, path=str(path))
 
     # -- trees -------------------------------------------------------------
 
     def lint_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
-        """Lint files and/or directory trees; directories are walked for
-        ``*.py`` files (sorted, deterministic order).
-
-        The whole file set is indexed into one :class:`ProjectIndex`
-        first, so cross-module rules (dtype flow through the validation
-        funnel, call-graph-aware checks) see every module regardless of
-        which file they fire in.
-        """
-        files: list[tuple[Path, str]] = []
+        """Lint files and/or directory trees, one module at a time;
+        directories are walked for ``*.py`` files (sorted, deterministic
+        order)."""
+        findings: list[Finding] = []
         for path in paths:
             for file_path in iter_python_files(path):
                 try:
-                    files.append(
-                        (file_path, file_path.read_text(encoding="utf-8"))
-                    )
+                    findings.extend(self.lint_file(file_path))
                 except OSError:
                     continue
-        project = ProjectIndex.build(
-            (str(fp), derive_rel_path(fp), source) for fp, source in files
-        )
-        findings: list[Finding] = []
-        for file_path, source in files:
-            findings.extend(
-                self.lint_source(
-                    source, path=str(file_path), project=project
-                )
-            )
         return sorted(findings)
 
 

@@ -1,25 +1,21 @@
-"""Concurrency-lifecycle rules: CON001 (shared-memory segments), CON002
-(worker-pool lifecycles), CON003 (fork safety and lock discipline).
+"""Concurrency-lifecycle rules: CON001 (shared-memory segments) and
+CON002 (worker-pool lifecycles).
 
 The zero-copy substrate (``parallel/shm.py``) and the fork pool
 (``parallel/pool.py``) have strict ownership stories: the parent creates
 and unlinks every segment, pools are closed or terminated on every exit
-path.  These rules encode the ownership story as checkable shape:
-
-* a resource-owning constructor call must either be a ``with`` context,
-  hand ownership off (returned, stored into a container/attribute,
-  passed to another owner), or have its cleanup reachable from a
-  ``try``'s handler or ``finally`` — i.e. on the *error* path, not just
-  the happy path;
-* threads must not predate a fork (the child inherits the lock states of
-  a threaded parent — the classic fork-after-spawn deadlock);
-* blocking ``join()`` calls must not run while a lock is held.
+path.  These rules encode the ownership story as checkable shape: a
+resource-owning constructor call must either be a ``with`` context,
+hand ownership off (returned, stored into a container/attribute, passed
+to another owner), or have its cleanup reachable from a ``try``'s
+handler or ``finally`` — i.e. on the *error* path, not just the happy
+path.
 
 Heuristics are deliberately shape-based (no interprocedural escape
 analysis): a resource that escapes the function is *someone else's*
 lifecycle and is never flagged.  False negatives are acceptable; false
 positives on the repo's own correct patterns are not — the shapes above
-were derived from ``shm.py``/``pool.py``/``backends.py``/``engine.py``.
+were derived from ``shm.py``/``pool.py``/``blockwise.py``/``selectors.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.analysis.engine import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule, register_rule
 
-__all__ = ["ForkSafetyRule", "PoolLifecycleRule", "ShmLifecycleRule"]
+__all__ = ["PoolLifecycleRule", "ShmLifecycleRule"]
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -255,115 +251,3 @@ class PoolLifecycleRule(_LifecycleRule):
                     f"pool {name!r} is not closed/terminated on the error "
                     "path; use `with WorkerPool(...)` or try/finally",
                 )
-
-
-@register_rule
-class ForkSafetyRule(Rule):
-    """CON003 — no threads before fork; no blocking joins under a lock.
-
-    Both are deadlock shapes, not style: ``fork`` snapshots a threaded
-    parent mid-flight (a lock held by a non-forked thread stays locked
-    forever in the child), and a ``join()`` while holding a lock blocks
-    every other party that needs it for as long as the joinee runs.
-    """
-
-    rule_id = "CON003"
-    summary = "thread created before a fork, or blocking join under a lock"
-    rationale = (
-        "fork() clones only the calling thread but *all* lock states: a "
-        "lock held by any other thread at fork time is locked forever "
-        "in the child.  Joining while holding a lock inverts it — "
-        "everyone needing the lock now waits on the joinee.  Start "
-        "threads after the pool forks; release locks before joining."
-    )
-
-    #: Fork points: the repo's pool class plus the stdlib constructor.
-    _fork_names = ("multiprocessing.Pool",)
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.in_modules(ctx.config.concurrency_modules)
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        yield from self._thread_before_fork(ctx)
-        yield from self._join_under_lock(ctx)
-
-    # -- part A: thread creation preceding a fork in the same function ----
-
-    def _thread_before_fork(self, ctx: ModuleContext) -> Iterable[Finding]:
-        fork_names = self._fork_names + ctx.config.pool_class_names
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, _FUNC_NODES):
-                continue
-            threads: list[ast.Call] = []
-            forks: list[ast.Call] = []
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                canonical = ctx.canonical_name(sub.func)
-                if canonical == "threading.Thread":
-                    threads.append(sub)
-                elif _matches_suffix(canonical, fork_names):
-                    forks.append(sub)
-            for fork in forks:
-                earlier = [t for t in threads if t.lineno < fork.lineno]
-                if earlier:
-                    yield self.finding(
-                        ctx,
-                        fork,
-                        f"fork at line {fork.lineno} follows a thread "
-                        f"started at line {earlier[0].lineno}; the child "
-                        "inherits that thread's lock states frozen — "
-                        "fork first, thread after",
-                    )
-
-    # -- part B: blocking join() while a lock is held ----------------------
-
-    def _join_under_lock(self, ctx: ModuleContext) -> Iterable[Finding]:
-        hints = tuple(h.lower() for h in ctx.config.lock_name_hints)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if not self._holds_lock(ctx, node, hints):
-                continue
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "join"
-                        and self._is_blocking_join(sub)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            sub,
-                            "blocking join() while holding a lock; every "
-                            "other thread needing the lock now waits on "
-                            "the joinee — release first, then join",
-                        )
-
-    @staticmethod
-    def _holds_lock(
-        ctx: ModuleContext, node: ast.With | ast.AsyncWith, hints: tuple[str, ...]
-    ) -> bool:
-        for item in node.items:
-            dotted = ctx.dotted_name(item.context_expr)
-            if dotted is not None and any(
-                hint in dotted.lower() for hint in hints
-            ):
-                return True
-        return False
-
-    @staticmethod
-    def _is_blocking_join(call: ast.Call) -> bool:
-        """Thread/process joins block with no args or a numeric timeout;
-        ``str.join`` always takes an iterable, so it never matches."""
-        if call.keywords and all(kw.arg == "timeout" for kw in call.keywords):
-            return not call.args
-        if call.keywords:
-            return False
-        if not call.args:
-            return True
-        return len(call.args) == 1 and (
-            isinstance(call.args[0], ast.Constant)
-            and isinstance(call.args[0].value, (int, float))
-        )

@@ -1,6 +1,5 @@
-"""Determinism rules: DET001 (unordered iteration into a strict fold),
-DET002 (completion-order collection primitives), DET003 (process-global
-or unseeded RNG in library code).
+"""Determinism rules: DET001 (unordered iteration into a strict fold) and
+DET003 (process-global or unseeded RNG in library code).
 
 The whole library's cross-backend story rests on one contract
 (``utils/numeric.fold_rows``): partial results are folded **in index
@@ -10,10 +9,6 @@ fold from a container whose iteration order is not the index order
 (sets; dicts filled in completion order) silently re-associates the sum
 and the differential harness starts flagging one-ULP drifts that no
 unit test pins down.
-
-DET001 uses the dtype lattice for its one exemption: integer folds are
-exact, so summing ``nbytes`` over a dict is fine — order only matters
-once a float enters the accumulation.
 """
 
 from __future__ import annotations
@@ -21,17 +16,11 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.dtypeflow import (
-    DType,
-    FunctionAnalysis,
-    analyse_function,
-    analyse_module_level,
-)
 from repro.analysis.engine import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule, register_rule
 
-__all__ = ["SeededRngRule", "UnorderedCollectionRule", "UnorderedFoldRule"]
+__all__ = ["SeededRngRule", "UnorderedFoldRule"]
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -39,9 +28,9 @@ _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _VIEW_METHODS = frozenset({"keys", "values", "items"})
 
 
-def _terminal_name(ctx: ModuleContext, call: ast.Call) -> str | None:
-    """Last dotted segment of the called name (``pool.imap_unordered`` →
-    ``imap_unordered``)."""
+def _terminal_name(call: ast.Call) -> str | None:
+    """Last dotted segment of the called name (``numeric.fold_rows`` →
+    ``fold_rows``)."""
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     if isinstance(call.func, ast.Name):
@@ -97,8 +86,8 @@ class _OrderTracker:
         """Whether iterating ``node`` yields elements in unstable order.
 
         Sets always; dict *views* only when the dict itself is marked
-        unordered (dicts preserve insertion order — the hazard is a dict
-        *filled* in completion order, which DET002 catches at the fill).
+        unordered (dicts preserve insertion order; a plain dict is only
+        as unordered as whatever filled it).
         """
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
@@ -140,36 +129,6 @@ def _walk_scope(body: list[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _analysis_for(
-    ctx: ModuleContext, scope: ast.AST
-) -> FunctionAnalysis | None:
-    """Dtype analysis of ``scope`` (None when the module has no index)."""
-    if ctx.module_info is None:
-        return None
-    if isinstance(scope, _FUNC_NODES):
-        return analyse_function(scope, ctx.module_info, ctx.project)
-    return analyse_module_level(ctx.module_info, ctx.project)
-
-
-def _all_int(analysis: FunctionAnalysis | None, call: ast.Call) -> bool:
-    """Whether every argument of ``call`` is provably integer.
-
-    Integer addition is exact and associative, so order-of-arrival does
-    not change an int fold; only float folds are order-sensitive.
-    """
-    if analysis is None or not call.args:
-        return False
-    return all(
-        analysis.dtype_of(arg) is DType.INT
-        for arg in call.args
-        if not isinstance(arg, (ast.GeneratorExp, ast.ListComp))
-    ) and all(
-        analysis.dtype_of(arg.elt) is DType.INT
-        for arg in call.args
-        if isinstance(arg, (ast.GeneratorExp, ast.ListComp))
-    )
-
-
 @register_rule
 class UnorderedFoldRule(Rule):
     """DET001 — strict-fold inputs must not come from unordered iteration.
@@ -185,9 +144,8 @@ class UnorderedFoldRule(Rule):
         "fold_rows/compensated_sum are order contracts: float addition "
         "is non-associative, so hash- or completion-ordered inputs give "
         "a different bit pattern per run and break the partition-"
-        "invariant CV curve (ROADMAP item 2).  Iterate sorted(...) or "
-        "index order instead.  Provably-integer folds are exempt: int "
-        "addition is exact."
+        "invariant CV curve.  Iterate sorted(...) or index order "
+        "instead."
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:
@@ -197,18 +155,8 @@ class UnorderedFoldRule(Rule):
         fold_names = set(ctx.config.fold_call_names)
         for scope, body in _scopes(ctx):
             tracker = _OrderTracker(ctx, scope)
-            analysis: FunctionAnalysis | None = None
-            analysed = False
             for node in _walk_scope(body):
-                fold_call = self._fold_fed_unordered(
-                    ctx, tracker, node, fold_names
-                )
-                if fold_call is None:
-                    continue
-                if not analysed:
-                    analysis = _analysis_for(ctx, scope)
-                    analysed = True
-                if _all_int(analysis, fold_call):
+                if not self._fold_fed_unordered(tracker, node, fold_names):
                     continue
                 yield self.finding(
                     ctx,
@@ -218,40 +166,36 @@ class UnorderedFoldRule(Rule):
                     "or index order",
                 )
 
+    @staticmethod
     def _fold_fed_unordered(
-        self,
-        ctx: ModuleContext,
         tracker: _OrderTracker,
         node: ast.AST,
         fold_names: set[str],
-    ) -> ast.Call | None:
-        """The offending fold call under ``node``, if any.
+    ) -> bool:
+        """Whether ``node`` feeds a fold from unordered iteration.
 
         Two shapes: a for-loop over an unordered source whose body calls
         a fold, and a fold call whose argument is (or iterates) an
         unordered container.
         """
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            if not tracker.iteration_is_unordered(node.iter):
-                return None
-            for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.Call)
-                    and _terminal_name(ctx, sub) in fold_names
-                ):
-                    return sub
-            return None
-        if isinstance(node, ast.Call) and _terminal_name(ctx, node) in fold_names:
-            for arg in node.args:
-                if tracker.iteration_is_unordered(arg):
-                    return node
-                if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
-                    if any(
-                        tracker.iteration_is_unordered(gen.iter)
-                        for gen in arg.generators
-                    ):
-                        return node
-        return None
+            return tracker.iteration_is_unordered(node.iter) and any(
+                isinstance(sub, ast.Call) and _terminal_name(sub) in fold_names
+                for sub in ast.walk(node)
+            )
+        if not (isinstance(node, ast.Call) and _terminal_name(node) in fold_names):
+            return False
+        return any(
+            tracker.iteration_is_unordered(arg)
+            or (
+                isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                and any(
+                    tracker.iteration_is_unordered(gen.iter)
+                    for gen in arg.generators
+                )
+            )
+            for arg in node.args
+        )
 
 
 @register_rule
@@ -311,43 +255,3 @@ class SeededRngRule(Rule):
                     "per call; pass a seed (e.g. repro.utils.rng."
                     "spawn_seed) so the stream replays",
                 )
-
-
-@register_rule
-class UnorderedCollectionRule(Rule):
-    """DET002 — no completion-order collection in the fan-in paths.
-
-    ``imap_unordered``/``as_completed`` yield results in *completion*
-    order — scheduler noise becomes data order, and anything folded from
-    it inherits a per-run bit pattern.  The repo's fan-ins (the
-    blocked-shm row matrix, the wave loop in resilience) key every
-    partial by row or block index and fold in that order; new collection
-    sites must do the same, starting from an ordered primitive.
-    """
-
-    rule_id = "DET002"
-    summary = "completion-order collection primitive (imap_unordered/as_completed)"
-    rationale = (
-        "Completion order is scheduler noise; collecting with it makes "
-        "the fold order — and therefore the float bit pattern — vary "
-        "per run.  Use the ordered variant (imap/map) or key results by "
-        "index and iterate sorted(...) before folding."
-    )
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.in_modules(ctx.config.collection_modules)
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        banned = set(ctx.config.unordered_collection_calls)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if _terminal_name(ctx, node) not in banned:
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{_terminal_name(ctx, node)}() yields results in "
-                "completion order; collect ordered (imap/map) or key by "
-                "index and sort before the fold",
-            )

@@ -1,15 +1,10 @@
-"""Robustness hygiene: ROB001 (broad excepts), ROB002 (unbounded I/O).
+"""Robustness hygiene: ROB001 (broad excepts).
 
 The resilience layer is the one place allowed to catch-and-classify
 arbitrary failures: it routes them by their stable ``REPRO_*`` error code
 into retry, degrade, or propagate.  Anywhere else, a broad handler that
 does not re-raise turns a typed, actionable failure into a silent wrong
 answer — the worst outcome for a numerical reproduction.
-
-ROB002 guards the other half of the fault model: stdlib socket/HTTP
-clients block *forever* by default, so one silent peer would hang the
-caller instead of surfacing a typed ``REPRO_SERVE_TIMEOUT``.  Every
-network call must make its deadline explicit.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from repro.analysis.engine import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule, register_rule
 
-__all__ = ["BroadExceptRule", "NoTimeoutRule"]
+__all__ = ["BroadExceptRule"]
 
 #: Exception names that catch (nearly) everything.
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
@@ -104,45 +99,3 @@ class BroadExceptRule(Rule):
                 continue
             stack.extend(ast.iter_child_nodes(child))
         return False
-
-
-@register_rule
-class NoTimeoutRule(Rule):
-    """ROB002 — socket/HTTP client call without an explicit timeout.
-
-    The stdlib network clients (``socket.create_connection``,
-    ``urllib.request.urlopen``, ``http.client.HTTPConnection``…) block
-    indefinitely when no timeout is given.  In this codebase every such
-    call sits on a fault boundary — the serving smoke tooling, any client
-    of ``repro serve`` — where "hangs forever" must instead become a
-    typed ``REPRO_SERVE_TIMEOUT`` the caller can classify.  Passing
-    ``timeout=None`` explicitly is allowed: the rule bans the silent
-    default, not an audited decision to wait.
-    """
-
-    rule_id = "ROB002"
-    summary = "network client call without an explicit timeout"
-    rationale = (
-        "Default-blocking socket/HTTP calls turn a silent worker into a "
-        "hung coordinator. A call that cannot complete must surface a "
-        "typed REPRO_SERVE_TIMEOUT for the lease/retry machinery, so "
-        "every network client call states its deadline explicitly."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        required = ctx.config.timeout_required_calls
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.call_name(node)
-            if name is None or name not in required:
-                continue
-            if any(kw.arg == "timeout" for kw in node.keywords):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{name}() without an explicit timeout blocks forever on "
-                "a silent peer; pass timeout= (timeout=None is accepted "
-                "as a deliberate choice)",
-            )

@@ -15,9 +15,9 @@ more than convention.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.analysis.baseline import _normalise
 from repro.analysis.findings import SYNTAX_RULE_ID, Finding
 from repro.analysis.rules import RULE_REGISTRY
 
@@ -33,6 +33,16 @@ _SCHEMA_URI = (
 _SYNTAX_RULE_DESCRIPTION = (
     "File could not be parsed as Python; no other rule ran on it."
 )
+
+
+def _normalise(path: str) -> str:
+    """Repo-portable URI: posix separators, relative to cwd when under it."""
+    p = Path(path)
+    try:
+        p = p.resolve().relative_to(Path.cwd().resolve())
+    except ValueError:
+        pass
+    return p.as_posix()
 
 
 def _rule_catalogue(extra_ids: Iterable[str]) -> list[dict[str, Any]]:
@@ -61,24 +71,12 @@ def _rule_catalogue(extra_ids: Iterable[str]) -> list[dict[str, Any]]:
     return rules
 
 
-def sarif_document(
-    findings: Sequence[Finding], *, baselined: Sequence[Finding] = ()
-) -> dict[str, Any]:
-    """The SARIF log as a plain dict (``render_sarif`` serialises it).
-
-    ``baselined`` findings are included with ``baselineState:
-    "unchanged"`` so scanners show the frozen debt without failing on
-    it; new findings carry ``baselineState: "new"`` only when a baseline
-    was in play (i.e. ``baselined`` given).
-    """
-    rules = _rule_catalogue({f.rule_id for f in findings} | {
-        f.rule_id for f in baselined
-    })
+def sarif_document(findings: Sequence[Finding]) -> dict[str, Any]:
+    """The SARIF log as a plain dict (``render_sarif`` serialises it)."""
+    rules = _rule_catalogue({f.rule_id for f in findings})
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    has_baseline = bool(baselined)
-
-    def result(finding: Finding, state: str | None) -> dict[str, Any]:
-        entry: dict[str, Any] = {
+    results = [
+        {
             "ruleId": finding.rule_id,
             "ruleIndex": rule_index[finding.rule_id],
             "level": "error",
@@ -99,13 +97,8 @@ def sarif_document(
                 }
             ],
         }
-        if state is not None:
-            entry["baselineState"] = state
-        return entry
-
-    results = [
-        result(f, "new" if has_baseline else None) for f in findings
-    ] + [result(f, "unchanged") for f in baselined]
+        for finding in findings
+    ]
     return {
         "$schema": _SCHEMA_URI,
         "version": "2.1.0",
@@ -123,15 +116,6 @@ def sarif_document(
     }
 
 
-def render_sarif(
-    findings: Sequence[Finding], *, baselined: Sequence[Finding] = ()
-) -> str:
+def render_sarif(findings: Sequence[Finding]) -> str:
     """Serialised SARIF log, newline-terminated."""
-    return (
-        json.dumps(
-            sarif_document(findings, baselined=baselined),
-            indent=2,
-            ensure_ascii=False,
-        )
-        + "\n"
-    )
+    return json.dumps(sarif_document(findings), indent=2, ensure_ascii=False) + "\n"

@@ -285,24 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="list kernels, backends, devices, programs, serving cache",
     )
 
-    lint = sub.add_parser(
-        "lint", help="run the repro-lint static-analysis pass"
+    # Every argument after ``lint`` is forwarded to repro-lint unparsed,
+    # so the two entry points share one option list (``-h`` included).
+    sub.add_parser(
+        "lint",
+        add_help=False,
+        help="run the repro-lint static-analysis pass (default path: src)",
     )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument(
-        "-f", "--format", choices=["text", "json", "sarif"], default="text"
-    )
-    lint.add_argument("-o", "--output", type=str, default=None)
-    lint.add_argument("--select", type=str, default=None)
-    lint.add_argument("--ignore", type=str, default=None)
-    lint.add_argument("--baseline", type=str, default=None)
-    lint.add_argument("--update-baseline", type=str, default=None)
-    lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only files modified in git",
-    )
-    lint.add_argument("--list-rules", action="store_true")
     return parser
 
 
@@ -581,28 +570,6 @@ def _cmd_info(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    argv: list[str] = ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv += ["--update-baseline", args.update_baseline]
-    if args.changed:
-        argv.append("--changed")
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += list(args.paths)
-    return lint_main(argv)
-
-
 _COMMANDS = {
     "table1": _cmd_table1,
     "table2": _cmd_table2,
@@ -612,13 +579,19 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "serve": _cmd_serve,
     "info": _cmd_info,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.analysis.cli import main as lint_main
+
+        return lint_main(rest or ["src"])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return _COMMANDS[args.command](args)
 
 

@@ -168,7 +168,7 @@ def ensure_bandwidth_grid(bandwidths: "np.ndarray | BandwidthGrid") -> np.ndarra
     The one entry point for sweep backends taking raw bandwidth input:
     ``ensure_bandwidths`` already returns a contiguous float64 array, so
     no further ``astype`` is needed (or wanted — a same-dtype cast is a
-    dead full-array copy, which repro-lint flags as DTY003).
+    dead full-array copy on every sweep).
     """
     if isinstance(bandwidths, BandwidthGrid):
         return bandwidths.values

@@ -100,7 +100,7 @@ def select_kde_bandwidth(
         scores = lscv_scores_grid(x, bw_grid.values, kern)
         backend = "dense"
     j = int(np.argmin(scores))
-    return SelectionResult(
+    result = SelectionResult(
         bandwidth=float(bw_grid.values[j]),
         score=float(scores[j]),
         method="kde-lscv-grid",
@@ -111,7 +111,13 @@ def select_kde_bandwidth(
         scores=np.asarray(scores),
         n_evaluations=len(bw_grid),
         wall_seconds=time.perf_counter() - start,
+        diagnostics={
+            "grid_minimum": bw_grid.minimum,
+            "grid_maximum": bw_grid.maximum,
+        },
     )
+    result.diagnostics["boundary_minimum"] = result.is_boundary_minimum()
+    return result
 
 
 class KernelDensity:

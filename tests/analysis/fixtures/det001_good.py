@@ -1,16 +1,10 @@
 # lint-fixture: rel=parallel/fanin_case.py expect=none
-"""Fold inputs arrive in index order; the one unordered fold is over
-provably-integer byte counts, which add exactly in any order."""
+"""Fold inputs arrive in index order."""
 
-from repro.utils.numeric import compensated_sum, fold_rows
+from repro.utils.numeric import fold_rows
 
 
 def fan_in(parts, total):
     for index in sorted(parts):
         fold_rows(parts[index], total)
-    return total
-
-
-def total_bytes(arrays):
-    total, _carry = compensated_sum(a.nbytes for a in set(arrays))
     return total

@@ -105,5 +105,32 @@ def test_repro_cli_lint_subcommand(bad_file: Path, capsys) -> None:
 
 
 def test_repro_cli_lint_list_rules(capsys) -> None:
+    assert lint_main(["--list-rules"]) == 0
+    direct = capsys.readouterr().out
     assert repro_main(["lint", "--list-rules"]) == 0
-    assert "GPU001" in capsys.readouterr().out
+    assert capsys.readouterr().out == direct
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lint_main, lambda argv: repro_main(["lint", *argv])],
+    ids=["repro-lint", "repro-lint-subcommand"],
+)
+def test_removed_flags_are_refused_by_both_entry_points(entry, capsys) -> None:
+    for flag in ("--baseline", "--update-baseline"):
+        with pytest.raises(SystemExit) as exc:
+            entry([flag, "x", "src"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_repro_lint_forwards_options_after_paths(bad_file: Path, capsys) -> None:
+    assert repro_main(["lint", str(bad_file), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["total"] == 1
+
+
+def test_other_subcommands_still_refuse_unknown_arguments(capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["info", "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err

@@ -56,6 +56,20 @@ class TestSyntaxError:
         assert findings[0].path == "bad.py"
         assert "cannot parse" in findings[0].message
 
+    def test_lint_paths_reports_e901_and_keeps_linting(
+        self, tmp_path: Path
+    ) -> None:
+        """One unparsable file must not take down a tree pass: the broken
+        module gets its E901 and every other module still gets its real
+        findings."""
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "bad.py").write_text("import numpy as np\na = np.empty(3)\n")
+        findings = LintEngine().lint_paths([tmp_path])
+        by_rule = {f.rule_id: f for f in findings}
+        assert set(by_rule) == {SYNTAX_RULE_ID, "NUM004"}
+        assert by_rule[SYNTAX_RULE_ID].path.endswith("broken.py")
+        assert by_rule["NUM004"].path.endswith("bad.py")
+
     def test_e901_not_suppressible(self) -> None:
         src = "# repro-lint: disable-file=all\ndef broken(:\n"
         findings = LintEngine().lint_source(src)
@@ -102,7 +116,7 @@ def test_module_context_public_names() -> None:
 
     _annotate_parents(tree)
     ctx = ModuleContext(
-        path="m.py", rel="m.py", source=src, tree=tree, config=engine.config
+        path="m.py", rel="m.py", tree=tree, config=engine.config
     )
     ctx.exported = frozenset({"a"})
     assert ctx.is_public("a")

@@ -1,4 +1,4 @@
-"""SARIF export: schema validity, golden snapshot, baselineState logic.
+"""SARIF export: schema validity and golden snapshot.
 
 The schema check runs against a vendored, trimmed copy of the official
 SARIF 2.1.0 schema (``data/sarif-schema-2.1.0-trimmed.json``) — a
@@ -36,15 +36,6 @@ FINDINGS = [
         path="src/repro/core/example.py",
         line=30,
         col=8,
-        rule_id="DTY003",
-        message="redundant astype: value is already float64",
-    ),
-]
-BASELINED = [
-    Finding(
-        path="src/repro/parallel/old.py",
-        line=7,
-        col=0,
         rule_id="CON002",
         message="WorkerPool without a with/try-finally lifecycle",
     ),
@@ -60,11 +51,11 @@ def test_empty_report_is_schema_valid() -> None:
 
 
 def test_findings_report_is_schema_valid() -> None:
-    validate(sarif_document(FINDINGS, baselined=BASELINED))
+    validate(sarif_document(FINDINGS))
 
 
 def test_golden_snapshot() -> None:
-    rendered = render_sarif(FINDINGS, baselined=BASELINED)
+    rendered = render_sarif(FINDINGS)
     assert rendered == GOLDEN.read_text(encoding="utf-8"), (
         "SARIF output drifted from the golden file; if the change is "
         "intentional, regenerate tests/analysis/data/golden.sarif"
@@ -100,18 +91,6 @@ def test_columns_are_one_based() -> None:
     ]
     assert [r["startColumn"] for r in regions] == [5, 9]  # cols 4, 8
     assert [r["startLine"] for r in regions] == [12, 30]
-
-
-def test_baseline_state_only_when_baseline_in_play() -> None:
-    without = sarif_document(FINDINGS)
-    assert all(
-        "baselineState" not in res for res in without["runs"][0]["results"]
-    )
-    with_baseline = sarif_document(FINDINGS, baselined=BASELINED)
-    states = [
-        res.get("baselineState") for res in with_baseline["runs"][0]["results"]
-    ]
-    assert states == ["new", "new", "unchanged"]
 
 
 def test_syntax_pseudo_rule_declared_when_present() -> None:

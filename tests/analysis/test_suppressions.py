@@ -77,41 +77,40 @@ MIXED = (
     "import numpy as np\n"
     "def f(values):\n"
     "    a = np.empty(3){num_sup}\n"
-    "    b = np.zeros(3, dtype=np.float64)\n"
-    "    return b.astype(np.float64){dty_sup}\n"
+    "    return a, np.random.default_rng(){det_sup}\n"
 )
 
 
-def _mixed(num_sup: str = "", dty_sup: str = "") -> str:
-    return MIXED.format(num_sup=num_sup, dty_sup=dty_sup)
+def _mixed(num_sup: str = "", det_sup: str = "") -> str:
+    return MIXED.format(num_sup=num_sup, det_sup=det_sup)
 
 
-def test_old_and_new_families_fire_side_by_side() -> None:
-    findings = LintEngine(select=["NUM004", "DTY003"]).lint_source(
+def test_two_families_fire_side_by_side() -> None:
+    findings = LintEngine(select=["NUM004", "DET003"]).lint_source(
         _mixed(), rel="core/mixed.py"
     )
-    assert [f.rule_id for f in findings] == ["NUM004", "DTY003"]
+    assert [f.rule_id for f in findings] == ["NUM004", "DET003"]
 
 
-def test_suppressing_new_family_keeps_old_family() -> None:
-    findings = LintEngine(select=["NUM004", "DTY003"]).lint_source(
-        _mixed(dty_sup="  # repro-lint: disable=DTY003 - proven copy"),
+def test_suppressing_one_family_keeps_the_other() -> None:
+    findings = LintEngine(select=["NUM004", "DET003"]).lint_source(
+        _mixed(det_sup="  # repro-lint: disable=DET003 - test fixture"),
         rel="core/mixed.py",
     )
     assert [f.rule_id for f in findings] == ["NUM004"]
 
 
-def test_suppressing_old_family_keeps_new_family() -> None:
-    findings = LintEngine(select=["NUM004", "DTY003"]).lint_source(
+def test_suppressing_the_other_family_keeps_the_first() -> None:
+    findings = LintEngine(select=["NUM004", "DET003"]).lint_source(
         _mixed(num_sup="  # repro-lint: disable=NUM004"),
         rel="core/mixed.py",
     )
-    assert [f.rule_id for f in findings] == ["DTY003"]
+    assert [f.rule_id for f in findings] == ["DET003"]
 
 
-def test_file_wide_disable_of_new_family_only() -> None:
-    src = "# repro-lint: disable-file=DTY003\n" + _mixed()
-    findings = LintEngine(select=["NUM004", "DTY003"]).lint_source(
+def test_file_wide_disable_of_one_family_only() -> None:
+    src = "# repro-lint: disable-file=DET003\n" + _mixed()
+    findings = LintEngine(select=["NUM004", "DET003"]).lint_source(
         src, rel="core/mixed.py"
     )
     assert [f.rule_id for f in findings] == ["NUM004"]
@@ -121,12 +120,11 @@ def test_one_comment_spanning_both_families() -> None:
     src = (
         "import numpy as np\n"
         "def f():\n"
-        "    b = np.zeros(3, dtype=np.float64)\n"
-        "    return np.empty(3), b.astype(np.float64)"
-        "  # repro-lint: disable=NUM004,DTY003\n"
+        "    return np.empty(3), np.random.default_rng()"
+        "  # repro-lint: disable=NUM004,DET003\n"
     )
     assert (
-        LintEngine(select=["NUM004", "DTY003"]).lint_source(
+        LintEngine(select=["NUM004", "DET003"]).lint_source(
             src, rel="core/mixed.py"
         )
         == []

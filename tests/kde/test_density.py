@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.grid import BandwidthGrid
 from repro.data import bimodal_normal_sample, uniform_sample
 from repro.exceptions import SelectionError, ValidationError
 from repro.kde import KernelDensity, kde_evaluate, select_kde_bandwidth
@@ -47,6 +48,22 @@ class TestSelectKdeBandwidth:
         assert res.backend == "fastgrid"
         assert res.bandwidth > 0.0
         assert res.n_evaluations == 50
+
+    def test_grid_above_the_optimum_is_flagged(self, rng):
+        x = rng.normal(size=400)
+        grid = BandwidthGrid.evenly_spaced(2.0, 5.0, 20)
+        res = select_kde_bandwidth(x, grid=grid)
+        assert res.bandwidth == grid.minimum
+        assert res.diagnostics["grid_minimum"] == grid.minimum
+        assert res.diagnostics["grid_maximum"] == grid.maximum
+        assert res.diagnostics["boundary_minimum"] is True
+
+    def test_interior_optimum_is_not_flagged(self, rng):
+        x = rng.normal(size=400)
+        grid = BandwidthGrid.evenly_spaced(0.05, 3.0, 60)
+        res = select_kde_bandwidth(x, grid=grid)
+        assert grid.minimum < res.bandwidth < grid.maximum
+        assert res.diagnostics["boundary_minimum"] is False
 
     def test_dense_backend_for_gaussian(self, rng):
         x = rng.normal(size=100)

@@ -113,7 +113,7 @@ def _fields_read_outside(cls: type) -> set[str]:
     ("cls", "field"),
     [
         (cls, f.name)
-        for cls in (ResilienceConfig, RetryPolicy)
+        for cls in (ResilienceConfig, RetryPolicy, LintConfig)
         for f in dataclasses.fields(cls)
     ],
     ids=lambda value: value if isinstance(value, str) else value.__name__,
