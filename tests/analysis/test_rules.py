@@ -251,3 +251,32 @@ class TestRob001:
         )
         engine = LintEngine(select=["ROB001"])
         assert engine.lint_source(src, rel="bench/tables.py") == []
+
+
+def _bad_fixture_paths() -> list[Path]:
+    return [p for p in _fixture_paths() if p.stem.endswith("_bad")]
+
+
+@pytest.mark.parametrize("scope", ["line", "file"])
+@pytest.mark.parametrize(
+    "fixture", _bad_fixture_paths(), ids=lambda p: p.stem
+)
+def test_bad_fixture_is_silenced_by_its_suppression(
+    fixture: Path, scope: str
+) -> None:
+    """Each rule's findings honour both suppression forms: a
+    ``disable=RULE`` comment on every reported line, or a single
+    ``disable-file=RULE`` comment, leaves the bad fixture clean."""
+    source, rel, expected = _load_fixture(fixture)
+    (rule_id,) = expected
+    engine = LintEngine()
+    findings = engine.lint_source(source, path=str(fixture), rel=rel)
+    assert findings, f"{fixture.name}: nothing to suppress"
+    if scope == "line":
+        lines = source.splitlines()
+        for lineno in {f.line for f in findings}:
+            lines[lineno - 1] += f"  # repro-lint: disable={rule_id}"
+        silenced = "\n".join(lines) + "\n"
+    else:
+        silenced = source + f"# repro-lint: disable-file={rule_id}\n"
+    assert engine.lint_source(silenced, path=str(fixture), rel=rel) == []
