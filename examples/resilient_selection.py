@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import select_bandwidth
 from repro.data import sine_dgp
-from repro.resilience import FaultInjector, FaultSpec, RetryPolicy, inject_faults
+from repro.resilience import FaultInjector, FaultSpec, inject_faults
 from repro.resilience.engine import ResilienceConfig, resilient_cv_scores
 
 
@@ -51,7 +51,7 @@ def retries_run_out(x, y, grid) -> None:
     dying = FaultInjector(
         [FaultSpec(site="pool.worker", kind="crash", rate=1.0)], seed=0
     )
-    config = ResilienceConfig(policy=RetryPolicy(max_retries=1, base_delay=0.0))
+    config = ResilienceConfig(max_retries=1)
     with inject_faults(dying):
         scores, report = resilient_cv_scores(
             x, y, grid, backend="blocked-shm", config=config

@@ -203,9 +203,9 @@ class SeededRngRule(Rule):
     """DET003 — library randomness must derive from an explicit seed.
 
     Every replayable contract in the repo — the bagged subsample draws,
-    fault-injection schedules, chaos transports, retry jitter — rests on
-    streams that are pure functions of a root seed
-    (:mod:`repro.utils.rng`).  ``np.random.seed()`` mutates hidden
+    fault-injection schedules, chaos transports — rests on streams that
+    are pure functions of a root seed (:mod:`repro.utils.rng`).
+    ``np.random.seed()`` mutates hidden
     process-global state that any import can clobber, and a no-argument
     ``default_rng()`` reseeds from the OS on every call; either one in a
     library module makes a "same seed, same answer" claim unverifiable.

@@ -32,8 +32,8 @@ Subsample draw ``i`` is a pure function of ``(root_seed, i)``
 family (numpy / blocked-shm) produces byte-identical curves, and
 aggregation folds the per-subsample results in index order.  Hence the
 bagged ``h_opt`` is bit-for-bit identical across backends, across serial
-vs. pooled dispatch, and across fault/retry schedules — a retried
-subsample re-derives the same draw and recomputes the same curve.
+vs. pooled dispatch, and across fault/retry schedules — a retried or
+degraded subsample sweep recomputes the same curve from the same draw.
 """
 
 from __future__ import annotations
@@ -48,18 +48,23 @@ from repro.kernels import get_kernel
 from repro.core.backends import get_backend
 from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
 from repro.core.result import SelectionResult
-from repro.core.selectors import BandwidthSelector, _argmin_with_empty_window_guard
+from repro.core.selectors import (
+    BandwidthSelector,
+    _argmin_with_empty_window_guard,
+    _coerce_resilience,
+    _cv_curve,
+    _engine_for,
+)
 from repro.bagged.aggregate import AGGREGATORS, SubsampleOutcome, aggregate_bandwidths
 from repro.bagged.plan import SubsamplePlan, plan_subsamples
 from repro.bagged.rescale import DEFAULT_RATE_EXPONENT, scale_factor
 from repro.obs.tracer import current_tracer
 from repro.parallel import WorkerPool
 from repro.parallel.pool import traced_work_unit
-from repro.resilience import faults
 from repro.utils.validation import check_paired_samples, check_positive_int
 
 if TYPE_CHECKING:  # deferred: serving/resilience import the core back
-    from repro.resilience.engine import ResilienceConfig
+    from repro.resilience.engine import ResilienceConfig, ResilientEngine
     from repro.serving.cache import ArtifactCache
 
 __all__ = ["BaggedCVSelector"]
@@ -91,6 +96,13 @@ def _subsample_unit(
             backend(xs, ys, scaled_values, kernel_name, **backend_options),
             dtype=np.float64,
         )
+
+
+def _backend_calls(engine: "ResilientEngine | None") -> int:
+    """Backend calls the engine has made: one per attempt, one per retry."""
+    if engine is None:
+        return 0
+    return len(engine.report.backend_attempts) + engine.report.retries
 
 
 class BaggedCVSelector(BandwidthSelector):
@@ -130,11 +142,15 @@ class BaggedCVSelector(BandwidthSelector):
         handled one level up by :func:`repro.core.api.select_bandwidth`.)
     resilience:
         ``True`` or a :class:`~repro.resilience.engine.ResilienceConfig`:
-        a faulted subsample sweep is retried under the policy with its
-        draw re-derived deterministically; when retries are exhausted and
-        fallback is enabled, the subsample degrades to the serial numpy
-        backend — lossless, since the strict-fold family is
-        byte-identical.
+        every subsample sweep runs on one
+        :class:`~repro.resilience.engine.ResilientEngine`, exactly as a
+        grid selection's sweeps do — a transient fault re-runs the sweep,
+        a structural one (or a spent retry budget) moves down the
+        backend's fallback chain, and later subsamples start from the
+        backend the earlier ones settled on.  ``blocked-shm → numpy`` is
+        lossless, since the strict-fold family is byte-identical.  The
+        pooled ``subsample_workers`` path is resilience-free, so with
+        resilience on the subsamples run serially.
     backend_options:
         Forwarded to every subsample sweep (``memory_budget``,
         ``workers``, ``dtype`` ...).
@@ -182,12 +198,7 @@ class BaggedCVSelector(BandwidthSelector):
                 "across subsamples or inside the sweep, not both"
             )
         self.cache = cache
-        if resilience is not None:
-            from repro.resilience.engine import ResilienceConfig
-
-            self.resilience = ResilienceConfig.coerce(resilience)
-        else:
-            self.resilience = None
+        self.resilience = _coerce_resilience(resilience)
         self.backend_options = backend_options
 
     # -- internals ---------------------------------------------------------
@@ -197,120 +208,32 @@ class BaggedCVSelector(BandwidthSelector):
             return self.grid
         return BandwidthGrid.for_sample(x, self.n_bandwidths)
 
-    def _curve_key(
-        self, xs: np.ndarray, ys: np.ndarray, scaled_values: np.ndarray,
-        backend_name: str,
-    ) -> str:
-        from repro.serving.cache import curve_fingerprint
-
-        return curve_fingerprint(
-            xs,
-            ys,
-            scaled_values,
-            self.kernel.name,
-            backend=backend_name,
-            dtype=str(self.backend_options.get("dtype", "default")),
-        )
-
-    def _sweep_one(
-        self,
-        plan: SubsamplePlan,
-        index: int,
-        x: np.ndarray,
-        y: np.ndarray,
-        scaled_values: np.ndarray,
-        backend_name: str,
-    ) -> np.ndarray:
-        """One (possibly cached) subsample sweep, chaos hook included."""
-        faults.fire("bagged.subsample", f"subsample[{index}]")
-        xs, ys = plan.take(index, x, y)
-        tracer = current_tracer()
-        if self.cache is not None:
-            key = self._curve_key(xs, ys, scaled_values, backend_name)
-            warm = self.cache.get_curve(key)
-            if warm is not None and warm.shape == scaled_values.shape:
-                tracer.counter("curve_cache.hit")
-                return warm
-            tracer.counter("curve_cache.miss")
-        backend = get_backend(backend_name)
-        scores = np.asarray(
-            backend(xs, ys, scaled_values, self.kernel, **self.backend_options),
-            dtype=np.float64,
-        )
-        if self.cache is not None:
-            self.cache.put_curve(key, scaled_values, scores)
-        return scores
-
     def _serial_curves(
         self,
         plan: SubsamplePlan,
         x: np.ndarray,
         y: np.ndarray,
         scaled_values: np.ndarray,
-        report: Any,
+        engine: "ResilientEngine | None",
     ) -> tuple[list[np.ndarray], list[int]]:
-        """Index-ordered subsample curves with per-subsample retry."""
-        from repro.resilience.degrade import is_retryable
-        from repro.resilience.policy import RetryBudgetExceeded, run_with_retry
-
+        """Index-ordered subsample curves and each one's backend calls."""
         tracer = current_tracer()
         curves: list[np.ndarray] = []
         attempts: list[int] = []
-        jitter = (
-            self.resilience.policy.jitter_rng()
-            if self.resilience is not None
-            else None
-        )
         for i in range(plan.n_subsamples):
             with tracer.span(
                 f"bagged.subsample[{i}]", index=i, m=plan.subsample_size
             ) as span:
-                count = 1
-
-                def compute(index: int = i) -> np.ndarray:
-                    return self._sweep_one(
-                        plan, index, x, y, scaled_values, self.backend_name
+                calls = _backend_calls(engine)
+                xs, ys = plan.take(i, x, y)
+                curves.append(
+                    _cv_curve(
+                        xs, ys, scaled_values, self.kernel, self.backend_name,
+                        self.backend_options, cache=self.cache, engine=engine,
                     )
-
-                if self.resilience is None:
-                    scores = compute()
-                else:
-
-                    def on_retry(exc: BaseException, attempt: int) -> None:
-                        nonlocal count
-                        count = attempt + 1
-                        report.retries += 1
-                        report.record_fault(f"bagged.subsample[{i}]", exc)
-                        tracer.counter("bagged.retries")
-
-                    try:
-                        scores = run_with_retry(
-                            compute,
-                            policy=self.resilience.policy,
-                            retryable=is_retryable,
-                            on_retry=on_retry,
-                            sleep=self.resilience.sleep,
-                            rng=jitter,
-                            label=f"bagged.subsample[{i}]",
-                        )
-                    except RetryBudgetExceeded as exc:
-                        if not (
-                            self.resilience.fallback
-                            and self.backend_name != "numpy"
-                        ):
-                            raise
-                        # Lossless degradation: the strict-fold family is
-                        # byte-identical, so recomputing this subsample on
-                        # the serial terminal cannot change the selection.
-                        report.record_fault(f"bagged.subsample[{i}]", exc)
-                        report.record_attempt(self.backend_name, "degraded")
-                        tracer.counter("bagged.subsample_fallbacks")
-                        span.set(fallback="numpy")
-                        scores = self._sweep_one(
-                            plan, i, x, y, scaled_values, "numpy"
-                        )
+                )
+                count = max(1, _backend_calls(engine) - calls)
                 span.set(attempts=count)
-                curves.append(scores)
                 attempts.append(count)
         return curves, attempts
 
@@ -323,16 +246,9 @@ class BaggedCVSelector(BandwidthSelector):
     ) -> list[np.ndarray]:
         """Subsample sweeps fanned across a process pool, in index order.
 
-        Fault directives for the ``bagged.subsample`` site are drawn in
-        the parent *before* dispatch (the library-wide discipline), so a
-        chaos schedule replays identically regardless of scheduling.
+        Resilience-free: a ``pool.worker`` fault (drawn by the pool for
+        each work unit) propagates as the pool raises it.
         """
-        directives = faults.draw_many(
-            "bagged.subsample", plan.n_subsamples, "bagged"
-        )
-        for index, kind in enumerate(directives):
-            if kind is not None:
-                faults.faulty_call(kind, lambda: None)
         plan_fields = (
             plan.n, plan.subsample_size, plan.n_subsamples, plan.root_seed,
         )
@@ -377,14 +293,6 @@ class BaggedCVSelector(BandwidthSelector):
         start = time.perf_counter()
         tracer = current_tracer()
 
-        report: Any = None
-        if self.resilience is not None:
-            from repro.resilience.degrade import ResilienceReport
-
-            report = ResilienceReport()
-            report.backend_requested = self.backend_name
-            report.backend_used = self.backend_name
-
         with tracer.span(
             "bagged.plan", n=n, root_seed=self.root_seed, rate=self.rate
         ) as plan_span:
@@ -401,12 +309,13 @@ class BaggedCVSelector(BandwidthSelector):
                 m=plan.subsample_size, r=plan.n_subsamples, scale_factor=factor,
             )
 
-        if self.subsample_workers > 1 and self.resilience is None:
+        engine = _engine_for(self.resilience, self.backend_name)
+        if self.subsample_workers > 1 and engine is None:
             curves = self._pooled_curves(plan, x, y, scaled_values)
             attempts = [1] * plan.n_subsamples
         else:
             curves, attempts = self._serial_curves(
-                plan, x, y, scaled_values, report
+                plan, x, y, scaled_values, engine
             )
 
         outcomes: list[SubsampleOutcome] = []
@@ -471,7 +380,7 @@ class BaggedCVSelector(BandwidthSelector):
             wall_seconds=wall,
             converged=True,
             diagnostics=diagnostics,
-            resilience=report,
+            resilience=engine.report if engine is not None else None,
         )
         result.diagnostics["boundary_minimum"] = result.is_boundary_minimum()
         return result

@@ -410,14 +410,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
         or args.fallback is not None
     )
     if wants_resilience:
-        from repro.resilience import RetryPolicy
         from repro.resilience.engine import ResilienceConfig
 
-        policy = RetryPolicy(
-            max_retries=args.max_retries if args.max_retries is not None else 2
-        )
         kwargs["resilience"] = ResilienceConfig(
-            policy=policy,
+            max_retries=args.max_retries if args.max_retries is not None else 2,
             fallback=args.fallback if args.fallback is not None else True,
         )
     if args.cache_dir is not None:
@@ -543,14 +539,6 @@ def _cmd_info(_: argparse.Namespace) -> int:
         if budget is not None
         else f"none (set ${MEMORY_BUDGET_ENV} or --mem-budget to fit "
         "fast-grid row blocks to one)",
-    )
-    from repro.utils.calibration import calibration_source, host_bytes_per_second
-
-    rate = host_bytes_per_second()
-    print(
-        "host bandwidth :",
-        f"{rate / 1e9:.2f} GB/s ({calibration_source()}) for sweep-time "
-        "estimates",
     )
     defaults = ServingConfig()
     cache = ArtifactCache(None)

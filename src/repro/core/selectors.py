@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 if TYPE_CHECKING:  # deferred: both packages import the core back
-    from repro.resilience.engine import ResilienceConfig
+    from repro.resilience.engine import ResilienceConfig, ResilientEngine
     from repro.serving.cache import ArtifactCache
 
 from repro.exceptions import EmptyWindowError, SelectionError, ValidationError
@@ -99,6 +99,88 @@ def _argmin_with_empty_window_guard(
     return first + int(np.argmin(scores[first:]))
 
 
+def _coerce_resilience(
+    value: "ResilienceConfig | bool | None",
+) -> "ResilienceConfig | None":
+    """The public ``resilience=`` argument as a config, or ``None`` (off)."""
+    if value is None:
+        return None
+    from repro.resilience.engine import ResilienceConfig
+
+    return ResilienceConfig.coerce(value)
+
+
+def _engine_for(
+    config: "ResilienceConfig | None", backend: str
+) -> "ResilientEngine | None":
+    """One selection's resilient engine, its report opened on ``backend``."""
+    if config is None:
+        return None
+    from repro.resilience.engine import ResilientEngine
+
+    engine = ResilientEngine(config)
+    engine.report.backend_requested = engine.report.backend_used = backend
+    return engine
+
+
+def _cv_curve(
+    x: np.ndarray,
+    y: np.ndarray,
+    values: np.ndarray,
+    kernel: Kernel,
+    backend: str,
+    backend_options: dict[str, Any],
+    *,
+    cache: "ArtifactCache | None" = None,
+    engine: "ResilientEngine | None" = None,
+) -> np.ndarray:
+    """One CV curve: the path every grid and bagged sweep takes.
+
+    A curve-cache hit returns the stored float64 curve bit for bit.  The
+    key covers data, grid values, kernel, backend and the dtype option —
+    everything that determines the float summations.  On a miss the
+    registered ``backend`` runs directly, or on the resilient ``engine``
+    when one is given; the curve is stored under the backend that
+    finished it.  With an engine, the sweep starts from the backend that
+    the selection's earlier sweeps settled on (no point re-walking a
+    failed chain prefix for each refinement round or subsample).
+    """
+    if engine is not None and engine.report.backend_used:
+        backend = engine.report.backend_used
+    key = ""
+    if cache is not None:
+        from repro.serving.cache import curve_fingerprint
+
+        dtype = str(backend_options.get("dtype", "default"))
+
+        def key_for(name: str) -> str:
+            return curve_fingerprint(
+                x, y, values, kernel.name, backend=name, dtype=dtype
+            )
+
+        tracer = current_tracer()
+        key = key_for(backend)
+        warm = cache.get_curve(key)
+        if warm is not None and warm.shape == values.shape:
+            tracer.counter("curve_cache.hit")
+            return warm
+        tracer.counter("curve_cache.miss")
+    if engine is None:
+        scores = np.asarray(
+            get_backend(backend)(x, y, values, kernel, **backend_options),
+            dtype=np.float64,
+        )
+    else:
+        scores = engine.cv_scores(
+            x, y, values, kernel, backend=backend,
+            backend_options=backend_options,
+        )
+    if cache is not None:
+        used = backend if engine is None else engine.report.backend_used
+        cache.put_curve(key if used == backend else key_for(used), values, scores)
+    return scores
+
+
 class GridSearchSelector(BandwidthSelector):
     """Grid search over ``CV_lc(h)`` using the fast sorted algorithm.
 
@@ -164,12 +246,7 @@ class GridSearchSelector(BandwidthSelector):
         if refine_rounds < 0:
             raise ValidationError(f"refine_rounds must be >= 0, got {refine_rounds}")
         self.refine_rounds = int(refine_rounds)
-        if resilience is not None:
-            from repro.resilience.engine import ResilienceConfig
-
-            self.resilience = ResilienceConfig.coerce(resilience)
-        else:
-            self.resilience = None
+        self.resilience = _coerce_resilience(resilience)
         self.backend_options = backend_options
 
     def _grid_for(self, x: np.ndarray) -> BandwidthGrid:
@@ -177,92 +254,21 @@ class GridSearchSelector(BandwidthSelector):
             return self.grid
         return BandwidthGrid.for_sample(x, self.n_bandwidths)
 
-    def _with_curve_cache(
-        self,
-        evaluate: Callable[..., np.ndarray],
-        x: np.ndarray,
-        y: np.ndarray,
-        engine: Any,
-    ) -> Callable[..., np.ndarray]:
-        """Wrap a sweep so exact-fingerprint curves skip recomputation.
-
-        The curve key covers data, grid values, kernel, backend, and the
-        dtype option — everything that determines the float summations —
-        so a hit is bit-for-bit the curve the sweep would produce.  When
-        the resilient engine degraded to another backend, the curve is
-        stored under the backend that actually computed it.
-        """
-        if self.cache is None:
-            return evaluate
-        from repro.serving.cache import curve_fingerprint
-
-        cache = self.cache
-        dtype = str(self.backend_options.get("dtype", "default"))
-
-        def key_for(values: np.ndarray, backend_name: str) -> str:
-            return curve_fingerprint(
-                x, y, values, self.kernel.name, backend=backend_name,
-                dtype=dtype,
-            )
-
-        def cached_evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
-            tracer = current_tracer()
-            key = key_for(values, self.backend_name)
-            warm = cache.get_curve(key)
-            if warm is not None and warm.shape == values.shape:
-                tracer.counter("curve_cache.hit")
-                return warm
-            tracer.counter("curve_cache.miss")
-            scores = evaluate(values, first=first)
-            used = self.backend_name
-            if engine is not None and engine.report.backend_used:
-                used = engine.report.backend_used
-            cache.put_curve(
-                key if used == self.backend_name else key_for(values, used),
-                values,
-                np.asarray(scores, dtype=np.float64),
-            )
-            return scores
-
-        return cached_evaluate
-
     def select(self, x: np.ndarray, y: np.ndarray) -> SelectionResult:
         x, y = check_paired_samples(x, y)
         grid = self._grid_for(x)
         start = time.perf_counter()
         # Resolve the name before any sweep: an unregistered backend is a
         # caller error (REPRO_BACKEND), never a fault to degrade around.
-        backend = get_backend(self.backend_name)
+        get_backend(self.backend_name)
+        engine = _engine_for(self.resilience, self.backend_name)
 
-        if self.resilience is not None:
-            from repro.resilience.engine import ResilientEngine
+        def sweep(values: np.ndarray) -> np.ndarray:
+            return _cv_curve(
+                x, y, values, self.kernel, self.backend_name,
+                self.backend_options, cache=self.cache, engine=engine,
+            )
 
-            engine = ResilientEngine(self.resilience)
-
-            def evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
-                # Refinement rounds reuse whatever backend the first sweep
-                # settled on (no point re-walking a failed chain prefix).
-                target = self.backend_name
-                if not first and engine.report.backend_used:
-                    target = engine.report.backend_used
-                return engine.cv_scores(
-                    x,
-                    y,
-                    values,
-                    self.kernel,
-                    backend=target,
-                    backend_options=self.backend_options,
-                )
-
-        else:
-            engine = None
-
-            def evaluate(values: np.ndarray, *, first: bool) -> np.ndarray:
-                return np.asarray(
-                    backend(x, y, values, self.kernel, **self.backend_options)
-                )
-
-        sweep = self._with_curve_cache(evaluate, x, y, engine)
         tracer = current_tracer()
         refinements: list[dict[str, float]] = []
         with tracer.span(
@@ -273,7 +279,7 @@ class GridSearchSelector(BandwidthSelector):
             refine_rounds=self.refine_rounds,
         ):
             with tracer.span("evaluate-grid", round=0, k=len(grid)):
-                scores = sweep(grid.values, first=True)
+                scores = sweep(grid.values)
             with tracer.span("argmin", k=len(grid)):
                 best_j = _argmin_with_empty_window_guard(
                     scores, grid.maximum, self.kernel, lambda: x
@@ -286,7 +292,7 @@ class GridSearchSelector(BandwidthSelector):
             for round_idx in range(self.refine_rounds):
                 current = current.refine_around(best_h)
                 with tracer.span("refine", round=round_idx + 1, k=len(current)):
-                    finer = sweep(current.values, first=False)
+                    finer = sweep(current.values)
                     j = _argmin_with_empty_window_guard(
                         finer, current.maximum, self.kernel, lambda: x
                     )
@@ -303,14 +309,13 @@ class GridSearchSelector(BandwidthSelector):
                                        "grid_maximum": grid.maximum}
         if refinements:
             diagnostics["refinements"] = refinements
-        backend_used = self.backend_name
-        if engine is not None and engine.report.backend_used:
-            backend_used = engine.report.backend_used
         result = SelectionResult(
             bandwidth=best_h,
             score=best_score,
             method=self.method,
-            backend=backend_used,
+            backend=self.backend_name
+            if engine is None
+            else engine.report.backend_used,
             kernel=self.kernel.name,
             n_observations=int(x.shape[0]),
             bandwidths=grid.values.copy(),
@@ -388,12 +393,7 @@ class NumericalOptimizationSelector(BandwidthSelector):
         self.workers = check_positive_int(workers, name="workers")
         self.seed = seed
         self.maxiter = check_positive_int(maxiter, name="maxiter")
-        if resilience is not None:
-            from repro.resilience.engine import ResilienceConfig
-
-            self.resilience = ResilienceConfig.coerce(resilience)
-        else:
-            self.resilience = None
+        self.resilience = _coerce_resilience(resilience)
 
     # -- objective ---------------------------------------------------------
 
@@ -403,7 +403,7 @@ class NumericalOptimizationSelector(BandwidthSelector):
         y: np.ndarray,
         pool: WorkerPool | None,
         trace: list[tuple[float, float]],
-        guard: Any = None,
+        engine: "ResilientEngine | None" = None,
     ) -> Callable[[float], float]:
         n = x.shape[0]
         kern_name = self.kernel.name
@@ -425,28 +425,20 @@ class NumericalOptimizationSelector(BandwidthSelector):
         def parallel_stats(h: float) -> Any:
             assert pool is not None
             shared = (x, y, h, kern_name)
-            if guard is None:
+            if engine is None:
                 return pool.sum_over_blocks(
                     dense_cv_block_stats, n, shared_args=shared
                 )
-            from repro.resilience.engine import resilient_parallel_sum
             from repro.resilience.policy import RetryBudgetExceeded
 
             try:
-                return resilient_parallel_sum(
-                    pool,
-                    dense_cv_block_stats,
-                    n,
-                    shared_args=shared,
-                    policy=guard.policy,
-                    report=guard.report,
-                    sleep=guard.sleep,
-                    rng=guard.rng,
+                return engine.parallel_sum(
+                    pool, dense_cv_block_stats, n, shared_args=shared
                 )
             except RetryBudgetExceeded as exc:
                 # This evaluation degrades to the serial path rather than
                 # aborting the whole optimisation.
-                guard.report.record_fault("objective:serial-fallback", exc)
+                engine.report.record_fault("objective:serial-fallback", exc)
                 return None
 
         def cv(h: float) -> float:
@@ -489,23 +481,9 @@ class NumericalOptimizationSelector(BandwidthSelector):
 
         trace: list[tuple[float, float]] = []
         pool = WorkerPool(self.workers) if self.workers > 1 else None
-        guard: Any = None
-        report: Any = None
-        if self.resilience is not None:
-            from types import SimpleNamespace
-
-            from repro.resilience.degrade import ResilienceReport
-
-            report = ResilienceReport()
-            report.backend_requested = "multicore" if pool is not None else "scipy"
-            report.backend_used = report.backend_requested
-            if pool is not None:
-                guard = SimpleNamespace(
-                    policy=self.resilience.policy,
-                    report=report,
-                    sleep=self.resilience.sleep,
-                    rng=self.resilience.policy.jitter_rng(),
-                )
+        engine = _engine_for(
+            self.resilience, "multicore" if pool is not None else "scipy"
+        )
         best_h = np.nan
         best_score = np.inf
         all_converged = True
@@ -514,7 +492,7 @@ class NumericalOptimizationSelector(BandwidthSelector):
         try:
             if pool is not None:
                 pool.open()
-            cv = self._objective(x, y, pool, trace, guard)
+            cv = self._objective(x, y, pool, trace, engine)
             inits = np.exp(rng.uniform(np.log(lo), np.log(hi), size=self.n_restarts))
             with tracer.span(
                 "numerical-optimization",
@@ -585,7 +563,7 @@ class NumericalOptimizationSelector(BandwidthSelector):
                 "optimizer": self.opt_method,
                 "workers": self.workers,
             },
-            resilience=report,
+            resilience=engine.report if engine is not None else None,
         )
 
 

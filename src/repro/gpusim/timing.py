@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.utils.calibration import host_bytes_per_second as _resolve_host_bandwidth
 
 __all__ = ["PhaseTime", "SimulatedRuntime", "TimingModel"]
 
@@ -105,13 +104,6 @@ class TimingModel:
         on the Tesla profile.
     transaction_bytes:
         Memory transaction size charged per *uncoalesced* scalar access.
-    host_bytes_per_second:
-        Host-side streaming bandwidth used for the staging side of
-        H2D/D2H transfers.  ``None`` resolves through the shared
-        calibration source (:mod:`repro.utils.calibration`): a measured
-        ``BENCH_roofline.json`` peak when present, else the conservative
-        builtin default — the same figure the membudget planner's sweep
-        estimate uses, so the two models can never disagree.
     """
 
     def __init__(
@@ -120,7 +112,6 @@ class TimingModel:
         *,
         divergence_penalty: float = 1.5,
         transaction_bytes: int = UNCOALESCED_TRANSACTION_BYTES,
-        host_bytes_per_second: float | None = None,
     ):
         self.device = get_device(device)
         if divergence_penalty < 1.0:
@@ -129,7 +120,6 @@ class TimingModel:
         if transaction_bytes <= 0:
             raise ValidationError("transaction_bytes must be positive")
         self.transaction_bytes = int(transaction_bytes)
-        self.host_bytes_per_second = _resolve_host_bandwidth(host_bytes_per_second)
 
     # -- primitive costs ----------------------------------------------------
 
@@ -162,17 +152,6 @@ class TimingModel:
         if accesses < 0:
             raise ValidationError("accesses must be non-negative")
         return self.memory_seconds_coalesced(accesses * self.transaction_bytes)
-
-    def host_transfer_seconds(self, nbytes: float) -> float:
-        """Host-side staging time for an H2D source / D2H sink.
-
-        Charged at the *calibrated* host streaming bandwidth (not the
-        device's), since on the paper's PCIe-attached S1070 the host copy
-        into pinned staging buffers is what bounds transfer setup.
-        """
-        if nbytes < 0:
-            raise ValidationError("nbytes must be non-negative")
-        return nbytes / self.host_bytes_per_second
 
     # -- phase assembly ------------------------------------------------------
 

@@ -8,14 +8,18 @@ shifted to a slower backend.  This package does that:
   (worker crashes/timeouts, simulated ``cudaMalloc``/kernel-launch
   failures, NaN block corruption) keyed by seed + site so failures replay
   exactly;
-* :mod:`~repro.resilience.policy` — bounded retries with exponential
-  backoff and deterministic jitter;
+* :mod:`~repro.resilience.policy` — bounded retries with a fixed
+  exponential backoff;
 * :mod:`~repro.resilience.degrade` — the backend fallback chain
   ``gpusim → gpusim-tiled → numpy`` driven by stable
   ``REPRO_*`` error codes, reported in a :class:`ResilienceReport`;
 * :mod:`~repro.resilience.engine` — the resilient execution engine that
   the public selectors call when ``resilience=`` is enabled; it runs the
   registered backends whole, so a resilient curve is the backend's own.
+  Every CV curve of a grid or bagged selection (each refinement round,
+  each subsample) reaches it through the one curve function of
+  :mod:`repro.core.selectors`, so there is one retry loop, one fallback
+  chain and one finiteness check for all of them.
 
 This ``__init__`` stays light on purpose: :mod:`repro.parallel.pool`
 imports the fault hooks at module load, so the engine (which imports the
@@ -44,7 +48,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.policy import (
     RetryBudgetExceeded,
-    RetryPolicy,
     run_with_retry,
 )
 
@@ -59,7 +62,6 @@ __all__ = [
     "ResilienceReport",
     "ResilientEngine",
     "RetryBudgetExceeded",
-    "RetryPolicy",
     "active_injector",
     "fallback_chain",
     "inject_faults",

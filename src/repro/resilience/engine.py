@@ -6,9 +6,10 @@ For one sweep it walks the backend's
 candidate's registered backend *whole*:
 
 1. **retry** — transient faults (worker crash, timeout, kernel-launch
-   failure, corrupt scores) re-run the candidate's sweep under the
-   :class:`~repro.resilience.policy.RetryPolicy`; a ``blocked-shm`` retry
-   is a fresh call with its own pool and segments;
+   failure, corrupt scores) re-run the candidate's sweep, up to
+   ``max_retries`` times with the fixed backoff of
+   :func:`~repro.resilience.policy.backoff_delay`; a ``blocked-shm``
+   retry is a fresh call with its own pool and segments;
 2. **degrade** — structural faults (device OOM, constant-memory
    exhaustion, a vanished shared-memory segment, a spent retry budget)
    move to the next candidate on the chain;
@@ -41,7 +42,7 @@ from repro.resilience.degrade import (
     is_degradable,
     is_retryable,
 )
-from repro.resilience.policy import RetryPolicy, run_with_retry
+from repro.resilience.policy import run_with_retry
 
 __all__ = [
     "ResilienceConfig",
@@ -59,9 +60,8 @@ class ResilienceConfig:
 
     Parameters
     ----------
-    policy:
-        Retry/backoff policy (see :class:`RetryPolicy`); ``max_retries``
-        counts retries per sweep.
+    max_retries:
+        Retries per sweep *after* its first attempt (0 = fail fast).
     fallback:
         Walk the backend degradation chain on structural faults; when
         False the requested backend is the only one tried.
@@ -69,9 +69,15 @@ class ResilienceConfig:
         Injectable sleeper for the backoff (tests pass a no-op).
     """
 
-    policy: RetryPolicy = RetryPolicy()
+    max_retries: int = 2
     fallback: bool = True
     sleep: Callable[[float], None] | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValidationError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
 
     @classmethod
     def coerce(
@@ -104,7 +110,6 @@ class ResilientEngine:
     def __init__(self, config: ResilienceConfig | None = None):
         self.config = config if config is not None else ResilienceConfig()
         self.report = ResilienceReport()
-        self._jitter_rng = self.config.policy.jitter_rng()
 
     def cv_scores(
         self,
@@ -120,10 +125,10 @@ class ResilientEngine:
 
         Walks the fallback chain from ``backend``, calling each
         candidate's registered backend with the same ``backend_options``
-        and retrying it per the policy.  Raises only when every eligible
-        backend failed structurally or a fault was not absorbable
-        (validation errors, retry budget exhausted on the terminal
-        backend).
+        and retrying it up to ``max_retries`` times.  Raises only when
+        every eligible backend failed structurally or a fault was not
+        absorbable (validation errors, retry budget exhausted on the
+        terminal backend).
         """
         kern = get_kernel(kernel)
         x, y = check_paired_samples(x, y)
@@ -197,12 +202,45 @@ class ResilientEngine:
 
         return run_with_retry(
             attempt,
-            policy=self.config.policy,
+            max_retries=self.config.max_retries,
             retryable=is_retryable,
             on_retry=on_retry,
             sleep=self._sleep,
-            rng=self._jitter_rng,
             label=f"backend {candidate!r}",
+        )
+
+    def parallel_sum(
+        self,
+        pool: WorkerPool,
+        func: Callable[..., Any],
+        total: int,
+        *,
+        shared_args: tuple = (),
+    ) -> Any:
+        """:meth:`WorkerPool.sum_over_blocks` under retry + pool rebuild.
+
+        The numerical optimiser's objective calls this instead of the bare
+        pool method, so a crashed or hung worker costs one retry rather
+        than the whole optimisation.
+        """
+
+        def attempt() -> Any:
+            return pool.sum_over_blocks(func, total, shared_args=shared_args)
+
+        def on_retry(exc: BaseException, attempt_no: int) -> None:
+            self.report.record_fault("objective", exc)
+            self.report.retries += 1
+            if error_code(exc) in _POOL_FATAL_CODES:
+                pool.rebuild()
+                self.report.pool_rebuilds += 1
+
+        return run_with_retry(
+            attempt,
+            max_retries=self.config.max_retries,
+            retryable=is_retryable,
+            on_retry=on_retry,
+            sleep=self._sleep,
+            label="parallel objective evaluation",
         )
 
     def _sleep(self, seconds: float) -> None:
@@ -227,42 +265,3 @@ def resilient_cv_scores(
         x, y, bandwidths, kernel, backend=backend, backend_options=backend_options
     )
     return scores, engine.report
-
-
-def resilient_parallel_sum(
-    pool: WorkerPool,
-    func: Callable[..., Any],
-    total: int,
-    *,
-    shared_args: tuple = (),
-    policy: RetryPolicy,
-    report: ResilienceReport,
-    sleep: Callable[[float], None] | None = None,
-    rng: np.random.Generator | None = None,
-) -> Any:
-    """:func:`WorkerPool.sum_over_blocks` under retry + pool rebuild.
-
-    The numerical optimiser's objective calls this instead of the bare
-    pool method, so a crashed or hung worker costs one retry rather than
-    the whole optimisation.
-    """
-
-    def attempt() -> Any:
-        return pool.sum_over_blocks(func, total, shared_args=shared_args)
-
-    def on_retry(exc: BaseException, attempt_no: int) -> None:
-        report.record_fault("objective", exc)
-        report.retries += 1
-        if error_code(exc) in _POOL_FATAL_CODES:
-            pool.rebuild()
-            report.pool_rebuilds += 1
-
-    return run_with_retry(
-        attempt,
-        policy=policy,
-        retryable=is_retryable,
-        on_retry=on_retry,
-        sleep=sleep,
-        rng=rng,
-        label="parallel objective evaluation",
-    )

@@ -17,9 +17,6 @@ whether the ``i``-th event at that site fails.  Instrumented sites:
 ``shm.segment``     a shared-memory workspace attach/create
                     (:class:`~repro.exceptions.SharedSegmentError` — an
                     externally unlinked or purged ``/dev/shm`` segment)
-``bagged.subsample``  one subsample sweep of the bagged selector
-                    (crash or timeout; the deterministic re-draw on
-                    retry is what the bagged chaos suite exercises)
 ==================  =====================================================
 
 Two trigger mechanisms, combinable per spec:
@@ -84,7 +81,6 @@ KNOWN_SITES = (
     "gpusim.launch",
     "data.block",
     "shm.segment",
-    "bagged.subsample",
 )
 
 #: Fault kinds and the exception each one raises (``nan``/``inf`` corrupt

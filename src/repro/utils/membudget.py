@@ -29,7 +29,6 @@ from repro.exceptions import MemoryBudgetError, ValidationError
 __all__ = [
     "BlockPlan",
     "MEMORY_BUDGET_ENV",
-    "estimate_sweep_seconds",
     "parse_byte_budget",
     "plan_blocks",
     "requested_budget",
@@ -138,16 +137,6 @@ class BlockPlan:
     @property
     def predicted_peak_bytes(self) -> int:
         return self.fixed_bytes + min(self.block_rows, self.n) * self.bytes_per_row
-
-    @property
-    def predicted_traffic_bytes(self) -> int:
-        """Total bytes the sweep streams through the block temporaries.
-
-        Every row's working set is written/read once regardless of how
-        rows are grouped into blocks, so traffic is ``n * bytes_per_row``
-        — the numerator of the roofline sweep-time estimate
-        (:func:`estimate_sweep_seconds`)."""
-        return self.n * self.bytes_per_row
 
     def blocks(self) -> list[tuple[int, int]]:
         """The ``(start, stop)`` row ranges, in index order."""
@@ -299,27 +288,3 @@ def plan_blocks(
         fixed_bytes=fixed,
         budget_bytes=budget,
     )
-
-
-def estimate_sweep_seconds(
-    plan: BlockPlan,
-    *,
-    bytes_per_second: float | None = None,
-    roofline: str | None = None,
-) -> float:
-    """Roofline lower bound on a blockwise sweep's wall time.
-
-    The fast-grid sweep is memory-bound on the host (the per-row
-    temporaries dominate arithmetic), so its floor is the plan's
-    streamed traffic divided by the host bandwidth.  The bandwidth
-    resolves through the shared calibration source
-    (:mod:`repro.utils.calibration`): an explicit ``bytes_per_second``
-    wins, else a measured ``BENCH_roofline.json`` (at ``roofline``, then
-    ``$REPRO_ROOFLINE``, then the CWD), else a conservative builtin
-    default — conservative so an *uncalibrated* estimate over-predicts
-    time rather than promising speed the host cannot deliver.
-    """
-    from repro.utils.calibration import host_bytes_per_second
-
-    rate = host_bytes_per_second(bytes_per_second, roofline=roofline)
-    return plan.predicted_traffic_bytes / rate

@@ -1,7 +1,7 @@
 """Centralised seeded-RNG derivation.
 
 Every stochastic component in the library — bagged subsample draws,
-fault-injection Bernoulli streams, retry jitter, chaos transports —
+fault-injection Bernoulli streams, chaos transports —
 derives its generator here, from one of two disciplines:
 
 * :func:`spawn_seeds` — ``count`` independent child sequences of a root
@@ -14,9 +14,9 @@ derives its generator here, from one of two disciplines:
   string/int labels (``derive_seed_sequence(seed, "pool.worker")``).
   String labels are folded in by ``crc32``, **not** ``hash()`` — Python
   salts ``hash()`` per interpreter, which would make the stream
-  irreproducible across runs.  Fault injection and retry jitter key
-  their streams this way, so the Bernoulli/backoff sequence at each site
-  is a pure function of the seed and the event order.
+  irreproducible across runs.  Fault injection keys its streams this
+  way, so the Bernoulli sequence at each site is a pure function of the
+  seed and the event order.
 
 Ad-hoc ``np.random.default_rng(...)`` constructions outside this module
 are what repro-lint rule DET003 exists to catch.
@@ -50,9 +50,8 @@ def derive_seed_sequence(root: int, *parts: int | str) -> np.random.SeedSequence
     """A :class:`~numpy.random.SeedSequence` keyed by ``(root, *parts)``.
 
     Bit-compatible with the historical ad-hoc constructions it replaced
-    (``SeedSequence([seed, crc32(site)])`` in the fault injector,
-    ``SeedSequence([seed, 0x5E7B])`` in the retry policy), so chaos
-    schedules recorded before the consolidation replay unchanged.
+    (``SeedSequence([seed, crc32(site)])`` in the fault injector), so
+    chaos schedules recorded before the consolidation replay unchanged.
     """
     return np.random.SeedSequence(
         [int(root), *(_entropy_word(part) for part in parts)]

@@ -20,7 +20,6 @@ from repro.exceptions import ValidationError
 from repro.obs import Tracer, use_tracer
 from repro.resilience.faults import FaultInjector, FaultSpec, inject_faults
 from repro.resilience.engine import ResilienceConfig
-from repro.resilience.policy import RetryPolicy
 
 N = 1200
 PLAN = dict(subsamples=5, subsample_size=300, root_seed=7)
@@ -166,16 +165,13 @@ class TestTracing:
 
 class TestResilience:
     def _config(self) -> ResilienceConfig:
-        return ResilienceConfig(
-            policy=RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0),
-            sleep=lambda s: None,
-        )
+        return ResilienceConfig(max_retries=3, sleep=lambda s: None)
 
     def test_transient_faults_do_not_change_the_answer(
         self, sample, reference
     ) -> None:
         injector = FaultInjector(
-            [FaultSpec(site="bagged.subsample", kind="timeout", at=(1, 3))],
+            [FaultSpec(site="data.block", kind="nan", at=(1, 3))],
             seed=0,
         )
         with inject_faults(injector):
@@ -203,18 +199,10 @@ class TestResilience:
         # max_retries=2); event 3 is the fallback's own sweep, which the
         # schedule leaves healthy.
         injector = FaultInjector(
-            [
-                FaultSpec(
-                    site="bagged.subsample", kind="timeout",
-                    at=(0, 1, 2),
-                )
-            ],
+            [FaultSpec(site="data.block", kind="nan", at=(0, 1, 2))],
             seed=0,
         )
-        config = ResilienceConfig(
-            policy=RetryPolicy(max_retries=2, base_delay=0.0, max_delay=0.0),
-            sleep=lambda s: None,
-        )
+        config = ResilienceConfig(max_retries=2, sleep=lambda s: None)
         with inject_faults(injector):
             res = select_bandwidth(
                 sample.x, sample.y, method="bagged", backend="blocked-shm",
@@ -222,22 +210,23 @@ class TestResilience:
             )
         assert res.bandwidth == reference.bandwidth
         assert np.array_equal(res.scores, reference.scores)
+        assert res.resilience.backend_attempts[:2] == [
+            {"backend": "blocked-shm", "outcome": "REPRO_RETRY_EXHAUSTED"},
+            {"backend": "numpy", "outcome": "ok"},
+        ]
 
     def test_fallback_disabled_raises(self, sample) -> None:
-        from repro.exceptions import BlockTimeoutError
         from repro.resilience.policy import RetryBudgetExceeded
 
         injector = FaultInjector(
-            [FaultSpec(site="bagged.subsample", kind="timeout", rate=1.0)],
+            [FaultSpec(site="data.block", kind="nan", rate=1.0)],
             seed=0,
         )
         config = ResilienceConfig(
-            policy=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0),
-            fallback=False,
-            sleep=lambda s: None,
+            max_retries=1, fallback=False, sleep=lambda s: None
         )
         with inject_faults(injector):
-            with pytest.raises((RetryBudgetExceeded, BlockTimeoutError)):
+            with pytest.raises(RetryBudgetExceeded):
                 select_bandwidth(
                     sample.x, sample.y, method="bagged", backend="blocked-shm",
                     resilience=config, **PLAN,

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.resilience.engine import ResilienceConfig
-from repro.resilience.policy import RetryPolicy
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +34,6 @@ def chaos_grid() -> np.ndarray:
 def fast_config() -> ResilienceConfig:
     """Generous retries, zero real sleeping — chaos tests run in ms."""
     return ResilienceConfig(
-        policy=RetryPolicy(max_retries=4, base_delay=0.0, max_delay=0.0),
+        max_retries=4,
         sleep=lambda _seconds: None,
     )

@@ -395,4 +395,5 @@ class TestSelectorEndToEnd:
             )
         assert chaotic.bandwidth == baseline.bandwidth
         assert chaotic.resilience.retries >= 1
+        assert len(chaotic.resilience.sleeps) == chaotic.resilience.retries
 

@@ -18,7 +18,7 @@ import pytest
 from repro.exceptions import DataCorruptionError, WorkerCrashError, error_code
 from repro.resilience import FaultInjector, FaultSpec, inject_faults
 from repro.resilience.engine import ResilienceConfig, resilient_cv_scores
-from repro.resilience.policy import RetryBudgetExceeded, RetryPolicy
+from repro.resilience.policy import RetryBudgetExceeded
 
 N = 256
 MAX_RETRIES = 2
@@ -42,7 +42,7 @@ def no_shm_litter():
 
 def _config(*, fallback: bool) -> ResilienceConfig:
     return ResilienceConfig(
-        policy=RetryPolicy(max_retries=MAX_RETRIES, base_delay=0.0, max_delay=0.0),
+        max_retries=MAX_RETRIES,
         fallback=fallback,
         sleep=lambda _s: None,
     )

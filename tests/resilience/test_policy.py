@@ -1,4 +1,4 @@
-"""Unit tests for the retry policy and the retry loop."""
+"""Unit tests for the backoff schedule and the retry loop."""
 
 from __future__ import annotations
 
@@ -10,39 +10,43 @@ from repro.exceptions import (
     error_code,
 )
 from repro.resilience.degrade import is_retryable
+from repro.resilience.engine import ResilienceConfig
 from repro.resilience.policy import (
     RetryBudgetExceeded,
-    RetryPolicy,
+    backoff_delay,
     run_with_retry,
 )
 
 
-class TestPolicy:
-    def test_defaults_valid(self) -> None:
-        policy = RetryPolicy()
-        assert policy.max_retries == 2
-
-    def test_validation(self) -> None:
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValidationError):
-            RetryPolicy(multiplier=0.5)
-
-    def test_delays_exponential_and_capped(self) -> None:
-        policy = RetryPolicy(
-            max_retries=5, base_delay=0.1, multiplier=2.0, max_delay=0.35, jitter=0.0
+class TestBackoff:
+    def test_fixed_schedule_doubles_and_caps_at_two_seconds(self) -> None:
+        assert [backoff_delay(a) for a in range(1, 9)] == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
         )
-        assert policy.delays() == pytest.approx([0.1, 0.2, 0.35, 0.35, 0.35])
 
-    def test_jitter_is_deterministic(self) -> None:
-        policy = RetryPolicy(max_retries=4, jitter=0.5, seed=3)
-        assert policy.delays() == policy.delays()
+    def test_config_rejects_negative_retries(self) -> None:
+        assert ResilienceConfig().max_retries == 2
+        with pytest.raises(ValidationError):
+            ResilienceConfig(max_retries=-1)
 
-    def test_jitter_seed_changes_schedule(self) -> None:
-        a = RetryPolicy(max_retries=4, jitter=0.5, seed=3).delays()
-        b = RetryPolicy(max_retries=4, jitter=0.5, seed=4).delays()
-        assert a != b
 
+_CONFIG = ResilienceConfig(max_retries=5, fallback=False)
+
+
+class TestResilienceArgument:
+    @pytest.mark.parametrize(
+        ("value", "expected"),
+        [(True, ResilienceConfig()), (False, None), (None, None),
+         (_CONFIG, _CONFIG)],
+        ids=["true", "false", "none", "config"],
+    )
+    def test_coerce(self, value, expected) -> None:
+        assert ResilienceConfig.coerce(value) == expected
+
+    @pytest.mark.parametrize("value", ["yes", 1, {"max_retries": 3}])
+    def test_coerce_rejects_anything_else(self, value) -> None:
+        with pytest.raises(ValidationError):
+            ResilienceConfig.coerce(value)
 
 
 class TestRunWithRetry:
@@ -62,20 +66,20 @@ class TestRunWithRetry:
         slept: list[float] = []
         result = run_with_retry(
             work,
-            policy=RetryPolicy(max_retries=3, base_delay=0.01, jitter=0.0),
+            max_retries=3,
             retryable=is_retryable,
             sleep=slept.append,
         )
         assert result == "ok"
         assert calls["n"] == 3
-        assert len(slept) == 2
+        assert slept == pytest.approx([0.05, 0.1])
 
     def test_budget_exhaustion_wraps_last_error(self) -> None:
         work, _ = self._flaky(failures=10)
         with pytest.raises(RetryBudgetExceeded) as info:
             run_with_retry(
                 work,
-                policy=RetryPolicy(max_retries=2, base_delay=0.0),
+                max_retries=2,
                 retryable=is_retryable,
                 sleep=lambda _s: None,
             )
@@ -92,7 +96,7 @@ class TestRunWithRetry:
         with pytest.raises(ValidationError):
             run_with_retry(
                 work,
-                policy=RetryPolicy(max_retries=5, base_delay=0.0),
+                max_retries=5,
                 retryable=is_retryable,
                 sleep=lambda _s: None,
             )
@@ -103,7 +107,7 @@ class TestRunWithRetry:
         seen: list[int] = []
         run_with_retry(
             work,
-            policy=RetryPolicy(max_retries=3, base_delay=0.0),
+            max_retries=3,
             retryable=is_retryable,
             on_retry=lambda exc, attempt: seen.append(attempt),
             sleep=lambda _s: None,
@@ -115,7 +119,7 @@ class TestRunWithRetry:
         with pytest.raises(RetryBudgetExceeded):
             run_with_retry(
                 work,
-                policy=RetryPolicy(max_retries=0),
+                max_retries=0,
                 retryable=is_retryable,
                 sleep=lambda _s: None,
             )

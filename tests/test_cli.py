@@ -118,6 +118,31 @@ class TestCommands:
         assert payload["resilience"] is not None
         assert payload["resilience"]["backend_used"] == "numpy"
 
+    def test_select_retry_flags_reach_the_engine(self, capsys):
+        import json
+
+        from repro.resilience import (
+            FaultInjector,
+            FaultSpec,
+            RetryBudgetExceeded,
+            inject_faults,
+        )
+
+        argv = ["select", "--n", "120", "--k", "6", "--json"]
+        assert main(argv) == 0
+        clean = json.loads(capsys.readouterr().out)
+        one_nan = FaultInjector(
+            [FaultSpec(site="data.block", kind="nan", at=(0,))], seed=0
+        )
+        with inject_faults(one_nan):
+            with pytest.raises(RetryBudgetExceeded):
+                main(argv + ["--max-retries", "0", "--no-fallback"])
+        with inject_faults(one_nan):
+            assert main(argv + ["--max-retries", "1"]) == 0
+        absorbed = json.loads(capsys.readouterr().out)
+        assert absorbed["resilience"]["retries"] == 1
+        assert absorbed["bandwidth"] == clean["bandwidth"]
+
     def test_select_cache_dir_warm_rerun(self, tmp_path, capsys):
         import json
 

@@ -20,7 +20,6 @@ from repro.core.backends import get_backend
 from repro.resilience import faults
 from repro.resilience.degrade import DEFAULT_FALLBACK_CHAIN, _CHAIN_SPURS
 from repro.resilience.engine import ResilienceConfig
-from repro.resilience.policy import RetryPolicy
 from repro.serving.cache import _SORTED_CAPABLE
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -113,7 +112,7 @@ def _fields_read_outside(cls: type) -> set[str]:
     ("cls", "field"),
     [
         (cls, f.name)
-        for cls in (ResilienceConfig, RetryPolicy, LintConfig)
+        for cls in (ResilienceConfig, LintConfig)
         for f in dataclasses.fields(cls)
     ],
     ids=lambda value: value if isinstance(value, str) else value.__name__,
