@@ -47,8 +47,9 @@ __all__ = [
 #: variance reduction beyond ~20 is paid linearly in sweep time.
 DEFAULT_SUBSAMPLES: int = 20
 
-#: Cap on the default m = ceil(n^0.7): one m=5000 fast-grid sweep is a few
-#: seconds (BENCH_blockwise.json), keeping even n=10⁶ selection interactive.
+#: Cap on the default m = ceil(n^0.7).  Set when one m = 5000 binned sweep
+#: took 3.9 s (a benchmark since retired); on the sort-once path it takes
+#: 0.06–0.09 s (paper DGP, k = 50, 2-core x86-64 host).
 MAX_DEFAULT_SUBSAMPLE_SIZE: int = 5000
 
 #: Floor on the default m: below ~100 points the subsample CV curve is too

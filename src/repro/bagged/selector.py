@@ -60,7 +60,6 @@ from repro.bagged.plan import SubsamplePlan, plan_subsamples
 from repro.bagged.rescale import DEFAULT_RATE_EXPONENT, scale_factor
 from repro.obs.tracer import current_tracer
 from repro.parallel import WorkerPool
-from repro.parallel.pool import traced_work_unit
 from repro.utils.validation import check_paired_samples, check_positive_int
 
 if TYPE_CHECKING:  # deferred: serving/resilience import the core back
@@ -259,26 +258,16 @@ class BaggedCVSelector(BandwidthSelector):
             )
             for i in range(plan.n_subsamples)
         ]
-        tracer = current_tracer()
         pool = WorkerPool(self.subsample_workers)
         try:
             pool.open()
-            if not tracer.enabled:
-                outputs = pool.starmap(_subsample_unit, args_list)
-                return [np.asarray(out, dtype=np.float64) for out in outputs]
-            with tracer.span(
+            with current_tracer().span(
                 "bagged.dispatch",
                 workers=pool.workers,
                 subsamples=plan.n_subsamples,
-            ) as parent:
-                wrapped = [(_subsample_unit,) + tuple(args) for args in args_list]
-                shipped = pool.starmap(traced_work_unit, wrapped)
-                curves = []
-                for value, spans, counters, maxima in shipped:
-                    curves.append(np.asarray(value, dtype=np.float64))
-                    tracer.adopt(spans, parent_id=parent.span_id)
-                    tracer.merge_counters(counters, maxima)
-            return curves
+            ):
+                outputs = pool.starmap(_subsample_unit, args_list)
+            return [np.asarray(out, dtype=np.float64) for out in outputs]
         finally:
             pool.close()
 
@@ -371,7 +360,9 @@ class BaggedCVSelector(BandwidthSelector):
             bandwidth=h_opt,
             score=score,
             method=self.method,
-            backend=self.backend_name,
+            backend=self.backend_name
+            if engine is None
+            else engine.report.backend_used,
             kernel=self.kernel.name,
             n_observations=n,
             bandwidths=rescaled,

@@ -23,6 +23,8 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.exceptions import ReproError
+
 __all__ = ["main", "build_parser"]
 
 #: ``--backend`` choices shared by ``select``, ``trace`` and ``serve``.
@@ -580,7 +582,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return lint_main(rest or ["src"])
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        # A typed library error is a usage outcome, not a crash: one
+        # ``[REPRO_…] message`` line instead of a traceback.
+        print(" ".join(str(exc).splitlines()), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,7 +33,7 @@ from repro.core.fastgrid import (
     require_fast_grid_kernel,
 )
 from repro.obs.tracer import current_tracer
-from repro.parallel.pool import WorkerPool, available_workers, traced_work_unit
+from repro.parallel.pool import WorkerPool, available_workers
 from repro.parallel.shm import ShmWorkspace, attach_workspace, current_workspace
 from repro.resilience import faults
 from repro.utils.membudget import BlockPlan, requested_budget
@@ -137,20 +137,10 @@ def cv_scores_blocked_shm(
                 n_workers,
                 initializer=attach_workspace,
                 initargs=(workspace.manifest(),),
-            ) as pool:
-                if tracer.enabled:
-                    with tracer.span(
-                        "block-sweep", blocks=len(blocks), workers=pool.workers
-                    ) as parent:
-                        wrapped = [
-                            (shm_block_rows,) + args for args in args_list
-                        ]
-                        outputs = pool.starmap(traced_work_unit, wrapped)
-                        for _, spans, counters, maxima in outputs:
-                            tracer.adopt(spans, parent_id=parent.span_id)
-                            tracer.merge_counters(counters, maxima)
-                else:
-                    pool.starmap(shm_block_rows, args_list)
+            ) as pool, tracer.span(
+                "block-sweep", blocks=len(blocks), workers=pool.workers
+            ):
+                pool.starmap(shm_block_rows, args_list)
             with tracer.span("reduce", rows=n):
                 total = fold_rows(workspace["out"])
         finally:

@@ -48,16 +48,15 @@ import math
 import numpy as np
 
 from repro.core.grid import ensure_bandwidth_grid
-from repro.exceptions import ValidationError
+from repro.exceptions import MemoryBudgetError, ValidationError
 from repro.kernels import Kernel, get_kernel
 from repro.obs.tracer import current_tracer
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
 from repro.utils.membudget import (
+    MEMORY_BUDGET_ENV,
     BlockPlan,
     parse_byte_budget,
-    plan_blocks,
     requested_budget,
-    sweep_bytes,
 )
 from repro.utils.numeric import fold_rows, int_power
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
@@ -254,7 +253,7 @@ SORTED_MIN_N: int = 500
 RANK_TILE_ROWS: int = 1024
 
 #: Bytes one unbudgeted binned chunk's rows may hold, as charged by
-#: :func:`repro.utils.membudget.sweep_bytes`, and the fewest rows it takes
+#: :func:`_working_set_bytes`, and the fewest rows it takes
 #: when its rows are larger.  At served-mix's binned shape (n = 2,000,
 #: k = 500) this gives 80 rows: 0.30 s and an 11 MiB tracemalloc peak per
 #: sweep, against 0.41 s and 260 MiB for the whole 2,000-row chunk of the
@@ -433,6 +432,62 @@ class _Octave:
         self.nb_lo = nb_lo[seg]
         self.nb_hi = nb_hi[seg]
         self.delta = anchor[seg] - xs
+
+
+def _working_set_bytes(
+    n: int, grid: np.ndarray, kern: Kernel, dtype: str, output_matrix: bool
+) -> tuple[int, int]:
+    """``(fixed, per_row)``: the fast-grid sweep's working-set model.
+
+    ``fixed`` is what stays resident however the rows are blocked: x and
+    y, the grid and the k-length accumulators, plus the n×k contribution
+    matrix when ``output_matrix`` is set.  ``per_row`` is one block row's
+    temporaries.  Both depend on the window-sum path
+    (:func:`window_sum_path`):
+
+    * **binned** — each row holds an n-long distance row, the int64
+      bin/offset/index triple and one distance-power and weighted-Y row
+      per polynomial term: O(n) bytes per row;
+    * **sorted** — each row is charged k-length moment gathers, window
+      sums and residuals (``8·(top+1) + 4·n_terms + 16`` of them): O(k)
+      bytes per row, an upper bound since the gathers live per tile of
+      rows.  The price is the sample sorted once and, per grid octave,
+      an :class:`_Octave`: its ``2·top + 1`` prefix rows over at most
+      ``4.5·n`` columns (a point sits in at most three neighbourhoods,
+      each adds one empty-prefix slot, and padding adds at most 1/8),
+      plus its four n-long per-position arrays.  Both are charged to
+      ``fixed``, together with the transient arrays of building one
+      octave.  This residency cannot be blocked: on the sorted path a
+      budget that cannot hold it refuses the sweep, and smaller blocks
+      shrink only the O(k) row share.
+
+    Deliberately counts arrays that overlap only briefly — the plan must
+    be an upper bound, not a best case.
+    """
+    k = int(grid.shape[0])
+    n_terms = len(kern.poly_terms)
+    top = max(t.power for t in kern.poly_terms)
+    fixed = 2 * n * 8 + k * 8 + 4 * k * 8
+    if output_matrix:
+        fixed += n * k * 8
+    if window_sum_path(n, k, kern, dtype) == "sorted":
+        moments = 2 * top + 1
+        columns = 9 * n // 2
+        fixed += 8 * (
+            6 * n
+            + len(_octave_columns(grid)) * (moments * columns + 4 * n)
+            + max(4, moments) * columns
+            + 3 * n
+        )
+        per_row = (8 * (top + 1) + 4 * n_terms + 16) * k * 8
+    else:
+        itemsize = np.dtype(dtype).itemsize
+        per_row = (
+            n * (2 * itemsize + 3 * 8)
+            + n_terms * n * (itemsize + 8)
+            + 16 * k * 8
+        )
+    return fixed, per_row
 
 
 class _SortedSample:
@@ -837,7 +892,7 @@ def plan_fastgrid_blocks(
     takes its block size from here.  The row model
     follows :func:`window_sum_path`: the binned path holds O(n) bytes per
     row, the sorted path O(k) per row plus the sorted sample's O(n)
-    residency (:func:`repro.utils.membudget.sweep_bytes`).
+    residency (:func:`_working_set_bytes`).
 
     With no ``memory_budget`` the block is the chunk that keeps one
     block's modelled temporaries within the 256 MiB chunk budget (sorted
@@ -856,19 +911,12 @@ def plan_fastgrid_blocks(
     kern = require_fast_grid_kernel(kernel)
     grid = np.asarray(bandwidths, dtype=float)
     k = int(grid.shape[0])
+    if n <= 0 or k <= 0:
+        raise ValidationError(f"n and k must be positive, got n={n}, k={k}")
     if max_rows is not None and max_rows < 1:
         raise ValidationError(f"block_rows must be positive, got {max_rows}")
     path = window_sum_path(n, k, kern, dtype)
-    n_terms = len(kern.poly_terms)
-    model = dict(
-        path=path,
-        n_terms=n_terms,
-        top_power=max(t.power for t in kern.poly_terms),
-        n_octaves=len(_octave_columns(grid)) if path == "sorted" else 0,
-        itemsize=np.dtype(dtype).itemsize,
-        output_matrix=output_matrix,
-    )
-    fixed, per_row = sweep_bytes(n, k, **model)
+    fixed, per_row = _working_set_bytes(n, grid, kern, dtype, output_matrix)
     # The row model's own per-row bytes, sized against the chunk budget;
     # binned rows, O(n) bytes each, against the smaller binned one.
     if path == "sorted":
@@ -880,18 +928,26 @@ def plan_fastgrid_blocks(
         )
     if max_rows is not None:
         rows = min(rows, max_rows)
+    budget = None
     if memory_budget is not None:
-        return plan_blocks(
-            n, k, budget=parse_byte_budget(memory_budget), max_rows=rows,
-            **model,
-        )
+        budget = parse_byte_budget(memory_budget)
+        spare = budget - fixed
+        if spare < per_row:
+            raise MemoryBudgetError(
+                f"memory budget of {budget:,} bytes cannot hold a "
+                f"single-row block: fixed working set is {fixed:,} bytes and "
+                f"each block row needs {per_row:,} bytes (n={n:,}, k={k}, "
+                f"{path} path); raise the budget (memory_budget= / "
+                f"${MEMORY_BUDGET_ENV})"
+            )
+        rows = min(rows, n, spare // per_row)
     return BlockPlan(
         n=n,
         k=k,
         block_rows=rows,
         bytes_per_row=per_row,
         fixed_bytes=fixed,
-        budget_bytes=None,
+        budget_bytes=budget,
     )
 
 

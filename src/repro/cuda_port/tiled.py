@@ -47,18 +47,15 @@ def default_tile_rows(n: int, device: str | DeviceSpec | None = None) -> int:
 
     Half, not all: leaves headroom for x, y, the t×k sums, the k×n...
     — all the small allocations — plus the paper's own observation that
-    fragmentation bites well before the nominal capacity.
-
-    Sized by the same :func:`~repro.utils.membudget.rows_for_budget`
-    arithmetic as the host-side blockwise planner, so device tiles and
-    host blocks answer "how many rows fit this budget?" identically.
+    fragmentation bites well before the nominal capacity.  Clamped to
+    ``[1, n]``.
     """
-    from repro.utils.membudget import rows_for_budget
-
+    if n <= 0:
+        raise ValidationError(f"n must be positive, got {n}")
     spec = get_device(device)
     budget = spec.global_memory_bytes // 2
     per_row = 2 * n * 4  # the two float32 tile buffers
-    return rows_for_budget(budget, per_row, minimum=1, maximum=n)
+    return int(max(min(budget // per_row, n), 1))
 
 
 def estimate_tiled_runtime(

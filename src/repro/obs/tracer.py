@@ -214,11 +214,14 @@ class Tracer:
         the active span belongs to *this* tracer, so independent tracers
         never cross-link their trees.
         """
+        return _SpanHandle(self, name, self.active_span_id(), dict(attributes))
+
+    def active_span_id(self) -> int | None:
+        """Id of the ambient span if it belongs to this tracer, else ``None``."""
         active = _ACTIVE_SPAN.get(None)
-        parent_id = None
         if isinstance(active, _SpanHandle) and active._tracer is self:
-            parent_id = active.span_id
-        return _SpanHandle(self, name, parent_id, dict(attributes))
+            return active.span_id
+        return None
 
     def counter(self, name: str, amount: float = 1.0) -> None:
         """Add ``amount`` to the named monotonic counter."""

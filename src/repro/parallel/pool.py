@@ -23,7 +23,10 @@ Every work-unit submission passes through the fault-injection hooks in
 :mod:`repro.resilience.faults`: under an active chaos plan, the parent
 pre-draws a per-unit directive and ships it with the unit, so injected
 worker crashes/timeouts are raised *inside the child* and replay
-deterministically regardless of worker scheduling.
+deterministically regardless of worker scheduling.  When the parent is
+tracing, :meth:`WorkerPool.starmap` also ships each unit's span tree home
+and grafts it under the caller's active span, so pool users only open
+their own span around the call.
 """
 
 from __future__ import annotations
@@ -43,16 +46,17 @@ from repro.obs.tracer import (
 from repro.parallel.partition import balanced_blocks
 from repro.resilience import faults
 
-__all__ = ["WorkerPool", "available_workers", "parallel_sum", "traced_work_unit"]
+__all__ = ["WorkerPool", "available_workers", "parallel_sum"]
 
 
 def traced_work_unit(func: Callable, *args: Any) -> tuple:
     """Run ``func(*args)`` under a fresh local tracer; ship spans home.
 
-    The picklable wrapper the pool uses when the *parent* is tracing:
-    the worker records its own span tree (fork-started workers share the
-    parent's ``CLOCK_MONOTONIC`` origin, so timestamps align) and the
-    parent grafts it back with :meth:`repro.obs.Tracer.adopt`.
+    The picklable wrapper :meth:`WorkerPool.starmap` uses when the
+    *parent* is tracing: the worker records its own span tree
+    (fork-started workers share the parent's ``CLOCK_MONOTONIC`` origin,
+    so timestamps align) and the parent grafts it back with
+    :meth:`repro.obs.Tracer.adopt`.
 
     Returns ``(result, spans, counters, maxima)``.
     """
@@ -215,9 +219,30 @@ class WorkerPool:
     # -- execution ---------------------------------------------------------
 
     def starmap(self, func: Callable, args_list: Sequence[tuple]) -> list:
-        """``starmap`` over the pool; falls back to serial when 1 worker."""
-        args_list = list(args_list)
-        func, args_list = self._under_fault_plan(func, args_list)
+        """``starmap`` over the pool; falls back to serial when 1 worker.
+
+        When the caller is tracing, each unit runs under
+        :func:`traced_work_unit` and its spans and counters are grafted
+        under the caller's active span, in unit order.  The wrapper only
+        ferries span trees home: same work, same order, so results are
+        bit-for-bit the untraced ones.
+        """
+        func, args_list = self._under_fault_plan(func, list(args_list))
+        tracer = current_tracer()
+        if not tracer.enabled:
+            return self._run(func, args_list)
+        parent_id = tracer.active_span_id()
+        results = []
+        for value, spans, counters, maxima in self._run(
+            traced_work_unit, [(func, *args) for args in args_list]
+        ):
+            tracer.adopt(spans, parent_id=parent_id)
+            tracer.merge_counters(counters, maxima)
+            results.append(value)
+        return results
+
+    def _run(self, func: Callable, args_list: list[tuple]) -> list:
+        """The units' results in order: serial on 1 worker, else pooled."""
         if self.workers == 1 or len(args_list) <= 1:
             return [func(*args) for args in args_list]
         self.open()
@@ -248,36 +273,18 @@ class WorkerPool:
         total: int,
         *,
         shared_args: tuple = (),
-        block_args: Callable[[int, int], tuple] | None = None,
     ) -> Any:
         """Sum ``func(*shared_args, start, stop)`` over a row partition.
 
-        ``total`` rows are split into one balanced block per worker.  The
-        default call signature appends ``(start, stop)`` to
-        ``shared_args``; pass ``block_args`` to customise.  When the
-        parent is tracing, each unit runs under :func:`traced_work_unit`
-        (same work, same order — the wrapper only ferries span trees
-        home, so results are bit-for-bit the untraced ones).
+        ``total`` rows are split into one balanced block per worker.
         """
         blocks = balanced_blocks(total, self.workers)
-        if block_args is None:
-            args_list = [shared_args + (start, stop) for start, stop in blocks]
-        else:
-            args_list = [block_args(start, stop) for start, stop in blocks]
-        tracer = current_tracer()
-        if not tracer.enabled:
-            partials = self.starmap(func, args_list)
-        else:
-            with tracer.span(
-                "pool.sum_over_blocks", blocks=len(blocks), workers=self.workers
-            ) as parent:
-                wrapped = [(func,) + tuple(args) for args in args_list]
-                outputs = self.starmap(traced_work_unit, wrapped)
-                partials = []
-                for value, spans, counters, maxima in outputs:
-                    partials.append(value)
-                    tracer.adopt(spans, parent_id=parent.span_id)
-                    tracer.merge_counters(counters, maxima)
+        with current_tracer().span(
+            "pool.sum_over_blocks", blocks=len(blocks), workers=self.workers
+        ):
+            partials = self.starmap(
+                func, [shared_args + (start, stop) for start, stop in blocks]
+            )
         result = partials[0]
         for part in partials[1:]:
             result = result + part

@@ -1,6 +1,6 @@
 """Shared utilities: validation, timing, chunking, float comparison."""
 
-from repro.utils.chunking import chunk_slices, iter_chunks, suggest_chunk_rows
+from repro.utils.chunking import chunk_slices, suggest_chunk_rows
 from repro.utils.numeric import FLOAT_ATOL, FLOAT_RTOL, allclose, is_zero, isclose
 from repro.utils.rng import (
     derive_rng,
@@ -34,7 +34,6 @@ __all__ = [
     "ensure_bandwidths",
     "is_zero",
     "isclose",
-    "iter_chunks",
     "spawn_rngs",
     "spawn_seed",
     "spawn_seeds",

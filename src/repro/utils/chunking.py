@@ -9,13 +9,11 @@ a chunk's working set stays within a target byte budget.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.exceptions import ValidationError
 
-__all__ = ["chunk_slices", "iter_chunks", "suggest_chunk_rows"]
+__all__ = ["chunk_slices", "suggest_chunk_rows"]
 
 #: Default working-set budget per chunk (256 MiB) — comfortably cache- and
 #: RAM-friendly on a laptop while keeping per-chunk numpy overhead amortised.
@@ -33,15 +31,6 @@ def chunk_slices(total: int, chunk: int) -> list[slice]:
     if chunk <= 0:
         raise ValidationError(f"chunk must be positive, got {chunk}")
     return [slice(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def iter_chunks(array: np.ndarray, chunk: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(slice, view)`` pairs over the leading axis of ``array``.
-
-    Views, not copies: each chunk is a window into the original buffer.
-    """
-    for sl in chunk_slices(array.shape[0], chunk):
-        yield sl, array[sl]
 
 
 def suggest_chunk_rows(

@@ -48,27 +48,33 @@ class TestPlanFor:
             assert uni.bytes_per_row < epa.bytes_per_row
             assert uni.block_rows >= epa.block_rows
 
-    def test_output_matrix_variant_plans_smaller_blocks(self) -> None:
+    @pytest.mark.parametrize("n", [400, 4000])
+    def test_output_matrix_variant_plans_smaller_blocks(self, n) -> None:
         bare = plan_fastgrid_blocks(
-            4000, GRID16, "epanechnikov", memory_budget="64MiB"
+            n, GRID16, "epanechnikov", memory_budget="64MiB"
         )
         shm = plan_fastgrid_blocks(
-            4000, GRID16, "epanechnikov", memory_budget="64MiB",
+            n, GRID16, "epanechnikov", memory_budget="64MiB",
             output_matrix=True,
         )
-        assert shm.fixed_bytes == bare.fixed_bytes + 4000 * 16 * 8
+        assert shm.fixed_bytes == bare.fixed_bytes + n * 16 * 8
         assert shm.block_rows <= bare.block_rows
 
-    def test_block_rows_override_wins(self) -> None:
-        plan = plan_fastgrid_blocks(4000, GRID16, "epanechnikov", max_rows=17)
+    @pytest.mark.parametrize("budget", [None, "1GiB"])
+    def test_block_rows_override_wins(self, budget) -> None:
+        plan = plan_fastgrid_blocks(
+            4000, GRID16, "epanechnikov", memory_budget=budget, max_rows=17
+        )
         assert plan.block_rows == 17
 
-    def test_impossible_budget_is_typed(self) -> None:
+    @pytest.mark.parametrize("n", [400, 20_000])
+    def test_impossible_budget_is_typed(self, n) -> None:
+        from repro.utils.membudget import MEMORY_BUDGET_ENV
+
         with pytest.raises(MemoryBudgetError) as info:
-            plan_fastgrid_blocks(
-                20_000, GRID16, "epanechnikov", memory_budget=4096
-            )
+            plan_fastgrid_blocks(n, GRID16, "epanechnikov", memory_budget=4096)
         assert info.value.code == "REPRO_MEM_BUDGET"
+        assert MEMORY_BUDGET_ENV in str(info.value)
 
     def test_row_model_follows_the_window_sum_path(self) -> None:
         # Binned rows hold O(n) bytes, sorted rows O(k): tenfold n grows

@@ -145,19 +145,7 @@ class TestExecution:
             total, np.arange(0, 5, dtype=float) + np.arange(5, 10, dtype=float)
         )
 
-    def test_sum_over_blocks_custom_block_args(self):
-        with WorkerPool(2) as pool:
-            total = pool.sum_over_blocks(
-                _scalar_block,
-                60,
-                block_args=lambda lo, hi: (3.0, lo, hi),
-            )
-        assert total == 3.0 * sum(range(60))
-
     def test_sum_over_blocks_scalar(self):
-        def args_for(start, stop):
-            return (1.0, start, stop)
-
         with WorkerPool(2) as pool:
             total = pool.sum_over_blocks(
                 _scalar_block, 100, shared_args=(1.0,)
@@ -177,3 +165,62 @@ class TestParallelSum:
     def test_single_worker_path(self):
         total = parallel_sum(_scalar_block, 50, shared_args=(1.0,), workers=1)
         assert total == sum(range(50))
+
+
+def _traced_unit(value):
+    from repro.obs import current_tracer
+
+    tracer = current_tracer()
+    with tracer.span("unit", value=value):
+        tracer.counter("units")
+    return value * 2
+
+
+class TestTracedStarmap:
+    def test_worker_spans_graft_under_the_callers_span(self):
+        from repro.obs import Tracer, use_tracer
+
+        tracer = Tracer()
+        with WorkerPool(2) as pool, use_tracer(tracer):
+            with tracer.span("caller") as caller:
+                results = pool.map(_traced_unit, [1, 2, 3])
+        assert results == [2, 4, 6]
+        units = [s for s in tracer.spans() if s.name == "unit"]
+        assert [s.attributes["value"] for s in units] == [1, 2, 3]
+        assert all(s.parent_id == caller.span_id for s in units)
+        assert tracer.counters()["units"] == 3.0
+
+    def test_blocked_shm_sweep_keeps_its_span_tree(self):
+        # Two workers, six 100-row blocks: the same (span, parent) pairs
+        # the sweep recorded before its workers' spans were shipped home
+        # by the pool rather than by the sweep itself.
+        from collections import Counter
+
+        from repro.core.blockwise import cv_scores_blocked_shm
+        from repro.obs import Tracer, use_tracer
+
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=600)
+        y = np.sin(6 * x) + rng.normal(0.0, 0.3, 600)
+        grid = np.linspace(0.02, 0.5, 12)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = cv_scores_blocked_shm(x, y, grid, workers=2, block_rows=100)
+        by_id = {s.span_id: s for s in tracer.spans()}
+        tree = Counter(
+            (s.name, by_id[s.parent_id].name if s.parent_id else None)
+            for s in tracer.spans()
+        )
+        assert tree == Counter({
+            ("blocked-shm-sweep", None): 1,
+            ("plan", "blocked-shm-sweep"): 1,
+            ("block-sweep", "blocked-shm-sweep"): 1,
+            ("reduce", "blocked-shm-sweep"): 1,
+            ("block", "block-sweep"): 6,
+            ("sort", "block"): 6,
+            ("sweep", "block"): 6,
+            ("reduction", "block"): 6,
+        })
+        assert "numeric.empty_windows" in tracer.counters()
+        plain = cv_scores_blocked_shm(x, y, grid, workers=2, block_rows=100)
+        assert np.array_equal(traced, plain)

@@ -122,6 +122,15 @@ class TestBaggedSweepsRunOnTheEngine:
         ] + [{"backend": "numpy", "outcome": "ok"}] * PLAN["subsamples"]
         assert res.resilience.backend_used == "numpy"
 
+    def test_degraded_selection_reports_the_backend_that_finished(
+        self, chaos_sample
+    ):
+        injector = FaultInjector(
+            [FaultSpec(site="shm.segment", kind="unlink", at=(0,))], seed=0
+        )
+        res = _run(chaos_sample, injector)
+        assert res.backend == "numpy" == res.resilience.backend_used
+
     def test_corrupt_curve_is_retried_once(self, chaos_sample, reference):
         injector = FaultInjector(
             [FaultSpec(site="data.block", kind="nan", at=(1,))], seed=0

@@ -121,12 +121,7 @@ class TestCommands:
     def test_select_retry_flags_reach_the_engine(self, capsys):
         import json
 
-        from repro.resilience import (
-            FaultInjector,
-            FaultSpec,
-            RetryBudgetExceeded,
-            inject_faults,
-        )
+        from repro.resilience import FaultInjector, FaultSpec, inject_faults
 
         argv = ["select", "--n", "120", "--k", "6", "--json"]
         assert main(argv) == 0
@@ -135,13 +130,22 @@ class TestCommands:
             [FaultSpec(site="data.block", kind="nan", at=(0,))], seed=0
         )
         with inject_faults(one_nan):
-            with pytest.raises(RetryBudgetExceeded):
-                main(argv + ["--max-retries", "0", "--no-fallback"])
+            assert main(argv + ["--max-retries", "0", "--no-fallback"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[REPRO_RETRY_EXHAUSTED] ")
+        assert len(err.splitlines()) == 1
         with inject_faults(one_nan):
             assert main(argv + ["--max-retries", "1"]) == 0
         absorbed = json.loads(capsys.readouterr().out)
         assert absorbed["resilience"]["retries"] == 1
         assert absorbed["bandwidth"] == clean["bandwidth"]
+
+    def test_select_impossible_budget_is_one_error_line(self, capsys):
+        assert main(["select", "--n", "120", "--k", "6", "--mem-budget", "1KiB"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("[REPRO_MEM_BUDGET] ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_select_cache_dir_warm_rerun(self, tmp_path, capsys):
         import json

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ValidationError
-from repro.utils.chunking import chunk_slices, iter_chunks, suggest_chunk_rows
+from repro.utils.chunking import chunk_slices, suggest_chunk_rows
 
 
 class TestChunkSlices:
@@ -35,19 +35,6 @@ class TestChunkSlices:
         for sl in chunk_slices(total, chunk):
             covered.extend(range(sl.start, sl.stop))
         assert covered == list(range(total))
-
-
-class TestIterChunks:
-    def test_yields_views_not_copies(self):
-        arr = np.arange(10.0)
-        for sl, view in iter_chunks(arr, 4):
-            view[:] = -1.0
-        assert (arr == -1.0).all()
-
-    def test_slices_align_with_views(self):
-        arr = np.arange(11.0)
-        for sl, view in iter_chunks(arr, 3):
-            np.testing.assert_array_equal(view, arr[sl])
 
 
 class TestSuggestChunkRows:

@@ -1,22 +1,15 @@
-"""Unit and property tests for the blockwise memory-budget planner."""
+"""Unit tests for parsing and resolving a sweep's memory budget."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import MemoryBudgetError, ValidationError
+from repro.exceptions import ValidationError
 from repro.utils.membudget import (
     MEMORY_BUDGET_ENV,
     parse_byte_budget,
-    plan_blocks,
     requested_budget,
-    rows_for_budget,
 )
-
-#: An explicit budget for the planner cases that only test its shape logic.
-GIB = 1024**3
 
 
 class TestParseByteBudget:
@@ -140,104 +133,3 @@ class TestResolveBudget:
     def test_tab_newline_environment_is_ignored(self, monkeypatch) -> None:
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "\t\n")
         assert requested_budget() is None
-
-
-class TestRowsForBudget:
-    def test_floor_division(self) -> None:
-        assert rows_for_budget(1000, 300) == 3
-
-    def test_clamped_to_maximum(self) -> None:
-        assert rows_for_budget(10**9, 8, maximum=500) == 500
-
-    def test_clamped_to_minimum(self) -> None:
-        assert rows_for_budget(10, 300, minimum=1) == 1
-
-    def test_nonpositive_per_row_rejected(self) -> None:
-        with pytest.raises(ValidationError):
-            rows_for_budget(1000, 0)
-
-
-plans = st.tuples(
-    st.integers(1, 5000),        # n
-    st.integers(1, 64),          # k
-    st.integers(1, 4),           # n_terms
-    st.sampled_from([4, 8]),     # itemsize
-)
-
-
-class TestPlanBlocks:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(draw=plans)
-    def test_blocks_partition_range_n(self, draw) -> None:
-        n, k, n_terms, itemsize = draw
-        plan = plan_blocks(n, k, n_terms=n_terms, itemsize=itemsize, budget=GIB)
-        spans = plan.blocks()
-        assert spans[0][0] == 0 and spans[-1][1] == n
-        assert len(spans) == plan.n_blocks
-        for (_, stop), (nxt, _) in zip(spans, spans[1:]):
-            assert stop == nxt  # contiguous, no gap, no overlap
-        assert all(0 < hi - lo <= plan.block_rows for lo, hi in spans)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(draw=plans)
-    def test_predicted_peak_respects_budget(self, draw) -> None:
-        n, k, n_terms, itemsize = draw
-        budget = 256 * 1024**2
-        plan = plan_blocks(
-            n, k, n_terms=n_terms, itemsize=itemsize, budget=budget
-        )
-        assert plan.predicted_peak_bytes <= budget
-        assert plan.budget_bytes == budget
-
-    def test_tiny_budget_raises_typed_error(self) -> None:
-        with pytest.raises(MemoryBudgetError) as info:
-            plan_blocks(20_000, 32, budget=1000)
-        assert info.value.code == "REPRO_MEM_BUDGET"
-        assert MEMORY_BUDGET_ENV in str(info.value)
-
-    def test_budget_error_is_a_caller_bug_not_a_fault(self) -> None:
-        # An impossible budget must propagate, not trigger degradation:
-        # the numpy fallback would blow the very limit the user set.
-        from repro.resilience.degrade import is_degradable, is_retryable
-
-        exc = MemoryBudgetError("too small")
-        assert isinstance(exc, ValidationError)
-        assert not is_degradable(exc)
-        assert not is_retryable(exc)
-
-    def test_output_matrix_charges_fixed_bytes(self) -> None:
-        bare = plan_blocks(1000, 16, budget=GIB)
-        shm = plan_blocks(1000, 16, output_matrix=True, budget=GIB)
-        assert shm.fixed_bytes == bare.fixed_bytes + 1000 * 16 * 8
-        assert shm.block_rows <= bare.block_rows
-
-    def test_max_rows_caps_the_block(self) -> None:
-        plan = plan_blocks(10_000, 8, max_rows=64, budget=GIB)
-        assert plan.block_rows <= 64
-
-    def test_block_rows_never_exceed_n(self) -> None:
-        plan = plan_blocks(10, 4, budget=10**12)
-        assert plan.block_rows == 10
-        assert plan.n_blocks == 1
-
-    def test_env_budget_drives_the_plan(self, monkeypatch) -> None:
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "32MiB")
-        plan = plan_blocks(20_000, 8, budget=requested_budget())
-        assert plan.budget_bytes == 32 * 1024**2
-        assert plan.n_blocks > 1
-
-    @pytest.mark.parametrize(
-        ("n", "k", "n_terms"), [(0, 4, 2), (10, 0, 2), (10, 4, 0)]
-    )
-    def test_degenerate_shapes_rejected(self, n, k, n_terms) -> None:
-        with pytest.raises(ValidationError):
-            plan_blocks(n, k, n_terms=n_terms, budget=GIB)
-
-    def test_to_dict_round_trips_the_properties(self) -> None:
-        plan = plan_blocks(5000, 12, budget=parse_byte_budget("64MiB"))
-        snap = plan.to_dict()
-        assert snap["n_blocks"] == plan.n_blocks
-        assert snap["predicted_peak_bytes"] == plan.predicted_peak_bytes
-        assert all(
-            isinstance(value, (int, np.integer)) for value in snap.values()
-        )
