@@ -104,6 +104,18 @@ def _escapes(scope: ast.AST, name: str) -> bool:
     return False
 
 
+def _calls_method(scope: ast.AST, name: str, methods: tuple[str, ...]) -> bool:
+    """Whether the scope calls ``name.<method>()`` for one of ``methods``."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == name
+        for node in ast.walk(scope)
+    )
+
+
 def _cleanup_on_error_path(
     scope: ast.AST, name: str, cleanup_methods: tuple[str, ...]
 ) -> bool:
@@ -119,16 +131,10 @@ def _cleanup_on_error_path(
             protected: list[ast.stmt] = list(node.finalbody)
             for handler in node.handlers:
                 protected.extend(handler.body)
-            for stmt in protected:
-                for sub in ast.walk(stmt):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in cleanup_methods
-                        and isinstance(sub.func.value, ast.Name)
-                        and sub.func.value.id == name
-                    ):
-                        return True
+            if any(
+                _calls_method(stmt, name, cleanup_methods) for stmt in protected
+            ):
+                return True
         elif isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 if (
@@ -144,6 +150,9 @@ class _LifecycleRule(Rule):
 
     create_names_attr = ""
     cleanup_methods: tuple[str, ...] = ()
+    #: Calls that start the resource's lifecycle: a scope that makes one
+    #: owns the resource even when it also passes it to a helper.
+    owner_methods: tuple[str, ...] = ()
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         return ctx.in_modules(ctx.config.concurrency_modules)
@@ -167,11 +176,11 @@ class _LifecycleRule(Rule):
 
     def _leaks(self, ctx: ModuleContext, site: ast.Assign, name: str) -> bool:
         scope = _enclosing_scope(ctx, site)
-        if _escapes(scope, name):
-            return False
         if _cleanup_on_error_path(scope, name, self.cleanup_methods):
             return False
-        return True
+        if _calls_method(scope, name, self.owner_methods):
+            return True
+        return not _escapes(scope, name)
 
 
 @register_rule
@@ -228,6 +237,8 @@ class PoolLifecycleRule(_LifecycleRule):
     A pool abandoned by an unwinding exception keeps its forked workers
     (and their shm attachments) alive until interpreter exit; under
     pytest or the serving daemon that is a fork bomb in slow motion.
+    A pool the function opens itself is its own to close, even when it
+    also passes the pool to a helper.
     """
 
     rule_id = "CON002"
@@ -239,6 +250,7 @@ class PoolLifecycleRule(_LifecycleRule):
         "hold) until interpreter exit."
     )
     cleanup_methods = ("close", "terminate", "join")
+    owner_methods = ("open",)
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for site, name, _call in self._creation_sites(

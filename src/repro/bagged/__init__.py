@@ -16,7 +16,7 @@ Quickstart::
     result.diagnostics["bagged"]["subsamples"]  # per-subsample curves
 """
 
-from repro.bagged.aggregate import AGGREGATORS, SubsampleOutcome, aggregate_bandwidths
+from repro.bagged.aggregate import SubsampleOutcome, aggregate_bandwidths
 from repro.bagged.plan import (
     DEFAULT_SUBSAMPLES,
     SubsamplePlan,
@@ -25,19 +25,10 @@ from repro.bagged.plan import (
     plan_subsamples,
     resolve_plan_options,
 )
-from repro.bagged.rescale import (
-    DEFAULT_RATE_EXPONENT,
-    rate_exponent,
-    rescale_bandwidth,
-    scale_factor,
-    scale_grid,
-)
 from repro.bagged.selector import BaggedCVSelector
 
 __all__ = [
-    "AGGREGATORS",
     "BaggedCVSelector",
-    "DEFAULT_RATE_EXPONENT",
     "DEFAULT_SUBSAMPLES",
     "SubsampleOutcome",
     "SubsamplePlan",
@@ -45,9 +36,5 @@ __all__ = [
     "default_subsample_size",
     "default_subsamples",
     "plan_subsamples",
-    "rate_exponent",
-    "rescale_bandwidth",
     "resolve_plan_options",
-    "scale_factor",
-    "scale_grid",
 ]

@@ -2,11 +2,10 @@
 
 arXiv:2105.04134 aggregates the ``r`` rescaled subsample bandwidths in
 log space — bandwidths live on a multiplicative scale, so the mean of
-``log h`` (a geometric mean) is the natural centre and the median of
-``log h`` the robust alternative.  Both are computed over the
-subsample-index-ordered array, so the aggregate is a pure function of
-the (deterministic) per-subsample results: execution order, retries,
-and backend choice cannot move it by a ULP.
+``log h`` (a geometric mean) is the natural centre.  It is computed over
+the subsample-index-ordered array, so the aggregate is a pure function
+of the (deterministic) per-subsample results: retries and backend choice
+cannot move it by a ULP.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 
-__all__ = ["AGGREGATORS", "SubsampleOutcome", "aggregate_bandwidths"]
-
-#: Supported aggregation modes.
-AGGREGATORS = ("mean-log", "median-log")
+__all__ = ["SubsampleOutcome", "aggregate_bandwidths"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,7 @@ class SubsampleOutcome:
     )
     scores: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
-    def to_diagnostics(self, *, include_curve: bool = True) -> dict[str, Any]:
+    def to_diagnostics(self) -> dict[str, Any]:
         """JSON-ready record for ``SelectionResult.diagnostics``."""
         record: dict[str, Any] = {
             "index": self.index,
@@ -54,7 +50,7 @@ class SubsampleOutcome:
             "score": self.score,
             "attempts": self.attempts,
         }
-        if include_curve and self.scores.size:
+        if self.scores.size:
             record["curve"] = {
                 "bandwidths": np.asarray(self.bandwidths, dtype=np.float64).tolist(),
                 "scores": np.asarray(self.scores, dtype=np.float64).tolist(),
@@ -62,14 +58,8 @@ class SubsampleOutcome:
         return record
 
 
-def aggregate_bandwidths(
-    values: Sequence[float] | np.ndarray, *, aggregate: str = "mean-log"
-) -> float:
-    """Collapse per-subsample bandwidths into one (log-space mean/median)."""
-    if aggregate not in AGGREGATORS:
-        raise ValidationError(
-            f"unknown aggregate {aggregate!r}; known: {', '.join(AGGREGATORS)}"
-        )
+def aggregate_bandwidths(values: Sequence[float] | np.ndarray) -> float:
+    """Collapse per-subsample bandwidths into one (log-space mean)."""
     h = np.asarray(values, dtype=np.float64)
     if h.ndim != 1 or h.size == 0:
         raise ValidationError("need a non-empty 1-D array of bandwidths")
@@ -81,12 +71,4 @@ def aggregate_bandwidths(
         # an exact grid point the caller may compare against (the m = n
         # degenerate case must reduce to the exact sweep bit-for-bit).
         return float(h[0])
-    logs = np.log(h)
-    if aggregate == "mean-log":
-        return float(np.exp(np.mean(logs)))
-    if h.size % 2:
-        # Odd count: the median is an actual vote — return it exactly
-        # rather than round-tripping through exp(log(...)).
-        order = np.argsort(logs, kind="stable")
-        return float(h[order[h.size // 2]])
-    return float(np.exp(np.median(logs)))
+    return float(np.exp(np.mean(np.log(h))))

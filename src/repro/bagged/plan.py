@@ -18,6 +18,12 @@ because bagging averages the CV noise down by ``1/√r``.  ``m`` is
 additionally capped so one subsample sweep stays O(seconds) — the whole
 point of the subsystem is that cost is O(r·m²·log k) instead of
 O(n²·log k).
+
+The plan also carries the rescaling between the two scales.  The
+CV-optimal bandwidth of univariate regression shrinks like
+``h_opt(n) ∼ C·n^(−1/5)``, so a full-sample grid inflated by
+``(n/m)^(1/5)`` (:attr:`SubsamplePlan.scale_factor`) is the image, at
+subsample scale, of the candidates the exact sweep would search.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "DEFAULT_SUBSAMPLES",
     "MAX_DEFAULT_SUBSAMPLE_SIZE",
     "MIN_SUBSAMPLE_SIZE",
+    "RATE_EXPONENT",
     "SubsamplePlan",
     "default_subsample_size",
     "default_subsamples",
@@ -56,6 +63,9 @@ MAX_DEFAULT_SUBSAMPLE_SIZE: int = 5000
 #: noisy for the rescaling rate to transfer.
 MIN_SUBSAMPLE_SIZE: int = 100
 
+#: Univariate CV rate: ``h_opt ∼ n^(−1/5)``.
+RATE_EXPONENT: float = 0.2
+
 
 def default_subsample_size(n: int) -> int:
     """The default ``m`` for a sample of size ``n`` (``∼ n^0.7``, capped)."""
@@ -76,8 +86,8 @@ class SubsamplePlan:
     """``r`` seeded draws of size ``m`` from ``n`` observations.
 
     The plan is pure data: it holds no arrays, only the recipe.  Index
-    sets are re-derived on demand from ``(root_seed, i)``, so shipping a
-    plan to a worker costs four ints and a retry replays its draw.
+    sets are re-derived on demand from ``(root_seed, i)``, so a retry
+    replays its draw.
     """
 
     n: int
@@ -99,6 +109,12 @@ class SubsamplePlan:
             )
 
     # -- derivations -------------------------------------------------------
+
+    @property
+    def scale_factor(self) -> float:
+        """``(n/m)^(1/5)`` — grid inflation from full-sample to subsample
+        scale (1 at ``m = n``, above 1 otherwise)."""
+        return float((self.n / self.subsample_size) ** RATE_EXPONENT)
 
     def seeds(self) -> tuple[np.random.SeedSequence, ...]:
         """Per-subsample child seed sequences, in index order."""

@@ -18,7 +18,7 @@ Grid-matched rescaling
 ----------------------
 Rather than sweeping each subsample over its own ad-hoc grid and
 rescaling the winning float, the selector inflates the *full-sample*
-grid by ``(n/m)^rate`` once, sweeps every subsample over that inflated
+grid by ``(n/m)^(1/5)`` once, sweeps every subsample over that inflated
 grid, and maps the argmin **index** back to the full-sample grid.  Each
 subsample therefore votes for an exact full-grid point — the bagged
 selection answers the same question as the exact sweep ("which of these
@@ -31,9 +31,9 @@ Subsample draw ``i`` is a pure function of ``(root_seed, i)``
 (:mod:`repro.bagged.plan`), every fast-grid backend in the strict-fold
 family (numpy / blocked-shm) produces byte-identical curves, and
 aggregation folds the per-subsample results in index order.  Hence the
-bagged ``h_opt`` is bit-for-bit identical across backends, across serial
-vs. pooled dispatch, and across fault/retry schedules — a retried or
-degraded subsample sweep recomputes the same curve from the same draw.
+bagged ``h_opt`` is bit-for-bit identical across backends, across fault/
+retry schedules and from a warm curve cache — a retried or degraded
+subsample sweep recomputes the same curve from the same draw.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.exceptions import ValidationError
 from repro.kernels import get_kernel
 from repro.core.backends import get_backend
 from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
@@ -55,11 +54,9 @@ from repro.core.selectors import (
     _cv_curve,
     _engine_for,
 )
-from repro.bagged.aggregate import AGGREGATORS, SubsampleOutcome, aggregate_bandwidths
-from repro.bagged.plan import SubsamplePlan, plan_subsamples
-from repro.bagged.rescale import DEFAULT_RATE_EXPONENT, scale_factor
+from repro.bagged.aggregate import SubsampleOutcome, aggregate_bandwidths
+from repro.bagged.plan import RATE_EXPONENT, SubsamplePlan, plan_subsamples
 from repro.obs.tracer import current_tracer
-from repro.parallel import WorkerPool
 from repro.utils.validation import check_paired_samples, check_positive_int
 
 if TYPE_CHECKING:  # deferred: serving/resilience import the core back
@@ -67,34 +64,6 @@ if TYPE_CHECKING:  # deferred: serving/resilience import the core back
     from repro.serving.cache import ArtifactCache
 
 __all__ = ["BaggedCVSelector"]
-
-
-def _subsample_unit(
-    index: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    scaled_values: np.ndarray,
-    kernel_name: str,
-    backend_name: str,
-    plan_fields: tuple[int, int, int, int],
-    backend_options: dict[str, Any],
-) -> np.ndarray:
-    """One subsample sweep: re-derive the draw, run the backend.
-
-    Top-level (hence picklable) so the pooled dispatch path can ship it
-    to forked workers; the draw is re-derived from ``(root_seed, index)``
-    inside the unit, so only four ints travel instead of an index array.
-    """
-    plan = SubsamplePlan(*plan_fields)
-    with current_tracer().span(
-        f"bagged.subsample[{index}]", index=index, m=plan.subsample_size
-    ):
-        xs, ys = plan.take(index, x, y)
-        backend = get_backend(backend_name)
-        return np.asarray(
-            backend(xs, ys, scaled_values, kernel_name, **backend_options),
-            dtype=np.float64,
-        )
 
 
 def _backend_calls(engine: "ResilientEngine | None") -> int:
@@ -115,7 +84,7 @@ class BaggedCVSelector(BandwidthSelector):
         The *full-sample* candidate grid (paper convention
         ``[domain/k, domain]`` when no explicit grid is given; an
         explicit one may be any array-like of bandwidths).  Each
-        subsample sweeps this grid inflated by ``(n/m)^rate``.
+        subsample sweeps this grid inflated by ``(n/m)^(1/5)``.
     backend:
         Inner sweep backend for each subsample: any registered grid
         backend — ``"numpy"`` (default), ``"blocked-shm"`` ... All
@@ -125,15 +94,6 @@ class BaggedCVSelector(BandwidthSelector):
         arXiv:2105.04134's guidance, see :mod:`repro.bagged.plan`).
         Identical ``(root_seed, r, m, grid)`` always reproduce the same
         selection bit-for-bit.
-    aggregate:
-        ``"mean-log"`` (geometric mean, default) or ``"median-log"``.
-    rate:
-        Rate exponent for the ``h ∼ n^(−rate)`` rescaling (``1/5``
-        univariate; see :func:`repro.bagged.rescale.rate_exponent`).
-    subsample_workers:
-        ``> 1`` fans whole subsample sweeps across a process pool
-        (serial backends only — ``blocked-shm`` already fans out
-        internally).  Dispatch order cannot change the result.
     cache:
         An :class:`~repro.serving.cache.ArtifactCache`: each subsample's
         CV curve is fingerprint-keyed, so a warm curve skips that
@@ -147,9 +107,7 @@ class BaggedCVSelector(BandwidthSelector):
         a structural one (or a spent retry budget) moves down the
         backend's fallback chain, and later subsamples start from the
         backend the earlier ones settled on.  ``blocked-shm → numpy`` is
-        lossless, since the strict-fold family is byte-identical.  The
-        pooled ``subsample_workers`` path is resilience-free, so with
-        resilience on the subsamples run serially.
+        lossless, since the strict-fold family is byte-identical.
     backend_options:
         Forwarded to every subsample sweep (``memory_budget``,
         ``workers``, ``dtype`` ...).
@@ -167,9 +125,6 @@ class BaggedCVSelector(BandwidthSelector):
         subsamples: int | None = None,
         subsample_size: int | None = None,
         root_seed: int = 0,
-        aggregate: str = "mean-log",
-        rate: float = DEFAULT_RATE_EXPONENT,
-        subsample_workers: int = 1,
         cache: "ArtifactCache | None" = None,
         resilience: "ResilienceConfig | bool | None" = None,
         **backend_options: Any,
@@ -181,21 +136,6 @@ class BaggedCVSelector(BandwidthSelector):
         self.subsamples = subsamples
         self.subsample_size = subsample_size
         self.root_seed = int(root_seed)
-        if aggregate not in AGGREGATORS:
-            raise ValidationError(
-                f"unknown aggregate {aggregate!r}; known: {', '.join(AGGREGATORS)}"
-            )
-        self.aggregate = aggregate
-        self.rate = float(rate)
-        self.subsample_workers = check_positive_int(
-            subsample_workers, name="subsample_workers"
-        )
-        if self.subsample_workers > 1 and backend == "blocked-shm":
-            raise ValidationError(
-                "subsample_workers > 1 would nest process pools on the "
-                "already-parallel 'blocked-shm' backend; parallelise either "
-                "across subsamples or inside the sweep, not both"
-            )
         self.cache = cache
         self.resilience = _coerce_resilience(resilience)
         self.backend_options = backend_options
@@ -207,7 +147,7 @@ class BaggedCVSelector(BandwidthSelector):
             return self.grid
         return BandwidthGrid.for_sample(x, self.n_bandwidths)
 
-    def _serial_curves(
+    def _curves(
         self,
         plan: SubsamplePlan,
         x: np.ndarray,
@@ -236,41 +176,6 @@ class BaggedCVSelector(BandwidthSelector):
                 attempts.append(count)
         return curves, attempts
 
-    def _pooled_curves(
-        self,
-        plan: SubsamplePlan,
-        x: np.ndarray,
-        y: np.ndarray,
-        scaled_values: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Subsample sweeps fanned across a process pool, in index order.
-
-        Resilience-free: a ``pool.worker`` fault (drawn by the pool for
-        each work unit) propagates as the pool raises it.
-        """
-        plan_fields = (
-            plan.n, plan.subsample_size, plan.n_subsamples, plan.root_seed,
-        )
-        args_list = [
-            (
-                i, x, y, scaled_values, self.kernel.name,
-                self.backend_name, plan_fields, self.backend_options,
-            )
-            for i in range(plan.n_subsamples)
-        ]
-        pool = WorkerPool(self.subsample_workers)
-        try:
-            pool.open()
-            with current_tracer().span(
-                "bagged.dispatch",
-                workers=pool.workers,
-                subsamples=plan.n_subsamples,
-            ):
-                outputs = pool.starmap(_subsample_unit, args_list)
-            return [np.asarray(out, dtype=np.float64) for out in outputs]
-        finally:
-            pool.close()
-
     # -- selection ---------------------------------------------------------
 
     def select(self, x: np.ndarray, y: np.ndarray) -> SelectionResult:
@@ -283,7 +188,7 @@ class BaggedCVSelector(BandwidthSelector):
         tracer = current_tracer()
 
         with tracer.span(
-            "bagged.plan", n=n, root_seed=self.root_seed, rate=self.rate
+            "bagged.plan", n=n, root_seed=self.root_seed, rate=RATE_EXPONENT
         ) as plan_span:
             plan = plan_subsamples(
                 n,
@@ -292,20 +197,14 @@ class BaggedCVSelector(BandwidthSelector):
                 root_seed=self.root_seed,
             )
             base_grid = self._grid_for(x)
-            factor = scale_factor(plan.subsample_size, n, rate=self.rate)
+            factor = plan.scale_factor
             scaled_values = base_grid.values * factor
             plan_span.set(
                 m=plan.subsample_size, r=plan.n_subsamples, scale_factor=factor,
             )
 
         engine = _engine_for(self.resilience, self.backend_name)
-        if self.subsample_workers > 1 and engine is None:
-            curves = self._pooled_curves(plan, x, y, scaled_values)
-            attempts = [1] * plan.n_subsamples
-        else:
-            curves, attempts = self._serial_curves(
-                plan, x, y, scaled_values, engine
-            )
+        curves, attempts = self._curves(plan, x, y, scaled_values, engine)
 
         outcomes: list[SubsampleOutcome] = []
         for i, scores in enumerate(curves):
@@ -329,13 +228,13 @@ class BaggedCVSelector(BandwidthSelector):
             )
 
         with tracer.span(
-            "bagged.aggregate", r=plan.n_subsamples, aggregate=self.aggregate
+            "bagged.aggregate", r=plan.n_subsamples, aggregate="mean-log"
         ) as agg_span:
             rescaled = np.array(
                 [o.rescaled_bandwidth for o in outcomes], dtype=np.float64
             )
             sub_scores = np.array([o.score for o in outcomes], dtype=np.float64)
-            h_opt = aggregate_bandwidths(rescaled, aggregate=self.aggregate)
+            h_opt = aggregate_bandwidths(rescaled)
             score = float(np.mean(sub_scores))
             agg_span.set(h_opt=h_opt)
 
@@ -345,8 +244,8 @@ class BaggedCVSelector(BandwidthSelector):
             "grid_maximum": base_grid.maximum,
             "bagged": {
                 **plan.to_dict(),
-                "rate": self.rate,
-                "aggregate": self.aggregate,
+                "rate": RATE_EXPONENT,
+                "aggregate": "mean-log",
                 "scale_factor": factor,
                 # `score` is the mean of per-subsample CV minima — an
                 # estimate of CV at scale m, NOT the full-sample CV at

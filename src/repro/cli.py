@@ -7,9 +7,9 @@ Subcommands regenerate the paper's artifacts and inspect the library:
 * ``fig1``   — Figure 1 (same sweep, ASCII log–log chart)
 * ``shape``  — run Table I (+ optionally Table II) and verify the
   paper's shape claims
-* ``select`` — one bandwidth selection on a chosen DGP
-* ``trace``  — run a traced selection; print the span tree and write a
-  Chrome trace-event JSON (load in chrome://tracing or Perfetto)
+* ``select`` — one bandwidth selection on a chosen DGP; ``--trace PATH``
+  also prints its span tree and writes a Chrome trace-event JSON (load
+  in chrome://tracing or Perfetto)
 * ``serve``  — JSON-over-HTTP bandwidth-selection service (fingerprint
   cache, micro-batched predict, /metrics)
 * ``info``   — registered kernels, backends, devices, programs, serving
@@ -27,7 +27,7 @@ from repro.exceptions import ReproError
 
 __all__ = ["main", "build_parser"]
 
-#: ``--backend`` choices shared by ``select``, ``trace`` and ``serve``.
+#: ``--backend`` choices shared by ``select`` and ``serve``.
 BACKEND_CHOICES = ("numpy", "python", "blocked-shm", "gpusim", "gpusim-tiled")
 
 
@@ -193,44 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact-cache directory: identical re-runs skip the sweep "
         "on fingerprint hit",
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run one traced bandwidth selection; print the phase tree "
-        "and write a Chrome trace-event JSON",
-    )
-    trace.add_argument("--dgp", type=str, default="paper")
-    trace.add_argument(
-        "--data",
+    sel.add_argument(
+        "--trace",
         type=str,
         default=None,
-        help="CSV file of (x, y) observations; overrides --dgp/--n",
-    )
-    trace.add_argument("--n", type=int, default=2000)
-    trace.add_argument("--k", type=int, default=50)
-    trace.add_argument("--kernel", type=str, default="epanechnikov")
-    trace.add_argument(
-        "--method", type=str, default="grid", choices=["grid", "numeric", "rot"]
-    )
-    trace.add_argument(
-        "--backend",
-        type=str,
-        default="numpy",
-        choices=BACKEND_CHOICES,
-    )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--output",
-        type=str,
-        default="trace.json",
         metavar="PATH",
-        help="where to write the Chrome trace-event JSON "
-        "(pass '-' to skip the file)",
-    )
-    trace.add_argument(
-        "--resilient",
-        action="store_true",
-        help="run on the resilient execution engine (adds wave/retry spans)",
+        help="trace the selection: write a Chrome trace-event JSON to PATH "
+        "and print the span tree (with --json, the spans ride in "
+        "diagnostics['trace'] instead)",
     )
 
     srv = sub.add_parser(
@@ -422,7 +392,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
         from repro.serving import ArtifactCache
 
         kwargs["cache"] = ArtifactCache(args.cache_dir)
+    tracer = None
+    if args.trace is not None:
+        from repro.obs import Tracer
+
+        tracer = kwargs["trace"] = Tracer()
     result = select_bandwidth(x, y, method=method, kernel=args.kernel, **kwargs)
+    if tracer is not None:
+        from repro.obs import write_chrome_trace
+
+        write_chrome_trace(args.trace, tracer, process_name="repro")
     if args.json:
         import json
 
@@ -435,41 +414,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
         print(result.resilience.summary())
     print(f"  scale factor  : {bandwidth_to_scale(result.bandwidth, x):.4f} "
           "(h / spread*n^-1/5, np convention)")
-    return 0
+    if tracer is not None:
+        from repro.obs import render_tree
 
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core import select_bandwidth
-    from repro.data import generate, load_xy_csv
-    from repro.obs import Tracer, render_tree, write_chrome_trace
-
-    if args.backend in ("gpusim", "gpusim-tiled"):
-        import repro.cuda_port  # noqa: F401 - registers the gpusim backends
-
-    if args.data:
-        x, y = load_xy_csv(args.data)
-    else:
-        sample = generate(args.dgp, args.n, seed=args.seed)
-        x, y = sample.x, sample.y
-    method = {"grid": "grid", "numeric": "numeric", "rot": "rule-of-thumb"}[
-        args.method
-    ]
-    kwargs: dict = {}
-    if method == "grid":
-        kwargs.update(n_bandwidths=args.k, backend=args.backend)
-    if args.resilient:
-        kwargs["resilience"] = True
-
-    tracer = Tracer()
-    result = select_bandwidth(
-        x, y, method=method, kernel=args.kernel, trace=tracer, **kwargs
-    )
-    print(result.summary())
-    print()
-    print(render_tree(tracer))
-    if args.output and args.output != "-":
-        write_chrome_trace(args.output, tracer, process_name="repro")
-        print(f"\nchrome trace written to {args.output} "
+        print()
+        print(render_tree(tracer))
+        print(f"\nchrome trace written to {args.trace} "
               "(open in chrome://tracing or https://ui.perfetto.dev)")
     return 0
 
@@ -566,7 +516,6 @@ _COMMANDS = {
     "fig1": _cmd_fig1,
     "shape": _cmd_shape,
     "select": _cmd_select,
-    "trace": _cmd_trace,
     "serve": _cmd_serve,
     "info": _cmd_info,
 }

@@ -35,7 +35,6 @@ __all__ = [
     "cv_score",
     "cv_scores_dense_grid",
     "dense_cv_block_stats",
-    "dense_cv_block_sums",
 ]
 
 
@@ -132,14 +131,18 @@ def dense_cv_block_stats(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Like :func:`dense_cv_block_sums` but also counts invalid points.
+    """Squared-residual sum and invalid count for one ``h``.
 
     Returns ``array([sq_residual_sum, invalid_count])`` for observations
     ``[start, stop)`` — a summable pair, so parallel reducers can add
-    block results directly.  The invalid count (observations whose
-    leave-one-out window is empty, ``M(X_i) = 0``) lets optimisation-based
-    selectors apply the R ``np`` convention of treating an undefined CV
-    function as +infinity instead of silently dropping terms.
+    block results directly: the full ``CV_lc(h)`` is the first entry
+    summed over a partition of ``range(n)``, divided by n.  Top-level and
+    picklable, it is the parallel unit of work for the multicore
+    numerical-optimisation selector (the paper's "Multicore R" program
+    2).  The invalid count (observations whose leave-one-out window is
+    empty, ``M(X_i) = 0``) lets optimisation-based selectors apply the R
+    ``np`` convention of treating an undefined CV function as +infinity
+    instead of silently dropping terms.
     """
     kern = get_kernel(kernel_name)
     x = np.asarray(x, dtype=float)
@@ -152,35 +155,6 @@ def dense_cv_block_stats(
     ok = den > 0.0
     resid = np.where(ok, y[start:stop] - num / np.where(ok, den, 1.0), 0.0)
     return np.array([float(np.dot(resid, resid)), float((~ok).sum())])
-
-
-def dense_cv_block_sums(
-    x: np.ndarray,
-    y: np.ndarray,
-    h: float,
-    kernel_name: str,
-    start: int,
-    stop: int,
-) -> float:
-    """Squared-residual sum over observations ``[start, stop)`` for one ``h``.
-
-    The parallel unit of work for the multicore numerical-optimisation
-    selector (the paper's "Multicore R" program 2): top-level and picklable
-    so a process pool can split the O(n²) objective into row blocks.  The
-    full ``CV_lc(h)`` is the sum of these blocks over a partition of
-    ``range(n)``, divided by n.
-    """
-    kern = get_kernel(kernel_name)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = kern((x[start:stop, None] - x[None, :]) / h)
-    idx = np.arange(start, stop)
-    w[np.arange(idx.shape[0]), idx] = 0.0
-    den = w.sum(axis=1)
-    num = w @ y
-    ok = den > 0.0
-    resid = np.where(ok, y[start:stop] - num / np.where(ok, den, 1.0), 0.0)
-    return float(np.dot(resid, resid))
 
 
 def cv_scores_dense_grid(

@@ -4,7 +4,7 @@ Zero-dependency spans, counters, and exporters.  The paper's headline
 claims are about *where time goes* — per-observation sort vs. sweep
 vs. reduction — and this package attributes wall-clock and numerical
 behaviour to those phases end to end: ``select_bandwidth`` → selector →
-backend → ``fastgrid`` blocks → resilience waves → serving requests.
+backend → ``fastgrid`` blocks → resilient sweeps → serving requests.
 
 Quick use::
 

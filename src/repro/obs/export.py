@@ -6,7 +6,7 @@ Three consumers, three formats:
   loadable in ``chrome://tracing`` or https://ui.perfetto.dev (complete
   ``"X"`` duration events plus ``"C"`` counter events).
 * :func:`render_tree` — a plain-text phase tree with durations, for
-  terminals and the ``repro trace`` subcommand.
+  terminals and ``repro select --trace PATH``.
 * :func:`trace_metrics_lines` — flat ``repro_trace_*`` exposition lines
   merged into the serving ``/metrics`` endpoint.
 """

@@ -177,6 +177,38 @@ class TestGpu001:
         assert host == []
 
 
+class TestCon002:
+    OPENED = (
+        "from repro.parallel.pool import WorkerPool\n"
+        "def f(helper):\n"
+        "    pool = WorkerPool(2)\n"
+        "    try:\n"
+        "        pool.open()\n"
+        "        return helper(pool)\n"
+        "    finally:\n"
+        "        {cleanup}\n"
+    )
+
+    def _rules(self, src: str) -> list[str]:
+        findings = LintEngine(select=["CON002"]).lint_source(
+            src, rel="core/selectors.py"
+        )
+        return [f.rule_id for f in findings]
+
+    def test_an_opened_pool_passed_to_a_helper_stays_the_scopes(self) -> None:
+        assert self._rules(self.OPENED.format(cleanup="pass")) == ["CON002"]
+        assert self._rules(self.OPENED.format(cleanup="pool.close()")) == []
+
+    def test_an_unopened_pool_passed_on_is_handed_off(self) -> None:
+        src = (
+            "from repro.parallel.pool import WorkerPool\n"
+            "def f(owner):\n"
+            "    pool = WorkerPool(2)\n"
+            "    owner.adopt(pool)\n"
+        )
+        assert self._rules(src) == []
+
+
 class TestRob001:
     def test_bare_except_flagged(self) -> None:
         src = (

@@ -96,9 +96,9 @@ SUBJECTS = [
         "        finally:\n            pass\n",
     ),
     Subject(
-        "CON002", "bagged/selector.py",
-        "        finally:\n            pool.close()\n",
-        "        finally:\n            pass\n",
+        "CON002", "core/selectors.py",
+        "            if pool is not None:\n                pool.close()\n",
+        "            if pool is not None:\n                pass\n",
     ),
 ]
 

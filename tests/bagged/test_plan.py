@@ -119,6 +119,22 @@ class TestSubsamplePlan:
         assert np.array_equal(plan.indices(1), rebuilt.indices(1))
 
 
+class TestScaleFactor:
+    def _plan(self, n: int, m: int) -> SubsamplePlan:
+        return SubsamplePlan(n=n, subsample_size=m, n_subsamples=1, root_seed=0)
+
+    def test_known_value(self) -> None:
+        # (100000 / 3125)^(1/5) = 32^(0.2) = 2
+        assert self._plan(100_000, 3125).scale_factor == pytest.approx(2.0)
+
+    def test_identity_when_m_equals_n(self) -> None:
+        assert self._plan(500, 500).scale_factor == 1.0
+
+    def test_inflation_always_at_least_one(self) -> None:
+        for m, n in [(10, 10), (10, 100), (999, 1000)]:
+            assert self._plan(n, m).scale_factor >= 1.0
+
+
 class TestPlanSubsamples:
     def test_defaults_resolve(self) -> None:
         plan = plan_subsamples(10_000)

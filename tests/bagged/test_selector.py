@@ -2,8 +2,8 @@
 
 The load-bearing property is the bit-for-bit contract: identical
 ``(root_seed, r, m, grid)`` must produce the identical bagged ``h_opt``
-across every strict-fold backend, across serial vs. pooled dispatch,
-across fault/retry schedules, and from a warm cache.
+across every strict-fold backend, across fault/retry schedules, and
+from a warm cache.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro import BaggedCVSelector, select_bandwidth
 from repro.bagged.plan import plan_subsamples
-from repro.bagged.rescale import scale_factor
 from repro.core.selectors import GridSearchSelector
 from repro.data import paper_dgp
 from repro.exceptions import ValidationError
@@ -48,9 +47,9 @@ class TestSelection:
         assert bag["subsample_size"] == 300
         assert bag["n_subsamples"] == 5
         assert bag["root_seed"] == 7
-        assert bag["scale_factor"] == pytest.approx(
-            scale_factor(300, N), rel=0, abs=0
-        )
+        assert bag["scale_factor"] == (N / 300) ** 0.2
+        assert bag["rate"] == 0.2
+        assert bag["aggregate"] == "mean-log"
         assert len(bag["subsamples"]) == 5
         for record in bag["subsamples"]:
             assert record["attempts"] == 1
@@ -92,17 +91,6 @@ class TestSelection:
         exact = GridSearchSelector().select(sample.x, sample.y)
         assert bagged.bandwidth == exact.bandwidth
 
-    def test_median_log_aggregate(self, sample) -> None:
-        res = select_bandwidth(
-            sample.x, sample.y, method="bagged", aggregate="median-log", **PLAN
-        )
-        votes = np.sort(res.bandwidths)
-        assert res.bandwidth == pytest.approx(votes[2])  # r=5 → middle vote
-
-    def test_unknown_aggregate_rejected(self) -> None:
-        with pytest.raises(ValidationError):
-            BaggedCVSelector(aggregate="mode")
-
     def test_resume_rejected_for_bagged(self, sample) -> None:
         # No selector or backend reads resume=: it is refused as unknown.
         with pytest.raises(ValidationError, match="unknown option.*resume"):
@@ -110,9 +98,16 @@ class TestSelection:
                 sample.x, sample.y, method="bagged", resume="ckpt.json", **PLAN
             )
 
-    def test_nested_pool_rejected(self) -> None:
-        with pytest.raises(ValidationError, match="nest"):
-            BaggedCVSelector(backend="blocked-shm", subsample_workers=2)
+    @pytest.mark.parametrize(
+        ("option", "value"),
+        [("subsample_workers", 2), ("aggregate", "median-log"), ("rate", 0.25)],
+    )
+    def test_retired_options_rejected(self, sample, option, value) -> None:
+        with pytest.raises(ValidationError, match=f"unknown option.*{option}") as info:
+            select_bandwidth(
+                sample.x, sample.y, method="bagged", **{option: value}, **PLAN
+            )
+        assert info.value.code == "REPRO_VALIDATION"
 
 
 class TestCrossBackendBitForBit:
@@ -132,13 +127,6 @@ class TestCrossBackendBitForBit:
         assert res.bandwidth == reference.bandwidth
         assert np.array_equal(res.scores, reference.scores)
 
-    def test_pooled_dispatch_matches_serial(self, sample, reference) -> None:
-        res = select_bandwidth(
-            sample.x, sample.y, method="bagged", subsample_workers=2, **PLAN
-        )
-        assert res.bandwidth == reference.bandwidth
-        assert np.array_equal(res.scores, reference.scores)
-
 
 class TestTracing:
     def test_span_tree(self, sample, reference) -> None:
@@ -151,16 +139,6 @@ class TestTracing:
         for i in range(5):
             assert f"bagged.subsample[{i}]" in names
         assert res.bandwidth == reference.bandwidth  # tracing changes nothing
-
-    def test_pooled_dispatch_ships_spans_home(self, sample) -> None:
-        tracer = Tracer()
-        with use_tracer(tracer):
-            select_bandwidth(
-                sample.x, sample.y, method="bagged", subsample_workers=2, **PLAN
-            )
-        names = [s.name for s in tracer.spans()]
-        assert "bagged.dispatch" in names
-        assert sum(1 for n in names if n.startswith("bagged.subsample[")) == 5
 
 
 class TestResilience:
@@ -256,6 +234,38 @@ class TestSelectionCache:
         assert warm.bandwidth == cold.bandwidth == reference.bandwidth
         assert np.array_equal(warm.scores, cold.scores)
         assert warm.diagnostics["bagged"] == cold.diagnostics["bagged"]
+
+    @pytest.mark.parametrize(
+        "backend", [{"backend": "numpy"}, {"backend": "blocked-shm", "workers": 2}],
+        ids=["numpy", "blocked-shm"],
+    )
+    def test_a_grown_plan_reuses_every_cached_curve(
+        self, sample, tmp_path, backend
+    ) -> None:
+        # r = 6 shares its first five draws with r = 5 (draw i depends on
+        # (root_seed, i) only), so only the sixth curve is swept.
+        from repro.serving import ArtifactCache
+
+        cache = ArtifactCache(tmp_path)
+        plan = dict(subsample_size=300, root_seed=7)
+        select_bandwidth(
+            sample.x, sample.y, method="bagged", cache=cache, subsamples=5,
+            **plan, **backend,
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            grown = select_bandwidth(
+                sample.x, sample.y, method="bagged", cache=cache, subsamples=6,
+                **plan, **backend,
+            )
+        counters = tracer.counters()
+        assert counters.get("curve_cache.hit") == 5
+        assert counters.get("curve_cache.miss") == 1
+        uncached = select_bandwidth(
+            sample.x, sample.y, method="bagged", subsamples=6, **plan, **backend
+        )
+        assert grown.bandwidth == uncached.bandwidth
+        assert grown.scores.tobytes() == uncached.scores.tobytes()
 
     def test_explicit_defaults_share_the_fingerprint(self, sample, tmp_path) -> None:
         from repro.serving import ArtifactCache

@@ -7,7 +7,7 @@ from repro.core.loocv import (
     cv_score,
     cv_score_reference,
     cv_scores_dense_grid,
-    dense_cv_block_sums,
+    dense_cv_block_stats,
     loo_estimates,
 )
 from repro.data import paper_dgp
@@ -122,13 +122,20 @@ class TestDenseGrid:
         assert np.isfinite(scores).all()
 
 
-class TestDenseBlockSums:
-    def test_blocks_sum_to_full_score(self, paper_sample_medium):
+class TestDenseBlockStats:
+    # At h = 0.0005 some leave-one-out windows of the n = 400 sample are
+    # empty, so the invalid counts have something to add up.
+    @pytest.mark.parametrize("h", [0.15, 0.0005])
+    def test_blocks_sum_to_full_score(self, paper_sample_medium, h):
         s = paper_sample_medium
         n = s.n
-        h = 0.15
         total = sum(
-            dense_cv_block_sums(s.x, s.y, h, "epanechnikov", lo, hi)
+            dense_cv_block_stats(s.x, s.y, h, "epanechnikov", lo, hi)
             for lo, hi in [(0, 100), (100, 250), (250, n)]
         )
-        assert total / n == pytest.approx(cv_score(s.x, s.y, h))
+        whole = dense_cv_block_stats(s.x, s.y, h, "epanechnikov", 0, n)
+        assert total[0] / n == pytest.approx(cv_score(s.x, s.y, h))
+        assert total[1] == whole[1]
+        _, valid = loo_estimates(s.x, s.y, h)
+        assert whole[1] == float((~valid).sum())
+        assert (whole[1] > 0) == (h < 0.01)

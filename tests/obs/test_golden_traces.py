@@ -1,7 +1,7 @@
 """Golden-trace regression tests: span names, nesting and attributes.
 
 The span vocabulary is part of the public observability contract — the
-``repro trace`` output, the Chrome trace JSON and the ``/metrics``
+``repro select --trace`` output, the Chrome trace JSON and the ``/metrics``
 aggregation all key off these names.  These tests freeze the exact
 ``(depth, name)`` tree each backend emits on a single-chunk problem, so
 a renamed or re-nested span fails loudly rather than silently breaking

@@ -84,8 +84,12 @@ class TestEndToEndOverhead:
             with use_tracer(Tracer()):
                 cv_scores_fastgrid(x, y, grid)
 
-        base = best_of(plain, 2)
-        tracked = best_of(traced, 2)
+        # Interleaved (plain, traced, plain, traced), best of 2 per side,
+        # so one noisy burst on the host cannot hit both traced runs.
+        base = tracked = float("inf")
+        for _ in range(2):
+            base = min(base, best_of(plain, 1))
+            tracked = min(tracked, best_of(traced, 1))
         # Tracing on pays for span bookkeeping plus the Neumaier
         # compensation shadow pass — bounded, but not free.  Tracing is
         # opt-in, so the guard protects "reasonable", not "negligible".

@@ -6,7 +6,7 @@ the same resilience report and return the same bits.  The other tests
 pin what that one path promises: ``max_retries`` is honoured the same
 way by both selectors, later sweeps start from the backend the first
 one settled on, a degraded curve is cached under the backend that
-finished it, and the pooled bagged dispatch stays resilience-free.
+finished it, and every bagged subsample sweep runs on the engine.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.api import select_bandwidth
-from repro.exceptions import WorkerCrashError
 from repro.obs import Tracer, use_tracer
 from repro.resilience import FaultInjector, FaultSpec, inject_faults
 from repro.resilience.engine import ResilienceConfig
@@ -148,27 +147,24 @@ def test_degraded_curve_is_cached_under_the_backend_that_finished_it(
     assert _curve(plain).tobytes() == _curve(degraded).tobytes()
 
 
-def test_pooled_bagged_dispatch_is_resilience_free(chaos_sample):
-    x, y = chaos_sample
-    injector = FaultInjector(FAULTS["worker-crash"], seed=0)
-    with inject_faults(injector):
-        with pytest.raises(WorkerCrashError):
-            select_bandwidth(
-                x, y, method="bagged", subsamples=4, subsample_size=120,
-                subsample_workers=2,
-            )
-
-
 def test_resilient_bagged_runs_subsamples_serially_on_the_engine(chaos_sample):
     x, y = chaos_sample
     plan = dict(subsamples=4, subsample_size=120, n_bandwidths=K)
-    pooled = select_bandwidth(x, y, method="bagged", subsample_workers=2, **plan)
+    serial = select_bandwidth(x, y, method="bagged", **plan)
     tracer = Tracer()
     with use_tracer(tracer):
         res = select_bandwidth(
-            x, y, method="bagged", subsample_workers=2,
-            resilience=_config(), **plan,
+            x, y, method="bagged", resilience=_config(), **plan
         )
-    assert "bagged.dispatch" not in [s.name for s in tracer.spans()]
+    subsamples = [
+        s for s in tracer.spans() if s.name.startswith("bagged.subsample[")
+    ]
+    assert [s.name for s in subsamples] == [
+        f"bagged.subsample[{i}]" for i in range(4)
+    ]
     assert res.resilience.blocks_total == 4
-    assert res.scores.tobytes() == pooled.scores.tobytes()
+    assert res.resilience.backend_attempts == [
+        {"backend": "numpy", "outcome": "ok"}
+    ] * 4
+    assert res.bandwidth == serial.bandwidth
+    assert res.scores.tobytes() == serial.scores.tobytes()

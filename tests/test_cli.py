@@ -43,6 +43,12 @@ class TestParser:
         err = capsys.readouterr().err
         assert "invalid choice" in err or "unrecognized arguments" in err
 
+    def test_trace_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["trace"])
+        assert info.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
     def test_select_json_flag(self):
         args = build_parser().parse_args(["select", "--json"])
         assert args.json is True
@@ -161,6 +167,41 @@ class TestCommands:
         assert warm["bandwidth"] == cold["bandwidth"]
         assert warm["scores"] == cold["scores"]
         assert warm["diagnostics"].get("cache") == "hit"
+
+    @pytest.mark.parametrize(
+        ("argv", "span"),
+        [
+            (["--k", "10"], "fastgrid"),
+            (["--method", "bagged", "--subsamples", "2",
+              "--subsample-size", "100"], "bagged.subsample[0]"),
+        ],
+        ids=["grid", "bagged"],
+    )
+    def test_select_trace_writes_and_prints_the_spans(
+        self, tmp_path, capsys, argv, span
+    ):
+        import json
+
+        path = tmp_path / "trace.json"
+        assert main(["select", "--n", "300", *argv, "--trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "select_bandwidth" in out
+        assert span in out
+        names = {event["name"] for event in json.loads(path.read_text())["traceEvents"]}
+        assert {"select_bandwidth", span} <= names
+
+    def test_select_trace_with_json_prints_only_the_json(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "trace.json"
+        assert main([
+            "select", "--n", "300", "--method", "bagged", "--subsamples", "2",
+            "--subsample-size", "100", "--json", "--trace", str(path),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spans = {s["name"] for s in payload["diagnostics"]["trace"]["spans"]}
+        assert {"select_bandwidth", "bagged.subsample[1]"} <= spans
+        assert json.loads(path.read_text())["traceEvents"]
 
     def test_info_lists_serving_cache(self, capsys):
         assert main(["info"]) == 0

@@ -152,7 +152,7 @@ def test_cli_backend_choices_are_the_resolvable_backends():
 
 
 def test_bagged_parallel_backends_resolve():
-    # The one backend the bagged selector refuses to nest a pool under.
+    # The parallel backend that bagged subsample sweeps fan out on.
     assert callable(get_backend("blocked-shm"))
 
 
