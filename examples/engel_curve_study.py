@@ -8,24 +8,20 @@ synthetic household-expenditure relationship with rising dispersion
 
 * CV-optimal bandwidth (fast grid) vs the rule of thumb vs numerical
   optimisation — and what each choice does to the fitted curve;
-* leave-one-out cross-validated 95% confidence band (the paper's §II
-  extension);
-* Nadaraya–Watson vs local linear at the sample boundary, where the
-  local-constant estimator is biased.
+* the Nadaraya–Watson fit at the CV-optimal bandwidth against the truth.
 
 Run:  python examples/engel_curve_study.py
 """
 
 import numpy as np
 
-from repro import LocalLinear, NadarayaWatson
+from repro import NadarayaWatson
 from repro.core import (
     GridSearchSelector,
     NumericalOptimizationSelector,
     RuleOfThumbSelector,
 )
 from repro.data import heteroskedastic_dgp
-from repro.regression import loo_confidence_band
 
 
 def main() -> None:
@@ -41,41 +37,35 @@ def main() -> None:
         ),
         "rule of thumb": RuleOfThumbSelector(),
     }
+    at = np.linspace(0.05, 0.95, 19)
+    truth = sample.true_mean(at)
     results = {}
-    print(f"\n{'selector':<26} {'h':>10} {'CV(h)':>12} {'evals':>7} {'secs':>8}")
+    print(
+        f"\n{'selector':<26} {'h':>10} {'CV(h)':>12} {'evals':>7} "
+        f"{'secs':>8} {'RMSE':>8}"
+    )
     for name, sel in selectors.items():
         res = sel.select(x, y)
         results[name] = res
+        fit = NadarayaWatson(bandwidth=res.bandwidth).fit(x, y).predict(at)
+        rmse = float(np.sqrt(np.mean((fit - truth) ** 2)))
         print(
             f"{name:<26} {res.bandwidth:>10.4f} {res.score:>12.6f} "
-            f"{res.n_evaluations:>7d} {res.wall_seconds:>8.3f}"
+            f"{res.n_evaluations:>7d} {res.wall_seconds:>8.3f} {rmse:>8.4f}"
         )
-    h_star = results["fast grid search"].bandwidth
+    print("(RMSE of each fit against the true mean on an interior grid)")
 
-    # -- confidence band at the CV-optimal bandwidth ----------------------
-    at = np.linspace(0.05, 0.95, 19)
-    band = loo_confidence_band(x, y, at, h_star, level=0.95)
-    truth = sample.true_mean(at)
-    coverage = band.coverage_of(truth)
-    print(f"\n95% LOO-CV confidence band at h*={h_star:.4f}:")
-    print(f"{'x':>6} {'fit':>9} {'lower':>9} {'upper':>9} {'width':>8} {'truth':>9}")
+    # -- the NW fit at the CV-optimal bandwidth ---------------------------
+    h_star = results["fast grid search"].bandwidth
+    model = NadarayaWatson(bandwidth=h_star).fit(x, y)
+    fit = model.predict(at)
+    print(f"\nNadaraya–Watson fit at h*={h_star:.4f} (R²={model.r_squared():.3f}):")
+    print(f"{'x':>6} {'fit':>9} {'truth':>9} {'error':>9}")
     for i in range(0, len(at), 3):
         print(
-            f"{at[i]:>6.2f} {band.estimate[i]:>9.4f} {band.lower[i]:>9.4f} "
-            f"{band.upper[i]:>9.4f} {band.width[i]:>8.4f} {truth[i]:>9.4f}"
+            f"{at[i]:>6.2f} {fit[i]:>9.4f} {truth[i]:>9.4f} "
+            f"{fit[i] - truth[i]:>9.4f}"
         )
-    print(f"pointwise coverage of the truth in this draw: {coverage:.2%}")
-    print("(band widens to the right, tracking the rising noise)")
-
-    # -- boundary bias: local constant vs local linear --------------------
-    nw = NadarayaWatson(bandwidth=h_star).fit(x, y)
-    ll = LocalLinear(bandwidth=h_star).fit(x, y)
-    edge = np.array([0.01, 0.03, 0.5, 0.97, 0.99])
-    print("\nboundary behaviour (true mean has slope at the edges):")
-    print(f"{'x':>6} {'NW':>9} {'local-lin':>10} {'truth':>9}")
-    for xi, a, b, t in zip(edge, nw.predict(edge), ll.predict(edge), sample.true_mean(edge)):
-        print(f"{xi:>6.2f} {a:>9.4f} {b:>10.4f} {t:>9.4f}")
-    print("(the local linear fit hugs the truth at x -> 0 and x -> 1)")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ Kernel Regression Using a Fast Grid Search and a GPU"* (IPPS 2017):
   optimiser, its multicore variant, the sequential fast grid, and the
   CUDA program running on a faithful **GPU simulator**
   (:mod:`repro.gpusim`, :mod:`repro.cuda_port`);
-* the downstream estimators the bandwidth feeds: NW and local-linear
-  regression with cross-validated confidence bands
+* the Nadaraya–Watson estimator the bandwidth feeds
   (:mod:`repro.regression`), and the KDE/LSCV extension
   (:mod:`repro.kde`);
 * a benchmark harness regenerating every table and figure of the
@@ -43,7 +42,7 @@ from repro.core import (
 from repro.bagged import BaggedCVSelector
 from repro.kde import KernelDensity, select_kde_bandwidth
 from repro.kernels import get_kernel, list_kernels
-from repro.regression import LocalLinear, NadarayaWatson
+from repro.regression import NadarayaWatson
 
 __version__ = "1.0.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "BandwidthGrid",
     "GridSearchSelector",
     "KernelDensity",
-    "LocalLinear",
     "NadarayaWatson",
     "NumericalOptimizationSelector",
     "RuleOfThumbSelector",

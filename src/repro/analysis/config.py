@@ -119,7 +119,6 @@ class LintConfig:
         "check_paired_samples",
         "ensure_bandwidths",
         "check_positive_int",
-        "check_probability",
         "as_design_matrix",
         "check_multivariate_sample",
         "ensure_bandwidth_vector",

@@ -71,9 +71,21 @@ def _enclosing_scope(ctx: ModuleContext, node: ast.AST) -> ast.AST:
     return ctx.tree
 
 
-def _name_in(node: ast.AST, name: str) -> bool:
+def _carries(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` carries ``name`` itself onward.
+
+    ``name.method(...)`` carries the method's result, not the resource,
+    so a ``Name`` that is only the receiver of an attribute call does
+    not count.
+    """
+    receivers = {
+        id(sub.func.value)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+    }
     return any(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
+        isinstance(sub, ast.Name) and sub.id == name and id(sub) not in receivers
+        for sub in ast.walk(node)
     )
 
 
@@ -83,16 +95,16 @@ def _escapes(scope: ast.AST, name: str) -> bool:
     Escape routes (each hands the resource to another owner): returned
     or yielded; stored into a container slot or an attribute; passed as
     an argument to another call.  A method call *on* the name
-    (``name.close()``) is not an escape.
+    (``name.close()``, ``return name.starmap(...)``) is not an escape.
     """
     for node in ast.walk(scope):
         if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-            if node.value is not None and _name_in(node.value, name):
+            if node.value is not None and _carries(node.value, name):
                 return True
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
-                    if _name_in(node.value, name):
+                    if _carries(node.value, name):
                         return True
         elif isinstance(node, ast.Call):
             for arg in node.args:

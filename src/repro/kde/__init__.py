@@ -1,10 +1,9 @@
-"""Kernel density estimation with LSCV bandwidth selection.
+"""Kernel density estimation with LSCV and rule-of-thumb bandwidths.
 
 The KDE application of the paper's fast-grid machinery (§II's
 "straightforward extension").
 """
 
-from repro.kde.confidence import DensityBand, kde_confidence_band
 from repro.kde.convolution import (
     CONVOLUTION_REGISTRY,
     ConvolutionKernel,
@@ -22,9 +21,7 @@ from repro.kde.rot import scott_bandwidth, silverman_bandwidth
 __all__ = [
     "CONVOLUTION_REGISTRY",
     "ConvolutionKernel",
-    "DensityBand",
     "KernelDensity",
-    "kde_confidence_band",
     "kde_evaluate",
     "lscv_score",
     "lscv_scores_fastgrid",

@@ -1,20 +1,8 @@
-"""Kernel regression estimators built on the selected bandwidth."""
+"""The Nadaraya–Watson estimator the selected bandwidth feeds."""
 
-from repro.regression.confidence import ConfidenceBand, loo_confidence_band
-from repro.regression.local_linear import LocalLinear, local_linear_estimate
-from repro.regression.local_polynomial import (
-    LocalPolynomial,
-    local_polynomial_estimate,
-)
 from repro.regression.nadaraya_watson import NadarayaWatson, nw_estimate
 
 __all__ = [
-    "ConfidenceBand",
-    "LocalLinear",
-    "LocalPolynomial",
     "NadarayaWatson",
-    "local_linear_estimate",
-    "local_polynomial_estimate",
-    "loo_confidence_band",
     "nw_estimate",
 ]

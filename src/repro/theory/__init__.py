@@ -1,4 +1,4 @@
-"""Asymptotic bandwidth theory and Monte Carlo study harness."""
+"""Asymptotic (AMISE) bandwidth theory."""
 
 from repro.theory.amise import (
     gaussian_reference_kde_bandwidth,
@@ -6,12 +6,8 @@ from repro.theory.amise import (
     regression_amise_bandwidth,
     roughness_of,
 )
-from repro.theory.simulation import SelectorStudy, StudyResult, fit_mise
 
 __all__ = [
-    "SelectorStudy",
-    "StudyResult",
-    "fit_mise",
     "gaussian_reference_kde_bandwidth",
     "kde_amise_bandwidth",
     "regression_amise_bandwidth",

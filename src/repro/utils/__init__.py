@@ -14,7 +14,6 @@ from repro.utils.validation import (
     as_float_array,
     check_paired_samples,
     check_positive_int,
-    check_probability,
     ensure_bandwidths,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "as_float_array",
     "check_paired_samples",
     "check_positive_int",
-    "check_probability",
     "chunk_slices",
     "derive_rng",
     "derive_seed_sequence",

@@ -22,7 +22,6 @@ __all__ = [
     "as_float_array",
     "check_paired_samples",
     "check_positive_int",
-    "check_probability",
     "ensure_bandwidths",
 ]
 
@@ -106,17 +105,6 @@ def check_positive_int(value: Any, *, name: str, maximum: int | None = None) -> 
     if maximum is not None and ivalue > maximum:
         raise ValidationError(f"{name} must be <= {maximum}, got {ivalue}")
     return ivalue
-
-
-def check_probability(value: Any, *, name: str) -> float:
-    """Validate a probability-like float in ``(0, 1]``."""
-    try:
-        fvalue = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a float, got {value!r}") from exc
-    if not 0.0 < fvalue <= 1.0:
-        raise ValidationError(f"{name} must lie in (0, 1], got {fvalue}")
-    return fvalue
 
 
 def ensure_bandwidths(bandwidths: Any | Sequence[float]) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.selectors import RuleOfThumbSelector
 from repro.data import linear_dgp, paper_dgp
-from repro.exceptions import SelectionError, ValidationError
+from repro.exceptions import SelectionError, ValidationError, error_code
+from repro.kernels import get_kernel, list_kernels
 from repro.regression import NadarayaWatson, nw_estimate
 
 
@@ -117,3 +118,73 @@ class TestNadarayaWatsonModel:
         est, valid = model.predict_with_validity(np.array([0.5, 40.0]))
         assert valid[0] and not valid[1]
         assert np.isnan(est[1])
+
+
+def dense_nw(x, y, at, h, kernel):
+    """Float64 oracle: one evaluation point at a time, ``Σ y·K / Σ K``,
+    valid where the weight sum is positive."""
+    kern = get_kernel(kernel)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    est = np.full(len(at), np.nan)
+    valid = np.zeros(len(at), dtype=bool)
+    for j, a in enumerate(np.asarray(at, dtype=np.float64)):
+        w = kern((a - x) / h)
+        den = w.sum()
+        valid[j] = den > 0.0
+        if valid[j]:
+            est[j] = (y * w).sum() / den
+    return est, valid
+
+
+# Each case maps the paper sample (x, y), its evaluation points and h to
+# a harder version of the same problem.
+CASES = {
+    "paper": lambda x, y, at, h: (x, y, at, h),
+    "shift-1e6": lambda x, y, at, h: (x + 1e6, y, at + 1e6, h),
+    "scale-1e-6": lambda x, y, at, h: (x * 1e-6, y, at * 1e-6, h * 1e-6),
+    "scale-1e6": lambda x, y, at, h: (x * 1e6, y, at * 1e6, h * 1e6),
+    "tied-0.1": lambda x, y, at, h: (np.round(x, 1), y, at, h),
+    "float32": lambda x, y, at, h: (
+        x.astype(np.float32), y.astype(np.float32), at, h
+    ),
+    "constant-x": lambda x, y, at, h: (np.full_like(x, 0.5), y, at, h),
+}
+
+
+def case_sample(case):
+    s = paper_dgp(200, seed=5)
+    h = 0.1
+    # The last point sits 100 bandwidths past the data, where even the
+    # Gaussian weight underflows to 0: its window is empty for every kernel.
+    at = np.append(np.linspace(-0.1, 1.1, 25), 1.0 + 100 * h)
+    return CASES[case](s.x, s.y, at, h)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("kernel", list_kernels())
+def test_matches_dense_oracle(kernel, case):
+    x, y, at, h = case_sample(case)
+    want, want_valid = dense_nw(x, y, at, h, kernel)
+    assert want_valid.any() and not want_valid.all()
+    model = NadarayaWatson(kernel, bandwidth=h).fit(x, y)
+    for est, valid in (
+        nw_estimate(x, y, at, h, kernel),
+        model.predict_with_validity(at),
+    ):
+        np.testing.assert_array_equal(valid, want_valid)
+        np.testing.assert_allclose(est, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_x_is_a_data_shape_error(bad):
+    x, y, at, h = case_sample("paper")
+    x = x.copy()
+    x[7] = bad
+    for call in (
+        lambda: nw_estimate(x, y, at, h),
+        lambda: NadarayaWatson(bandwidth=h).fit(x, y),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert error_code(info.value) == "REPRO_DATA_SHAPE"

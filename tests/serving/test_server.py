@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.serving import SchedulerConfig, ServingApp, ServingConfig, run_server
+from tests.regression.test_nadaraya_watson import dense_nw
 
 
 def make_app(**overrides: Any) -> ServingApp:
@@ -218,6 +219,34 @@ class TestSelectCachePath:
         assert status == 200
         assert len(payload["estimates"]) == 2
         assert all(isinstance(v, float) for v in payload["estimates"])
+
+    def test_predict_sends_null_for_an_empty_window(self):
+        x, y = sample()
+        at = [0.25, 0.5, 50.0, 0.75]  # nothing lies within h of 50
+
+        async def main():
+            app = await started(make_app())
+            _, selected = await app.handle(
+                "POST",
+                "/select",
+                {"x": x, "y": y, "n_bandwidths": 10, "register": "m"},
+            )
+            status, payload = await app.handle(
+                "POST", "/predict", {"model": "m", "at": at}
+            )
+            await app.shutdown()
+            return selected["result"], status, payload
+
+        result, status, payload = asyncio.run(main())
+        assert status == 200
+        text = json.dumps(payload["estimates"], allow_nan=False)
+        got = json.loads(text)
+        want, valid = dense_nw(x, y, at, result["bandwidth"], result["kernel"])
+        assert valid.tolist() == [True, True, False, True]
+        assert got[2] is None
+        np.testing.assert_allclose(
+            [got[i] for i in (0, 1, 3)], want[valid], rtol=1e-12
+        )
 
 
 class TestSelectResponses:

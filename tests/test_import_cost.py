@@ -1,9 +1,9 @@
 """Cold-start guard: scipy stays off every path a grid selection takes.
 
 scipy costs a cold process more start-up time than an n = 8,000 grid
-selection costs in total, and only the numerical optimiser and the two
-confidence bands use it.  Each cell runs in a fresh interpreter, since
-the test session itself has long since imported scipy.
+selection costs in total, and only the numerical optimiser
+(``method="numeric"``) uses it.  Each check runs in a fresh interpreter,
+since the test session itself has long since imported scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,41 +85,11 @@ def test_grid_bagged_served_and_worker_paths_never_load_scipy():
 # Values of the eager-import code, so loading scipy on first use is shown
 # to change no result.
 NUMERIC = (0.08955550661990688, 0.08810558638712637, 70)
-LOO_BAND = (
-    [0.3859467010783188, -0.21154214826684914, -0.6483554980340864],
-    [0.5692633689146739, -0.01822773252355475, -0.4823246521809139],
-)
-KDE_BAND = (
-    [0.57842367993348, 0.7549481658002749, 0.8082925186622725],
-    [1.1258505049550407, 1.397315361013959, 1.4740239881843133],
-)
-
-ON_DEMAND = {
-    "numeric": """
-        r = select_bandwidth(x, y, method="numeric", n_restarts=2, seed=0)
-        values = [r.bandwidth, r.score, r.n_evaluations]
-    """,
-    "loo-band": """
-        from repro.regression.confidence import loo_confidence_band
-        b = loo_confidence_band(x, y, at, 0.1)
-        values = [b.lower.tolist(), b.upper.tolist()]
-    """,
-    "kde-band": """
-        from repro.kde.confidence import kde_confidence_band
-        b = kde_confidence_band(x, at, 0.1)
-        values = [b.lower.tolist(), b.upper.tolist()]
-    """,
-}
 
 
-@pytest.mark.parametrize(
-    "entry, expected",
-    [("numeric", NUMERIC), ("loo-band", LOO_BAND), ("kde-band", KDE_BAND)],
-)
-def test_scipy_users_load_it_on_demand_with_unchanged_values(entry, expected):
-    body = textwrap.indent(textwrap.dedent(ON_DEMAND[entry]), "        ")
+def test_numeric_optimiser_loads_scipy_on_demand_with_unchanged_values():
     out = run_fresh(
-        f"""
+        """
         import json, sys
 
         import numpy as np
@@ -130,15 +99,15 @@ def test_scipy_users_load_it_on_demand_with_unchanged_values(entry, expected):
         rng = np.random.default_rng(7)
         x = rng.uniform(0.0, 1.0, 200)
         y = np.sin(2 * np.pi * x) + rng.normal(0.0, 0.3, 200)
-        at = np.array([0.1, 0.5, 0.9])
         before = "scipy" in sys.modules
-{body}
-        print(json.dumps({{
-            "before": before, "after": "scipy" in sys.modules, "values": values
-        }}))
+        r = select_bandwidth(x, y, method="numeric", n_restarts=2, seed=0)
+        print(json.dumps({
+            "before": before,
+            "after": "scipy" in sys.modules,
+            "values": [r.bandwidth, r.score, r.n_evaluations],
+        }))
         """
     )
     assert out["before"] is False
     assert out["after"] is True
-    for got, want in zip(out["values"], expected):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(out["values"], NUMERIC, rtol=1e-12)

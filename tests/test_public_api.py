@@ -83,7 +83,55 @@ class TestExports:
         )
 
 
+# Names outside the public surface (nothing that a selection, a CLI
+# command or a server route runs reaches them); none may resolve.
+REMOVED = [
+    ("repro", "LocalLinear"),
+    ("repro.regression", "LocalLinear"),
+    ("repro.regression", "LocalPolynomial"),
+    ("repro.regression", "loo_confidence_band"),
+    ("repro.kde", "kde_confidence_band"),
+    ("repro.theory", "SelectorStudy"),
+    ("repro.utils", "check_probability"),
+    ("repro.utils.validation", "check_probability"),
+]
+REMOVED_MODULES = [
+    "repro.regression.local_linear",
+    "repro.regression.local_polynomial",
+    "repro.regression.confidence",
+    "repro.kde.confidence",
+    "repro.theory.simulation",
+]
+
+
 class TestTopLevelSurface:
+    def test_all_is_exactly_the_selection_surface(self):
+        assert sorted(repro.__all__) == [
+            "BaggedCVSelector",
+            "BandwidthGrid",
+            "GridSearchSelector",
+            "KernelDensity",
+            "NadarayaWatson",
+            "NumericalOptimizationSelector",
+            "RuleOfThumbSelector",
+            "SelectionResult",
+            "__version__",
+            "get_kernel",
+            "list_kernels",
+            "select_bandwidth",
+            "select_kde_bandwidth",
+        ]
+
+    def test_removed_names_do_not_resolve(self):
+        for package, name in REMOVED:
+            mod = importlib.import_module(package)
+            assert name not in mod.__all__, (package, name)
+            with pytest.raises(AttributeError):
+                getattr(mod, name)
+        for module in REMOVED_MODULES:
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+
     def test_headline_exports_present(self):
         for name in (
             "select_bandwidth",

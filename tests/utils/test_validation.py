@@ -8,7 +8,6 @@ from repro.utils.validation import (
     as_float_array,
     check_paired_samples,
     check_positive_int,
-    check_probability,
     ensure_bandwidths,
 )
 
@@ -91,24 +90,6 @@ class TestCheckPositiveInt:
     def test_maximum_enforced(self):
         with pytest.raises(ValidationError, match="<= 10"):
             check_positive_int(11, name="n", maximum=10)
-
-
-class TestCheckProbability:
-    def test_valid_values(self):
-        assert check_probability(0.95, name="level") == 0.95
-        assert check_probability(1.0, name="level") == 1.0
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            check_probability(0.0, name="level")
-
-    def test_above_one_rejected(self):
-        with pytest.raises(ValidationError):
-            check_probability(1.5, name="level")
-
-    def test_non_numeric_rejected(self):
-        with pytest.raises(ValidationError):
-            check_probability("high", name="level")
 
 
 class TestEnsureBandwidths:
