@@ -44,6 +44,7 @@ Two interchangeable implementations live here:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -235,34 +236,61 @@ def _window_sums_for_block(
 
 # -- the sort-once path ------------------------------------------------------
 
-#: Crossover of :func:`window_sum_path`: the sorted path runs when
-#: ``n >= SORTED_MIN_N_PER_K * k`` and ``n >= SORTED_MIN_N``.  Measured on
-#: a 2-core x86-64 host (numpy, one thread) across the fast-grid kernels:
-#: above both bounds the sorted path wins for every kernel (tricube, the
-#: costliest, last); below ``SORTED_MIN_N`` its fixed per-octave set-up
-#: costs more than the whole O(n²) binned sweep.  See DESIGN.md.
-SORTED_MIN_N_PER_K: float = 10.0
-SORTED_MIN_N: int = 500
+#: Crossover of :func:`window_sum_path`, fitted to the committed
+#: measurement ``BENCH_crossover.json`` (``scripts/crossover.py``: one
+#: sweep per path on a 2-core x86-64 host, over n, k, every fast-grid
+#: kernel and LSCV's Epanechnikov self-convolution, on an interior and on
+#: the paper's grid).  The binned path costs O(n²), the sorted one about
+#: O(n·(c + k)) for a per-octave set-up ``c``, so the sorted path runs
+#: when ``n >= SORTED_MIN_N + ratio · k``.  ``ratio`` belongs to the first
+#: ``(top, ratio)`` row of :data:`SORTED_MIN_N_PER_K` whose ``top`` is at
+#: least the kernel's largest polynomial power; a larger power keeps the
+#: binned path.  Keyed on the terms, never the name: Epanechnikov (top 2)
+#: and its self-convolution (top 5) are both named "epanechnikov".  The
+#: sorted path gathers ``2·top + 1`` prefix rows per octave, the binned
+#: one bins each distance once per term: up to power 6 no shape the line
+#: admits was lost on both grids (the sorted path won at n = 300, k = 30
+#: and at n = 2,000, k = 1,000), and tricube (power 9) won on both
+#: wherever its steeper line admits it (n = 2,000, k = 500 included) and
+#: lost on both at n = 300, k = 100, n = 1,000, k ≥ 500 and n = 2,000,
+#: k = 1,000, which it keeps binned.  At n = 200 the winner depended on
+#: the grid.
+SORTED_MIN_N: int = 250
+SORTED_MIN_N_PER_K: tuple[tuple[int, float], ...] = ((6, 1.5), (9, 2.1))
 
-#: Sorted positions per tile of :meth:`_SortedSample.contributions`: one
-#: octave's ``(k_octave, tile)`` float64 temporaries then fit a core's L2
-#: cache at k = 50, and the tile's window sums are reduced to residuals
-#: before the next tile starts.  Measured best of 256–4,096 on a 2-core
-#: x86-64 host (n = 8,000, k = 50).  Rows are partition-invariant, so the
-#: tile size never changes a bit.
-RANK_TILE_ROWS: int = 1024
+#: Grid-column × sorted-position cells per tile of
+#: :meth:`_SortedSample.contributions`: a tile holds
+#: ``RANK_TILE_CELLS // widest`` sorted positions, ``widest`` being the
+#: column count of the grid's widest octave, so one octave's
+#: ``(k_octave, tile)`` float64 temporaries keep one size on every grid.
+#: The k = 50 interior grid ``linspace(0.002, 0.1, 50)`` (widest octave
+#: 22 columns) gets 1,024-row tiles, measured best of 256–4,096 on a
+#: 2-core x86-64 host (n = 8,000); the paper grid at k = 500 (240
+#: columns) gets 93 rows instead of holding some 50 MiB per tile.  Rows
+#: are partition-invariant, so the tile size never changes a bit.
+RANK_TILE_CELLS: int = 22 * 1024
+
+#: Output cells an unbudgeted sorted block may hold per observation of
+#: the sample: ``rows · k <= SORTED_BLOCK_CELLS_PER_N · n``.  The block's
+#: ``(rows, k)`` output and the fold's workspace are the only O(rows·k)
+#: arrays of a sorted sweep, so this keeps its memory O(n) at any k, like
+#: the sorted sample's own: 256-row blocks at n = 2,000, k = 500, where
+#: one 1,398-row block added 6 MiB to a served process's peak RSS, and
+#: still one block at n = 8,000, k = 50.
+SORTED_BLOCK_CELLS_PER_N: int = 64
 
 #: Bytes one unbudgeted binned chunk's rows may hold, as charged by
-#: :func:`_working_set_bytes`, and the fewest rows it takes
-#: when its rows are larger.  At served-mix's binned shape (n = 2,000,
-#: k = 500) this gives 80 rows: 0.30 s and an 11 MiB tracemalloc peak per
-#: sweep, against 0.41 s and 260 MiB for the whole 2,000-row chunk of the
-#: 256 MiB chunk budget (medians of 5 on a 2-core x86-64 host; 40–120 rows
-#: all ran within 0.29–0.32 s).  The floor keeps large samples off a
-#: handful of rows: at n = 25,000 (float32, the simulated device's tiles)
-#: 8,000 rows took 21.3 s in 16-row chunks, 19.2 s in 67-row ones and
-#: 20.2 s in 190-row ones (2 runs each, CPU time, same host).  Rows are
-#: partition-invariant, so the chunk size never changes a bit.
+#: :func:`_working_set_bytes`, and the fewest rows it takes when its rows
+#: are larger.  At n = 2,000, k = 500 (binned before the crossover was
+#: re-fitted) this gave Epanechnikov 80 rows: 0.30 s and an 11 MiB
+#: tracemalloc peak per sweep, against 0.41 s and 260 MiB for the whole
+#: 2,000-row chunk of the 256 MiB chunk budget (medians of 5 on a 2-core
+#: x86-64 host; 40–120 rows all ran within 0.29–0.32 s).  The
+#: floor keeps large samples off a handful of rows: at n = 25,000
+#: (float32, the simulated device's tiles) 8,000 rows took 21.3 s in
+#: 16-row chunks, 19.2 s in 67-row ones and 20.2 s in 190-row ones (2
+#: runs each, CPU time, same host).  Rows are partition-invariant, so the
+#: chunk size never changes a bit.
 BINNED_CHUNK_BYTES: int = 16 * 1024 * 1024
 BINNED_MIN_ROWS: int = 64
 
@@ -287,13 +315,12 @@ def window_sum_path(
     float32 sweeps always keep the binned bits.
     """
     kern = _resolve_kernel(kernel)
-    if (
-        np.dtype(dtype) == np.float64
-        and kern.supports_fast_grid
-        and n >= SORTED_MIN_N
-        and n >= SORTED_MIN_N_PER_K * k
-    ):
-        return "sorted"
+    if np.dtype(dtype) != np.float64 or not kern.supports_fast_grid:
+        return "binned"
+    top = max(t.power for t in kern.poly_terms)
+    for limit, ratio in SORTED_MIN_N_PER_K:
+        if top <= limit:
+            return "sorted" if n >= SORTED_MIN_N + ratio * k else "binned"
     return "binned"
 
 
@@ -442,24 +469,31 @@ def _working_set_bytes(
     ``fixed`` is what stays resident however the rows are blocked: x and
     y, the grid and the k-length accumulators, plus the n×k contribution
     matrix when ``output_matrix`` is set.  ``per_row`` is one block row's
-    temporaries.  Both depend on the window-sum path
-    (:func:`window_sum_path`):
+    bytes.  Both depend on the window-sum path (:func:`window_sum_path`):
 
     * **binned** — each row holds an n-long distance row, the int64
       bin/offset/index triple and one distance-power and weighted-Y row
       per polynomial term: O(n) bytes per row;
-    * **sorted** — each row is charged k-length moment gathers, window
-      sums and residuals (``8·(top+1) + 4·n_terms + 16`` of them): O(k)
-      bytes per row, an upper bound since the gathers live per tile of
-      rows.  The price is the sample sorted once and, per grid octave,
-      an :class:`_Octave`: its ``2·top + 1`` prefix rows over at most
-      ``4.5·n`` columns (a point sits in at most three neighbourhoods,
-      each adds one empty-prefix slot, and padding adds at most 1/8),
-      plus its four n-long per-position arrays.  Both are charged to
-      ``fixed``, together with the transient arrays of building one
-      octave.  This residency cannot be blocked: on the sorted path a
-      budget that cannot hold it refuses the sweep, and smaller blocks
-      shrink only the O(k) row share.
+    * **sorted** — a row holds its k-long output row, the fold's
+      workspace row and its position's share of a tile's temporaries:
+      about ``4·top + 18`` per column of the widest octave (the window
+      bounds, the ``2·top + 1`` prefix gathers at each end, the
+      re-centred sums) and nine per grid column (window sums, counts and
+      leave-one-out residuals).  It is charged the larger of that and
+      ``8·(top+1) + 4·n_terms + 16`` k-length moment gathers, window
+      sums and residuals, as if every row of the block gathered at once:
+      the larger but for uniform on a one-octave grid, and the charge
+      the k = 50 plans were pinned with.  O(k) bytes per row, an upper
+      bound: a tile (:func:`_tile_rows`) never spans more rows than its
+      block, but a block may hold many tiles.  The sample sorted once
+      holds, per grid octave, an :class:`_Octave`: its ``2·top + 1``
+      prefix rows over at most ``4.5·n`` columns (a point sits in at
+      most three neighbourhoods, each adds one empty-prefix slot, and
+      padding adds at most 1/8), plus its four n-long per-position
+      arrays, and the transient arrays of building one octave.  This
+      residency cannot be blocked: on the sorted path a budget that
+      cannot hold it refuses the sweep, and smaller blocks shrink only
+      the O(k) row share.
 
     Deliberately counts arrays that overlap only briefly — the plan must
     be an upper bound, not a best case.
@@ -479,7 +513,10 @@ def _working_set_bytes(
             + max(4, moments) * columns
             + 3 * n
         )
-        per_row = (8 * (top + 1) + 4 * n_terms + 16) * k * 8
+        per_row = 8 * max(
+            (8 * (top + 1) + 4 * n_terms + 16) * k,
+            (4 * top + 18) * _widest_octave(grid) + 11 * k,
+        )
     else:
         itemsize = np.dtype(dtype).itemsize
         per_row = (
@@ -488,6 +525,16 @@ def _working_set_bytes(
             + 16 * k * 8
         )
     return fixed, per_row
+
+
+def _widest_octave(grid: np.ndarray) -> int:
+    """Grid columns of the widest octave (:func:`_octave_columns`)."""
+    return max(cols.stop - cols.start for cols in _octave_columns(grid))
+
+
+def _tile_rows(grid: np.ndarray) -> int:
+    """Sorted positions per tile: :data:`RANK_TILE_CELLS` over the widest octave."""
+    return max(1, RANK_TILE_CELLS // _widest_octave(grid))
 
 
 class _SortedSample:
@@ -517,6 +564,7 @@ class _SortedSample:
             _Octave(self.xs, self.ys, cols, self.cutoff[cols.stop - 1], self.top)
             for cols in _octave_columns(grid)
         ]
+        self.tile_rows = _tile_rows(grid)
 
     def matches(
         self, x: np.ndarray, y: np.ndarray, grid: np.ndarray, kern: Kernel
@@ -709,15 +757,14 @@ class _SortedSample:
     def contributions(self, start: int, stop: int) -> tuple[np.ndarray, int]:
         """Squared LOO residual rows for sorted positions ``[start, stop)``.
 
-        Rows go in tiles of :data:`RANK_TILE_ROWS` positions, and each
-        tile's window sums are reduced to residuals while they are
-        cache-sized, so no block-wide ``(m, k)`` sums ever exist.  Also
+        Rows go in tiles of :func:`_tile_rows` positions, and each tile's
+        window sums are reduced to residuals while they are cache-sized,
+        so no block-wide ``(m, k)`` sums ever exist.  Also
         returns the number of empty windows.
         """
         out = np.empty((stop - start, self.grid.shape[0]), dtype=np.float64)
         empty = 0
-        for a in range(start, stop, RANK_TILE_ROWS):
-            b = min(a + RANK_TILE_ROWS, stop)
+        for a, b in self._tiles(start, stop):
             num, den, count = self.window_sums(a, b)
             squares, valid = _loo_squares(
                 num, den, self.ys[None, a:b], self.kernel, count
@@ -725,6 +772,20 @@ class _SortedSample:
             out[a - start:b - start] = squares.T
             empty += valid.size - int(np.count_nonzero(valid))
         return out, empty
+
+    def fold_den(self, start: int, stop: int, total: np.ndarray) -> None:
+        """Fold positions ``[start, stop)``'s ``den`` rows into ``total``, in order.
+
+        Runs the tiles :meth:`contributions` runs, so no block-wide
+        ``(m, k)`` sums exist here either.
+        """
+        for a, b in self._tiles(start, stop):
+            fold_rows(self.window_sums(a, b)[1].T, total)
+
+    def _tiles(self, start: int, stop: int) -> Iterator[tuple[int, int]]:
+        """``[a, b)`` ranges of at most :attr:`tile_rows` positions."""
+        for a in range(start, stop, self.tile_rows):
+            yield a, min(a + self.tile_rows, stop)
 
 
 def _shift(
@@ -895,8 +956,9 @@ def plan_fastgrid_blocks(
     residency (:func:`_working_set_bytes`).
 
     With no ``memory_budget`` the block is the chunk that keeps one
-    block's modelled temporaries within the 256 MiB chunk budget (sorted
-    path) or :data:`BINNED_CHUNK_BYTES`, but at least
+    block's modelled rows within the 256 MiB chunk budget and its output
+    within :data:`SORTED_BLOCK_CELLS_PER_N` cells per observation (sorted
+    path), or within :data:`BINNED_CHUNK_BYTES` but at least
     :data:`BINNED_MIN_ROWS` rows (binned path), capped by ``max_rows``.
     A budget only ever lowers that row count, and raises the typed
     ``REPRO_MEM_BUDGET`` error when not even one row fits.  Only an
@@ -918,9 +980,14 @@ def plan_fastgrid_blocks(
     path = window_sum_path(n, k, kern, dtype)
     fixed, per_row = _working_set_bytes(n, grid, kern, dtype, output_matrix)
     # The row model's own per-row bytes, sized against the chunk budget;
-    # binned rows, O(n) bytes each, against the smaller binned one.
+    # sorted rows hold at most SORTED_BLOCK_CELLS_PER_N output cells per
+    # observation, binned rows, O(n) bytes each, fit the smaller binned
+    # budget.
     if path == "sorted":
-        rows = suggest_chunk_rows(per_row, itemsize=1, working_arrays=1)
+        rows = min(
+            suggest_chunk_rows(per_row, itemsize=1, working_arrays=1),
+            max(1, SORTED_BLOCK_CELLS_PER_N * n // k),
+        )
     else:
         rows = suggest_chunk_rows(
             per_row, itemsize=1, working_arrays=1,

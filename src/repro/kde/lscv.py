@@ -183,11 +183,11 @@ def _pair_sums(
     sample = _SortedSample(x, ones, grid, kern) if sorted_path else None
     for sl in chunk_slices(n, rows):
         if sample is not None:
-            den = sample.window_sums(sl.start, sl.stop)[1].T
-        else:
-            den = _window_sums_for_block(
-                x[sl], x, ones, grid, kern, np.dtype(np.float64)
-            )[1]
+            sample.fold_den(sl.start, sl.stop, total)
+            continue
+        den = _window_sums_for_block(
+            x[sl], x, ones, grid, kern, np.dtype(np.float64)
+        )[1]
         fold_rows(den, total)
     c0 = sum(t.coefficient for t in kern.poly_terms if t.power == 0)
     return total - n * c0

@@ -13,6 +13,7 @@ can be given explicitly or chosen at fit time by any
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -26,6 +27,13 @@ from repro.utils.numeric import is_zero
 from repro.utils.validation import as_float_array, check_paired_samples
 
 __all__ = ["NadarayaWatson", "nw_estimate"]
+
+
+def _check_bandwidth(h: float) -> float:
+    """``h`` as a float, if it is finite and positive (NaN fails ``h > 0``)."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValidationError(f"bandwidth must be finite and positive, got {h}")
+    return float(h)
 
 
 def nw_estimate(
@@ -46,8 +54,7 @@ def nw_estimate(
     x, y = check_paired_samples(x, y)
     at = as_float_array(at, name="at")
     kern = get_kernel(kernel)
-    if h <= 0.0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
+    h = _check_bandwidth(h)
     m = at.shape[0]
     out = np.full(m, np.nan, dtype=np.float64)
     valid = np.zeros(m, dtype=bool)
@@ -97,8 +104,8 @@ class NadarayaWatson:
         **selector_options: Any,
     ):
         self.kernel = get_kernel(kernel)
-        if bandwidth is not None and bandwidth <= 0.0:
-            raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+        if bandwidth is not None:
+            bandwidth = _check_bandwidth(bandwidth)
         self.bandwidth: float | None = bandwidth
         self.selector = selector or (
             None

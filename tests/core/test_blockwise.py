@@ -37,8 +37,8 @@ class TestPlanFor:
     def test_kernel_polynomial_terms_drive_the_row_cost(self) -> None:
         # Epanechnikov sweeps two polynomial terms per row, uniform one:
         # the same budget must therefore fit more uniform rows, on the
-        # binned path (n = 400) and on the sorted path (n = 4,000).
-        for n in (400, 4000):
+        # binned path (n = 250) and on the sorted path (n = 4,000).
+        for n in (250, 4000):
             epa = plan_fastgrid_blocks(
                 n, GRID16, "epanechnikov", memory_budget="64MiB"
             )
@@ -80,11 +80,11 @@ class TestPlanFor:
         # Binned rows hold O(n) bytes, sorted rows O(k): tenfold n grows
         # a binned row tenfold and leaves a sorted row unchanged, while
         # the sorted sample's O(n) residency lands in the fixed bytes.
-        assert window_sum_path(400, 16, "epanechnikov") == "binned"
+        assert window_sum_path(250, 16, "epanechnikov") == "binned"
         assert window_sum_path(4000, 16, "epanechnikov") == "sorted"
-        binned = plan_fastgrid_blocks(400, GRID16, "epanechnikov")
+        binned = plan_fastgrid_blocks(250, GRID16, "epanechnikov")
         binned32 = plan_fastgrid_blocks(
-            400, GRID16, "epanechnikov", dtype="float32"
+            250, GRID16, "epanechnikov", dtype="float32"
         )
         small = plan_fastgrid_blocks(4000, GRID16, "epanechnikov")
         large = plan_fastgrid_blocks(40_000, GRID16, "epanechnikov")
@@ -93,38 +93,45 @@ class TestPlanFor:
         assert large.fixed_bytes > 9 * small.fixed_bytes
         assert small.bytes_per_row < binned.bytes_per_row
 
-    @pytest.mark.parametrize(("n", "k"), [(8000, 50), (3163, 50)])
-    def test_unbudgeted_sorted_rows_are_one_chunk_at_the_benchmark_shapes(
-        self, n, k, monkeypatch
+    @pytest.mark.parametrize(
+        ("n", "k", "rows", "blocks"),
+        [(8000, 50, 8192, 1), (3163, 50, 4048, 1), (2000, 500, 256, 8)],
+        ids=["exact-8k", "bagged-100k", "served-mix"],
+    )
+    def test_unbudgeted_sorted_rows_at_the_benchmark_shapes(
+        self, n, k, rows, blocks, monkeypatch
     ) -> None:
-        from repro.utils.chunking import suggest_chunk_rows
+        # exact-8k and a bagged-100k subsample sweep as one block; the
+        # served shape's blocks hold 64 output cells per observation
+        # (SORTED_BLOCK_CELLS_PER_N), 1 MiB each, not one 2,000-row block.
+        from repro.core.fastgrid import SORTED_BLOCK_CELLS_PER_N
         from repro.utils.membudget import MEMORY_BUDGET_ENV
 
         monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
         grid = np.linspace(0.002, 0.1, k)
         assert window_sum_path(n, k, "epanechnikov") == "sorted"
         plan = plan_fastgrid_blocks(n, grid, "epanechnikov")
-        expected = suggest_chunk_rows(k, working_arrays=8 * 3 + 4 * 2 + 16)
-        assert plan.block_rows == expected == 8192
+        assert plan.block_rows == min(8192, SORTED_BLOCK_CELLS_PER_N * n // k)
+        assert plan.block_rows == rows
         assert plan.budget_bytes is None
-        assert plan.n_blocks == 1
+        assert plan.n_blocks == blocks
 
     def test_unbudgeted_binned_rows_fit_the_binned_chunk_bytes(
         self, monkeypatch
     ) -> None:
-        # served-mix's cold sweeps: n = 2,000 on a 500-point grid take the
+        # float32 sweeps at the served shape (n = 2,000, k = 500) keep the
         # binned path, whose rows are O(n) bytes each.  Sized from the
         # row model against BINNED_CHUNK_BYTES they run in chunks of at
-        # most 128 rows, not as one 2,000-row chunk of about 260 MiB;
+        # most 128 rows, not as one 2,000-row chunk of about 130 MiB;
         # rows too large for that keep BINNED_MIN_ROWS.
         from repro.core.fastgrid import BINNED_CHUNK_BYTES, BINNED_MIN_ROWS
         from repro.utils.membudget import MEMORY_BUDGET_ENV
 
         monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
         n, k = 2000, 500
-        assert window_sum_path(n, k, "epanechnikov") == "binned"
+        assert window_sum_path(n, k, "epanechnikov", "float32") == "binned"
         plan = plan_fastgrid_blocks(
-            n, np.linspace(0.002, 0.1, k), "epanechnikov"
+            n, np.linspace(0.002, 0.1, k), "epanechnikov", "float32"
         )
         assert plan.block_rows == BINNED_CHUNK_BYTES // plan.bytes_per_row
         assert BINNED_MIN_ROWS < plan.block_rows <= 128
@@ -136,7 +143,7 @@ class TestPlanFor:
         assert large.bytes_per_row * BINNED_MIN_ROWS > BINNED_CHUNK_BYTES
         assert large.block_rows == BINNED_MIN_ROWS
 
-    @pytest.mark.parametrize("n", [400, 4000])
+    @pytest.mark.parametrize("n", [250, 4000])
     def test_a_budget_only_ever_lowers_the_rows(self, n) -> None:
         free = plan_fastgrid_blocks(n, GRID16, "epanechnikov")
         for budget in ("1GiB", "64MiB", "8MiB"):
@@ -262,9 +269,9 @@ class TestMemoryWall:
         return peak, plan.predicted_peak_bytes
 
     def test_small_sweep_peak_within_prediction(self) -> None:
-        # Fast guard for every run, binned path: n = 400, k = 50 under a
+        # Fast guard for every run, binned path: n = 250, k = 50 under a
         # 4 MiB budget.
-        peak, predicted = self._measured_peak(400, "4MiB", k=50)
+        peak, predicted = self._measured_peak(250, "4MiB", k=50)
         assert peak <= 1.5 * predicted, (peak, predicted)
 
     def test_small_sorted_sweep_peak_within_prediction(self) -> None:
@@ -275,16 +282,12 @@ class TestMemoryWall:
         )
         assert peak <= 1.5 * predicted, (peak, predicted)
 
-    def test_unbudgeted_binned_sweep_at_the_served_shape(self, monkeypatch):
-        # served-mix's cold sweep shape (n = 2,000, k = 500, binned path)
-        # with no budget: chunks sized against BINNED_CHUNK_BYTES keep the
-        # real peak small; one 2,000-row chunk peaked at about 260 MiB.
+    @staticmethod
+    def _unbudgeted_peak(n: int, grid: np.ndarray, monkeypatch) -> int:
         from repro.utils.membudget import MEMORY_BUDGET_ENV
 
         monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
-        x, y = _sample(2000, seed=3)
-        grid = np.linspace(0.002, 0.1, 500)
-        assert window_sum_path(2000, 500, "epanechnikov") == "binned"
+        x, y = _sample(n, seed=3)
         tracemalloc.start()
         try:
             scores = cv_scores_fastgrid(x, y, grid, "epanechnikov")
@@ -292,7 +295,27 @@ class TestMemoryWall:
         finally:
             tracemalloc.stop()
         assert np.isfinite(scores).all()
+        return peak
+
+    def test_unbudgeted_binned_sweep_at_the_served_size(self, monkeypatch):
+        # n = 2,000 on a grid the binned path keeps, with no budget:
+        # chunks sized against BINNED_CHUNK_BYTES keep the real peak
+        # small; one 2,000-row chunk at k = 500 peaked at about 260 MiB.
+        grid = np.linspace(0.002, 0.1, 1500)
+        assert window_sum_path(2000, grid.size, "epanechnikov") == "binned"
+        peak = self._unbudgeted_peak(2000, grid, monkeypatch)
         assert peak <= 32 * 1024**2, peak
+
+    def test_unbudgeted_sorted_sweep_at_the_served_shape(self, monkeypatch):
+        # served-mix's cold sweep shape (n = 2,000, k = 500, sorted path)
+        # on the paper grid it serves, with no budget: cell-sized tiles
+        # and 256-row blocks.  1,024-row tiles held about 50 MiB of the
+        # widest octave's temporaries here.
+        x, _ = _sample(2000, seed=3)
+        grid = np.linspace((x.max() - x.min()) / 500, x.max() - x.min(), 500)
+        assert window_sum_path(2000, grid.size, "epanechnikov") == "sorted"
+        peak = self._unbudgeted_peak(2000, grid, monkeypatch)
+        assert peak <= 16 * 1024**2, peak
 
     @pytest.mark.perf
     def test_n20000_sweep_breaks_the_paper_wall(self) -> None:

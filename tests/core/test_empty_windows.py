@@ -33,7 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Far below the spacing of any of the samples here.
 EMPTY_GRID = [1e-9, 2e-9, 1e-8]
 #: Sample sizes that put a three-point grid on each window-sum path.
-PATHS = {"sorted": 2000, "binned": 300}
+PATHS = {"sorted": 2000, "binned": 250}
 BACKENDS = ("numpy", "blocked-shm", "python")
 KERNELS = tuple(fast_grid_kernels())
 
@@ -72,7 +72,7 @@ class TestAllEmptyWindowsRaise:
         )
 
     @pytest.mark.parametrize("backend", ("numpy", "blocked-shm"))
-    @pytest.mark.parametrize(("path", "m"), [("sorted", 600), ("binned", 300)])
+    @pytest.mark.parametrize(("path", "m"), [("sorted", 600), ("binned", 250)])
     def test_bagged_method(self, path, m, backend):
         # Each subsample sweeps the grid inflated by (n/m)^(1/5), still
         # far below the subsample's spacing.

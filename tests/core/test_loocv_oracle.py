@@ -66,7 +66,7 @@ def test_every_path_matches_the_fsum_oracle(kernel, sample, monkeypatch):
     binned = cv_scores_fastgrid(x, y, grid, kernel)
     python = cv_scores_fastgrid_python(x, y, grid, kernel)
     monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 0)
-    monkeypatch.setattr(fastgrid, "SORTED_MIN_N_PER_K", 0.0)
+    monkeypatch.setattr(fastgrid, "SORTED_MIN_N_PER_K", ((9, 0.0),))
     assert fastgrid.window_sum_path(N, grid.size, kernel) == "sorted"
     sorted_ = cv_scores_fastgrid(x, y, grid, kernel)
 

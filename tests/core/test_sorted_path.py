@@ -43,6 +43,8 @@ from repro.core.fastgrid import (
     fastgrid_row_contributions,
     window_sum_path,
 )
+from repro.core.grid import BandwidthGrid
+from repro.core.loocv import cv_scores_dense_grid
 from repro.data.generators import paper_dgp
 from repro.kde.convolution import ConvolutionKernel, self_convolution
 from repro.kernels import fast_grid_kernels, get_kernel
@@ -163,11 +165,29 @@ class TestPathRule:
     def test_benchmark_shapes(self):
         assert window_sum_path(8000, 50, "epanechnikov") == "sorted"
         assert window_sum_path(3163, 50, "epanechnikov") == "sorted"
-        # The served workload's shape keeps the binned path.
-        assert window_sum_path(2000, 500, "epanechnikov") == "binned"
+        # The served workload's shape (n = 2,000, k = 500) sorts, tricube
+        # too, though not at k = 1,000; the bagged answers' m = 300
+        # subsamples stay binned.
+        assert window_sum_path(2000, 500, "epanechnikov") == "sorted"
+        assert window_sum_path(2000, 500, "tricube") == "sorted"
+        assert window_sum_path(2000, 1000, "tricube") == "binned"
+        assert window_sum_path(2000, 1500, "epanechnikov") == "binned"
+        assert window_sum_path(300, 50, "epanechnikov") == "binned"
 
-    def test_small_samples_stay_binned(self):
-        assert window_sum_path(fastgrid.SORTED_MIN_N - 1, 2, "uniform") == "binned"
+    def test_the_crossover_is_a_line_in_k(self):
+        # n >= SORTED_MIN_N + ratio·k, the ratio keyed on the polynomial
+        # terms: Epanechnikov (power 2) and its self-convolution K̄
+        # (power 5) share a name, not necessarily a row.
+        conv = self_convolution(get_kernel("epanechnikov"))
+        assert conv.name == "epanechnikov"
+        for kernel in (*KERNELS, conv):
+            kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
+            top = max(t.power for t in kern.poly_terms)
+            ratio = next(r for limit, r in fastgrid.SORTED_MIN_N_PER_K if top <= limit)
+            for k in (2, 50, 500):
+                n = math.ceil(fastgrid.SORTED_MIN_N + ratio * k)
+                assert window_sum_path(n, k, kern) == "sorted"
+                assert window_sum_path(n - 1, k, kern) == "binned"
 
     def test_float32_and_dense_kernels_stay_binned(self):
         assert window_sum_path(8000, 50, "epanechnikov", "float32") == "binned"
@@ -350,7 +370,7 @@ class TestNeighbourhoodEdges:
         )
 
         monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 0)
-        monkeypatch.setattr(fastgrid, "SORTED_MIN_N_PER_K", 0.0)
+        monkeypatch.setattr(fastgrid, "SORTED_MIN_N_PER_K", ((9, 0.0),))
         assert window_sum_path(x.size, self.GRID.size, kernel) == "sorted"
         # The escaped point sits on the window's edge, where only uniform
         # weighs it clearly above 0: its curve is the one a skipped
@@ -421,11 +441,13 @@ class TestExecutorsAgreeBitForBit:
             ).tobytes() == ref
         # A budget just above the sorted sample's residency partitions the
         # rows into blocks.
+        free = fastgrid.plan_fastgrid_blocks(N, grid, kernel)
+        budget = free.fixed_bytes + 100 * free.bytes_per_row
         assert fastgrid.plan_fastgrid_blocks(
-            N, grid, kernel, memory_budget="4MiB"
+            N, grid, kernel, memory_budget=budget
         ).n_blocks > 1
         assert cv_scores_fastgrid(
-            x, y, grid, kernel, memory_budget="4MiB"
+            x, y, grid, kernel, memory_budget=budget
         ).tobytes() == ref
         for rows in (13, 200):
             assert cv_scores_blocked_shm(
@@ -470,7 +492,7 @@ class TestWindowSumsRowBlocks:
     """Sorted-path rows do not depend on which positions share their block.
 
     On the sorted path a row block is a range of positions in the sorted
-    sample.  Its rows go in tiles of ``RANK_TILE_ROWS`` positions and each
+    sample.  Its rows go in tiles of ``tile_rows`` positions and each
     tile's window sums are reduced to residuals on the spot; neither the
     block nor the tile boundaries may move a bit of ``num``/``den``, of
     the integer ``count`` that decides validity, or of the residual rows.
@@ -500,7 +522,7 @@ class TestWindowSumsRowBlocks:
         assert rows.tobytes() == fastgrid_row_contributions(
             x, y, self.GRID, kernel, 0, self.N
         ).tobytes()
-        monkeypatch.setattr(fastgrid, "RANK_TILE_ROWS", 7)
+        monkeypatch.setattr(sample, "tile_rows", 7)
         for sizes in ((1, 7, 333), (333, 7, 1)):
             blocks = _blocks(self.N, sizes)
             parts = [sample.window_sums(a, b) for a, b in blocks]
@@ -567,3 +589,42 @@ class TestPinnedCurveBytes:
         s = paper_dgp(5000, seed=103)
         curve = cv_scores_fastgrid(np.round(s.x, 2), s.y, self.GRID, "tricube")
         assert self._digest(curve) == self.PINS["tricube_on_tied_x"]
+
+
+class TestCellSizedTiles:
+    """Tiles hold :data:`fastgrid.RANK_TILE_CELLS` grid-column × position cells."""
+
+    def test_the_interior_grid_keeps_1024_row_tiles(self):
+        assert fastgrid._tile_rows(np.linspace(0.002, 0.1, 50)) == 1024
+
+    def test_tile_size_never_moves_a_bit(self, monkeypatch):
+        # served-mix's shape on the paper grid: its widest octave is ten
+        # times the interior grid's, so a tile holds about 90 rows.
+        s = paper_dgp(2000, seed=201)
+        grid = BandwidthGrid.for_sample(s.x, 500).values
+        assert window_sum_path(2000, 500, "epanechnikov") == "sorted"
+        widest = max(c.stop - c.start for c in fastgrid._octave_columns(grid))
+        curves = set()
+        for rows in (1, 7, 82, 1024):
+            monkeypatch.setattr(fastgrid, "RANK_TILE_CELLS", rows * widest)
+            assert fastgrid._tile_rows(grid) == rows
+            curves.add(cv_scores_fastgrid(s.x, s.y, grid).tobytes())
+        assert len(curves) == 1
+
+
+#: Kernels the sorted path took over at n/k = 4 from the n >= 10·k rule.
+NEWLY_SORTED = [
+    k for k in KERNELS
+    if window_sum_path(1000, 250, k) == "sorted"
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kernel", NEWLY_SORTED)
+def test_newly_sorted_kernels_pick_the_dense_argmin(kernel, seed):
+    s = paper_dgp(1000, seed=seed)
+    grid = BandwidthGrid.for_sample(s.x, 250).values
+    dense = cv_scores_dense_grid(s.x, s.y, grid, kernel)
+    got = cv_scores_fastgrid(s.x, s.y, grid, kernel)
+    assert int(np.argmin(got)) == int(np.argmin(dense))
+    np.testing.assert_allclose(got, dense, rtol=RTOL[kernel])

@@ -44,6 +44,15 @@ class TestNwEstimate:
         with pytest.raises(ValidationError):
             nw_estimate(x, x, x, -0.1)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bandwidth_rejected(self, h):
+        # NaN passes an ``h <= 0`` guard; it would come back as all-NaN
+        # predictions, and +inf as the global mean, with no error.
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(ValidationError) as info:
+            nw_estimate(x, x, x, h)
+        assert error_code(info.value) == "REPRO_VALIDATION"
+
     def test_chunking_invariance(self, paper_sample_medium):
         s = paper_sample_medium
         at = np.linspace(0, 1, 200)
@@ -111,6 +120,12 @@ class TestNadarayaWatsonModel:
     def test_nonpositive_fixed_bandwidth_rejected(self):
         with pytest.raises(ValidationError):
             NadarayaWatson(bandwidth=0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fixed_bandwidth_rejected(self, h):
+        with pytest.raises(ValidationError) as info:
+            NadarayaWatson(bandwidth=h)
+        assert error_code(info.value) == "REPRO_VALIDATION"
 
     def test_predict_with_validity(self, paper_sample_medium):
         s = paper_sample_medium

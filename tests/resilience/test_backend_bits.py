@@ -51,9 +51,11 @@ def test_resilient_curve_is_the_backends_own(samples, backend, kernel, path):
 
 #: (sample size, grid size, path): served-mix's cold sweep shape, whose
 #: resilient and plain curves differed while the engine summed its own
-#: row blocks, and a sorted-path shape.
+#: row blocks (then binned, now sorted), the same sample on a grid the
+#: binned path keeps, and a small sorted-path shape.
 WARM_SHAPES = [
-    pytest.param(2000, 500, "binned", id="served-mix-binned"),
+    pytest.param(2000, 500, "sorted", id="served-mix-sorted"),
+    pytest.param(2000, 1500, "binned", id="served-mix-binned"),
     pytest.param(600, 25, "sorted", id="sorted"),
 ]
 

@@ -102,13 +102,13 @@ class TestFingerprints:
                 options={"subsample_size": size},
             )
 
-        # m = 560 sweeps sorted, m = 300 binned.
+        # m = 560 sweeps sorted, m = 250 binned.
         sorted_key = key(560)
         assert sorted_key == (
             "9fa4ca443d82e531fd98b94bcadefb5538f25e8d9c09fe4f99ef61e22122a1f1"
         )
-        assert key(300) == (
-            "4b7f2a519c7dd4527204b0f4d54f8b5be2139a7c900a4e83a320d5c7d248d664"
+        assert key(250) == (
+            "79add27c9d90bc583ff1a6d6cb789b6f040e0c06ee2a81197f7d7ecbc42c64e5"
         )
         # Move the crossover: the same m now sweeps binned, under a new key.
         monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 10**18)
