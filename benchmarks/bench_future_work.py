@@ -49,7 +49,7 @@ def test_ext2_tiled_program(benchmark, data):
     benchmark.extra_info["simulated_tesla_seconds"] = result.simulated_seconds
     # Scores identical to the monolithic program.
     mono = CudaBandwidthProgram(mode="fast").run(sample.x, sample.y, grid.values)
-    np.testing.assert_allclose(result.scores, mono.scores, rtol=1e-6)
+    np.testing.assert_array_equal(result.scores, mono.scores)
 
 
 def test_ext2_beyond_the_wall(benchmark):
@@ -75,10 +75,15 @@ def test_ext3_dual_gpu_program(benchmark, data):
     result = benchmark.pedantic(
         program.run, args=(sample.x, sample.y, grid.values), rounds=1, iterations=1
     )
-    single = estimate_program_runtime(HEADLINE_N, 50).total_seconds
-    dual = estimate_multi_gpu_runtime(HEADLINE_N, 50).total_seconds
+    # The claim is the paper-scale one (EXPERIMENTS EXT3: n = 20,000);
+    # at the headline size fixed overheads keep the model near 1.1x.
+    single = estimate_program_runtime(20_000, 50).total_seconds
+    dual = estimate_multi_gpu_runtime(20_000, 50).total_seconds
     benchmark.extra_info["modeled_speedup"] = single / dual
     assert 1.5 < single / dual < 2.0
+    # Scores identical to the single-GPU program.
+    mono = CudaBandwidthProgram(mode="fast").run(sample.x, sample.y, grid.values)
+    np.testing.assert_array_equal(result.scores, mono.scores)
 
 
 def test_ext3_modeled_scaling_curve(benchmark):

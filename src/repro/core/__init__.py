@@ -5,7 +5,6 @@ from repro.core.backends import get_backend, list_backends, register_backend
 from repro.core.fastgrid import (
     cv_scores_fastgrid,
     cv_scores_fastgrid_python,
-    fastgrid_block_sums,
 )
 from repro.core.grid import (
     MAX_CONSTANT_MEMORY_BANDWIDTHS,
@@ -45,7 +44,6 @@ __all__ = [
     "cv_scores_fastgrid",
     "cv_scores_fastgrid_python",
     "default_grid",
-    "fastgrid_block_sums",
     "get_backend",
     "list_backends",
     "loo_estimates",

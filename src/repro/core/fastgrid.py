@@ -65,7 +65,6 @@ from repro.utils.validation import check_paired_samples, ensure_bandwidths
 __all__ = [
     "cv_scores_fastgrid",
     "cv_scores_fastgrid_python",
-    "fastgrid_block_sums",
     "fastgrid_row_contributions",
     "plan_fastgrid_blocks",
     "require_fast_grid_kernel",
@@ -965,8 +964,8 @@ def plan_fastgrid_blocks(
     explicit ``memory_budget`` counts here: the host sweeps resolve
     ``$REPRO_MEM_BUDGET`` where they take their arguments
     (:func:`repro.utils.membudget.requested_budget`) and pass it down, so
-    the simulated-device programs, whose :func:`fastgrid_block_sums` takes
-    none, keep their unbudgeted sub-chunks.  Rows are
+    the simulated-device programs (:mod:`repro.cuda_port.host`), which
+    pass none, keep their unbudgeted sub-chunks.  Rows are
     partition-invariant (:func:`fastgrid_row_contributions`), so the block
     size never changes a curve's bits.
     """
@@ -1016,47 +1015,6 @@ def plan_fastgrid_blocks(
         fixed_bytes=fixed,
         budget_bytes=budget,
     )
-
-
-def fastgrid_block_sums(
-    x: np.ndarray,
-    y: np.ndarray,
-    bandwidths: np.ndarray,
-    kernel_name: str,
-    start: int,
-    stop: int,
-    dtype: str = "float64",
-) -> np.ndarray:
-    """Squared-residual sums over observations ``[start, stop)``.
-
-    The unit of work for the simulated-device programs' tiles:
-    self-contained, returning a k-vector that the caller simply adds up.
-    The full CV score is the
-    sum of these blocks over a partition of ``range(n)``, divided by n.
-
-    The within-block reduction is the canonical strict row-order fold, so
-    two partitions whose block boundaries coincide produce identical bits
-    (bit-exactness across *different* partitions needs the row matrices
-    from :func:`fastgrid_row_contributions` folded globally).  A block
-    larger than :func:`plan_fastgrid_blocks` allows runs as row sub-chunks
-    folded in order into the same accumulator — the identical fold, so
-    the bits do not depend on the sub-chunk size, and a many-thousand-row
-    device tile never materialises its whole rows×n distance slab at once.
-    The sub-chunks are unbudgeted: a memory budget is the host sweeps'.
-    """
-    n = int(np.shape(x)[0])
-    _check_block(n, start, stop)
-    total = np.zeros(len(bandwidths), dtype=np.float64)
-    rows = plan_fastgrid_blocks(n, bandwidths, kernel_name, dtype).block_rows
-    for lo in range(start, stop, rows):
-        fold_rows(
-            fastgrid_row_contributions(
-                x, y, bandwidths, kernel_name, lo, min(lo + rows, stop),
-                dtype,
-            ),
-            total,
-        )
-    return total
 
 
 def cv_scores_fastgrid(

@@ -513,17 +513,25 @@ class NumericalOptimizationSelector(BandwidthSelector):
                             score = float(res.fun)
                             ok = bool(res.success)
                         else:
+                            # The simplex runs on log h inside the bounds;
+                            # clipping exp's last-ulp overshoot makes the
+                            # evaluated h the reported one, so the score
+                            # belongs to the bandwidth.
+                            def in_bounds(params: np.ndarray) -> float:
+                                return float(np.clip(np.exp(params[0]), lo, hi))
+
                             res = optimize.minimize(
-                                lambda params: cv(float(np.exp(params[0]))),
+                                lambda params: cv(in_bounds(params)),
                                 x0=np.array([np.log(h0)]),
                                 method="Nelder-Mead",
+                                bounds=[(np.log(lo), np.log(hi))],
                                 options={
                                     "maxiter": self.maxiter,
                                     "xatol": 1e-4,
                                     "fatol": 1e-10,
                                 },
                             )
-                            h_opt = float(np.exp(res.x[0]))
+                            h_opt = in_bounds(res.x)
                             score = float(res.fun)
                             ok = bool(res.success)
                     restart_results.append(
@@ -542,7 +550,7 @@ class NumericalOptimizationSelector(BandwidthSelector):
         wall = time.perf_counter() - start_time
         evaluated = np.array(trace)
         return SelectionResult(
-            bandwidth=float(np.clip(best_h, lo, hi)),
+            bandwidth=float(best_h),
             score=best_score,
             method=self.method,
             backend="multicore" if self.workers > 1 else "scipy",

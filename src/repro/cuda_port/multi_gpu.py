@@ -11,10 +11,13 @@ the observation rows split cleanly across devices:
   the rows — so per-device memory halves and the n = 20,000 OOM wall
   moves to n ≈ √2·20,000 ≈ 28,000 with the monolithic allocation, or
   combines with the tiled layout for no wall at all;
-* each device reduces its share to a k-vector of partial
-  squared-residual sums;
-* the host adds the k-vectors (a k-sized transfer per device — trivial)
-  and one device runs the final argmin reduction.
+* each device folds its share's squared residuals into the k-vector
+  of sums carried over from the device before it (a k-sized transfer
+  per device — trivial), so the curve's bits do not depend on the
+  device count, and the first device runs the final argmin reduction.
+
+The program is the shared host sequence (:mod:`repro.cuda_port.host`)
+with the rows split over ``devices``.
 
 Modelled time: the main-kernel phases halve (perfect row split); the
 reductions and overheads do not — Amdahl keeps the end-to-end speedup
@@ -23,23 +26,14 @@ just under 2×.
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
+from typing import Any, Sequence
 
-import numpy as np
-
-from repro.exceptions import ValidationError
-from repro.kernels import Kernel
-from repro.core.fastgrid import fastgrid_block_sums, require_fast_grid_kernel
-from repro.cuda_port.host import CudaProgramResult
+from repro.cuda_port.host import _HostProgram
 from repro.cuda_port.timing_model import estimate_program_runtime
+from repro.exceptions import ValidationError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.gpusim.kernel import LaunchStats
-from repro.gpusim.memory import ConstantMemory, GlobalMemory
-from repro.gpusim.reduction import device_argmin
 from repro.gpusim.timing import PhaseTime, SimulatedRuntime
-from repro.parallel import balanced_blocks
-from repro.utils.validation import check_paired_samples, ensure_bandwidths
+from repro.kernels import Kernel
 
 __all__ = ["MultiGpuBandwidthProgram", "estimate_multi_gpu_runtime"]
 
@@ -96,8 +90,10 @@ def estimate_multi_gpu_runtime(
     return SimulatedRuntime(phases=phases, overhead_seconds=overhead)
 
 
-class MultiGpuBandwidthProgram:
+class MultiGpuBandwidthProgram(_HostProgram):
     """The bandwidth program with observations split across GPUs."""
+
+    _span = "cuda-program-multi-gpu"
 
     def __init__(
         self,
@@ -110,94 +106,15 @@ class MultiGpuBandwidthProgram:
             devices = [None, None]  # the paper machine's two Tesla modules
         if len(devices) == 0:
             raise ValidationError("need at least one device")
-        specs = [get_device(d) for d in devices]
-        self.devices = specs
-        self.kernel = require_fast_grid_kernel(kernel)
-        self.threads_per_block = (
-            threads_per_block or specs[0].max_threads_per_block
-        )
+        super().__init__([get_device(d) for d in devices], kernel, threads_per_block)
 
-    def run(
-        self, x: np.ndarray, y: np.ndarray, bandwidths: np.ndarray
-    ) -> CudaProgramResult:
-        """Execute with the row range split evenly across the devices."""
-        x64, y64 = check_paired_samples(x, y)
-        grid = ensure_bandwidths(bandwidths)
-        n = x64.shape[0]
-        k = grid.shape[0]
-        x32 = x64.astype(np.float32)
-        y32 = y64.astype(np.float32)
-        P = len(self.kernel.poly_terms)
-        blocks = balanced_blocks(n, len(self.devices))
+    def _rows(self, n: int) -> int:
+        return -(-n // len(self.devices))
 
-        start = time.perf_counter()  # repro-lint: disable=GPU001 - host wall clock
-        stats: list[LaunchStats] = []
-        partials = np.zeros(k, dtype=np.float64)
-        reports = []
-        for (lo, hi), spec in zip(blocks, self.devices):
-            share = hi - lo
-            constant = ConstantMemory(spec)
-            constant.store(grid.astype(np.float32))
-            gmem = GlobalMemory(spec)
-            try:
-                # Per-device §IV-A allocations, sized to the row share.
-                d_x = gmem.malloc(n, np.float32, label="x")
-                d_y = gmem.malloc(n, np.float32, label="y")
-                d_x.copy_from_host(x32)
-                d_y.copy_from_host(y32)
-                gmem.reserve((share, n), np.float32, label="absdiff-share")
-                gmem.reserve((share, n), np.float32, label="y-share")
-                for p in range(P):
-                    gmem.reserve((share, k), np.float32, label=f"sum-d^p[{p}]")
-                    gmem.reserve((share, k), np.float32, label=f"sum-yd^p[{p}]")
-                gmem.reserve((k, share), np.float32, label="sq-residuals")
+    def _mode(self, n: int) -> str:
+        return f"fast-multi-gpu-{len(self.devices)}"
 
-                partials += fastgrid_block_sums(
-                    x32.astype(np.float64),
-                    y32.astype(np.float64),
-                    constant.read().astype(np.float64),
-                    self.kernel.name,
-                    lo,
-                    hi,
-                    "float32",
-                )
-                reports.append(gmem.report())
-            finally:
-                gmem.free_all()
-
-        # Final argmin on the first device.
-        scores32 = partials.astype(np.float32)
-        _, _, argmin_stats = device_argmin(
-            scores32,
-            grid.astype(np.float32),
-            device=self.devices[0],
-            block_dim=self.threads_per_block,
-        )
-        stats.append(argmin_stats)
-
-        wall = time.perf_counter() - start  # repro-lint: disable=GPU001 - host wall clock
-        scores = scores32.astype(np.float64) / n
-        best_j = int(np.argmin(scores))
-        memory_report = {
-            "devices": [r["device"] for r in reports],
-            "per_device_peak_gb": [r["peak_gb"] for r in reports],
-            "row_split": blocks,
-        }
-        return CudaProgramResult(
-            bandwidth=float(grid[best_j]),
-            score=float(scores[best_j]),
-            scores=scores,
-            mode=f"fast-multi-gpu-{len(self.devices)}",
-            device="+".join(s.name for s in self.devices),
-            wall_seconds=wall,
-            simulated=estimate_multi_gpu_runtime(
-                n,
-                k,
-                n_devices=len(self.devices),
-                device=self.devices[0],
-                poly_power_count=P,
-                threads_per_block=self.threads_per_block,
-            ),
-            memory_report=memory_report,
-            launch_stats=tuple(stats),
+    def _simulate(self, n: int, k: int, rows: int, **common: Any) -> SimulatedRuntime:
+        return estimate_multi_gpu_runtime(
+            n, k, n_devices=len(self.devices), **common
         )

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.fastgrid import (
     cv_scores_fastgrid,
     cv_scores_fastgrid_python,
-    fastgrid_block_sums,
+    fastgrid_row_contributions,
     require_fast_grid_kernel,
 )
 from repro.core.grid import BandwidthGrid
@@ -130,28 +130,14 @@ class TestWindowSemantics:
         np.testing.assert_allclose(a, b, rtol=1e-3)
 
 
-class TestBlockSums:
-    def test_blocks_partition_the_score(self, paper_sample_medium, medium_grid):
-        s = paper_sample_medium
-        n = s.n
-        grid = medium_grid.values
-        whole = cv_scores_fastgrid(s.x, s.y, grid) * n
-        parts = sum(
-            fastgrid_block_sums(s.x, s.y, grid, "epanechnikov", lo, hi)
-            for lo, hi in [(0, 123), (123, 300), (300, n)]
-        )
-        np.testing.assert_allclose(whole, parts, rtol=1e-12)
-
+class TestRowContributions:
     def test_invalid_block_rejected(self, paper_sample_small, small_grid):
         s = paper_sample_small
-        with pytest.raises(ValidationError):
-            fastgrid_block_sums(
-                s.x, s.y, small_grid.values, "epanechnikov", 10, 5
-            )
-        with pytest.raises(ValidationError):
-            fastgrid_block_sums(
-                s.x, s.y, small_grid.values, "epanechnikov", 0, s.n + 1
-            )
+        for start, stop in [(10, 5), (0, s.n + 1), (-1, 3), (4, 4)]:
+            with pytest.raises(ValidationError):
+                fastgrid_row_contributions(
+                    s.x, s.y, small_grid.values, "epanechnikov", start, stop
+                )
 
 
 class TestShiftInvariance:

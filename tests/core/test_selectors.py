@@ -228,6 +228,20 @@ class TestNumericalOptimizationSelector:
         ).select(s.x, s.y)
         assert 0.05 <= res.bandwidth <= 0.3
 
+    @pytest.mark.parametrize("method", ["nelder-mead", "brent"])
+    def test_score_belongs_to_the_reported_bandwidth(self, method):
+        # Pure noise: CV_lc falls toward the widest bandwidth, so an
+        # unbounded log-h simplex ran one restart out to h ~ 1.9e9 and
+        # reported the clipped h with that out-of-bounds h's score.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=300)
+        y = rng.normal(size=300)
+        res = NumericalOptimizationSelector(method=method).select(x, y)
+        lo, hi = res.diagnostics["bounds"]
+        assert res.score == cv_score(x, y, res.bandwidth)
+        for restart in res.diagnostics["restarts"]:
+            assert lo <= restart["h"] <= hi
+
     def test_invalid_bounds_rejected(self, paper_sample_small):
         s = paper_sample_small
         sel = NumericalOptimizationSelector(bounds=(0.5, 0.1))

@@ -5,13 +5,19 @@ import pytest
 
 from repro.core.fastgrid import cv_scores_fastgrid_python
 from repro.core.grid import BandwidthGrid
-from repro.cuda_port import CudaBandwidthProgram
+from repro.cuda_port import (
+    CudaBandwidthProgram,
+    MultiGpuBandwidthProgram,
+    TiledCudaBandwidthProgram,
+    host,
+)
 from repro.data import paper_dgp
 from repro.exceptions import (
     ConstantMemoryError,
     DeviceMemoryError,
     ValidationError,
 )
+from repro.gpusim.reduction import device_argmin
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +127,30 @@ class TestResourceLimits:
         assert result.memory_report["live_buffers"] > 0  # snapshot pre-free
         # A second run must succeed (nothing leaked across runs).
         prog.run(sample.x, sample.y, grid.values)
+
+
+class TestDeviceArgminCheck:
+    """Every program checks the device's argmin against the host's."""
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            CudaBandwidthProgram(mode="fast"),
+            TiledCudaBandwidthProgram(tile_rows=30),
+            MultiGpuBandwidthProgram(devices=["tesla-s1070"] * 3),
+        ],
+        ids=["monolithic", "tiled", "multi-gpu"],
+    )
+    def test_disagreeing_device_argmin_raises(
+        self, sample, grid, program, monkeypatch
+    ):
+        def wrong_argmin(scores, values, **kwargs):
+            best, _, stats = device_argmin(scores, values, **kwargs)
+            return best, float(values[np.argmax(scores)]), stats
+
+        monkeypatch.setattr(host, "device_argmin", wrong_argmin)
+        with pytest.raises(ValidationError, match="disagrees"):
+            program.run(sample.x, sample.y, grid.values)
 
 
 class TestConfiguration:

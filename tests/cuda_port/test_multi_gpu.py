@@ -1,6 +1,5 @@
 """Tests for the dual-GPU split (the machine's two Tesla S10 modules)."""
 
-import numpy as np
 import pytest
 
 from repro.core.grid import BandwidthGrid
@@ -12,6 +11,7 @@ from repro.cuda_port import (
 )
 from repro.data import paper_dgp
 from repro.exceptions import ValidationError
+from repro.obs import Tracer, span_tree, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +25,16 @@ def grid(sample):
 
 
 class TestCorrectness:
-    def test_matches_single_gpu_program(self, sample, grid):
+    @pytest.mark.parametrize("n_devices", [2, 3])
+    def test_matches_single_gpu_program(self, sample, grid, n_devices):
         single = CudaBandwidthProgram(mode="fast").run(
             sample.x, sample.y, grid.values
         )
-        dual = MultiGpuBandwidthProgram().run(sample.x, sample.y, grid.values)
-        np.testing.assert_allclose(dual.scores, single.scores, rtol=1e-6)
-        assert dual.bandwidth == pytest.approx(single.bandwidth)
+        multi = MultiGpuBandwidthProgram(
+            devices=["tesla-s1070"] * n_devices
+        ).run(sample.x, sample.y, grid.values)
+        assert multi.scores.tobytes() == single.scores.tobytes()
+        assert (multi.bandwidth, multi.score) == (single.bandwidth, single.score)
 
     def test_row_split_recorded(self, sample, grid):
         res = MultiGpuBandwidthProgram().run(sample.x, sample.y, grid.values)
@@ -44,13 +47,32 @@ class TestCorrectness:
         res = MultiGpuBandwidthProgram(
             devices=["tesla-s1070"] * 3
         ).run(sample.x, sample.y, grid.values)
-        assert len(res.memory_report["row_split"]) == 3
+        assert res.memory_report["row_split"] == [(0, 74), (74, 147), (147, 220)]
+        assert res.memory_report["tiles"] == 3
 
     def test_heterogeneous_devices(self, sample, grid):
         res = MultiGpuBandwidthProgram(
             devices=["tesla-s1070", "modern-gpu"]
         ).run(sample.x, sample.y, grid.values)
         assert res.memory_report["devices"] == ["tesla-s1070", "modern-gpu"]
+
+    def test_spans_one_upload_and_launch_per_device(self, sample, grid):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            MultiGpuBandwidthProgram().run(sample.x, sample.y, grid.values)
+        tree = [
+            (depth, rec.name)
+            for rec, depth in span_tree(tracer)
+            if rec.name not in ("block", "sort", "sweep", "reduction")
+        ]
+        assert tree == [
+            (0, "cuda-program-multi-gpu"),
+            (1, "upload"),
+            (1, "main-kernel"),
+            (1, "upload"),
+            (1, "main-kernel"),
+            (1, "device-argmin"),
+        ]
 
     def test_empty_device_list_rejected(self):
         with pytest.raises(ValidationError):
