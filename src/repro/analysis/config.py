@@ -130,7 +130,6 @@ class LintConfig:
     pool_method_names: tuple[str, ...] = (
         "map",
         "starmap",
-        "sum_over_blocks",
         "apply",
         "apply_async",
         "imap",
@@ -139,8 +138,6 @@ class LintConfig:
     #: A method call counts as a pool submission when the receiver's
     #: dotted name contains one of these substrings (case-insensitive).
     pool_receiver_hints: tuple[str, ...] = ("pool",)
-    #: Free functions that take a work-unit callable as first argument.
-    pool_function_names: tuple[str, ...] = ("parallel_sum",)
 
     # -- SRV001: calls that must not run on the serving event loop --------
     serving_blocking_calls: tuple[str, ...] = (

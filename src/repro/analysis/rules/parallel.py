@@ -68,9 +68,4 @@ class PicklableWorkUnitRule(Rule):
             if receiver is not None:
                 lowered = receiver.lower()
                 return any(hint in lowered for hint in cfg.pool_receiver_hints)
-            return False
-        name = ctx.canonical_name(func)
-        return (
-            name is not None
-            and name.rpartition(".")[2] in cfg.pool_function_names
-        )
+        return False

@@ -1,7 +1,7 @@
 """SARIF 2.1.0 export for repro-lint findings.
 
 SARIF (Static Analysis Results Interchange Format, OASIS standard) is
-what code-scanning UIs ingest — the CI ``lint-dataflow`` job uploads
+what code-scanning UIs ingest — the CI ``lint`` job uploads
 this file so findings annotate the PR diff instead of living in a build
 log.  Only the small subset of the format we need is emitted: one run, the
 tool's rule catalogue (id + short/full description), and one ``result``

@@ -28,13 +28,16 @@ decides (:func:`~repro.core.fastgrid.plan_fastgrid_blocks`): ``block_rows=``
 caps it and ``memory_budget=`` (or ``$REPRO_MEM_BUDGET``) fits it to a
 byte budget.
 
-Backends automatically fall back to the dense O(k·n²) evaluation for
-kernels without a polynomial form (Cosine, Gaussian), matching paper
-footnote 1.
+Kernels without a polynomial form (Cosine, Gaussian) have no fast rows
+(paper footnote 1): the ``python`` and ``numpy`` backends fold the dense
+O(k·n²) rows of :func:`~repro.core.loocv.dense_row_contributions`
+instead, and ``blocked-shm`` fans those same rows over its pool, so a
+dense curve is bit-identical on all three.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict
 
 import numpy as np
@@ -89,8 +92,18 @@ def list_backends() -> list[str]:
     return sorted(BACKEND_REGISTRY)
 
 
-def _wants_dense(kernel: str | Kernel) -> bool:
-    return not get_kernel(kernel).supports_fast_grid
+def _serial_sweep(
+    fast: GridBackend,
+    x: np.ndarray,
+    y: np.ndarray,
+    bandwidths: np.ndarray,
+    kern: Kernel,
+    block_rows: int | None = None,
+) -> np.ndarray:
+    """``fast`` for polynomial kernels, else the dense rows (paper footnote 1)."""
+    if kern.supports_fast_grid:
+        return fast(x, y, bandwidths, kern)
+    return cv_scores_dense_grid(x, y, bandwidths, kern, chunk_rows=block_rows)
 
 
 def _python_backend(
@@ -100,14 +113,12 @@ def _python_backend(
     kernel: str | Kernel = "epanechnikov",
     **_: object,
 ) -> np.ndarray:
-    dense = _wants_dense(kernel)
+    kern = get_kernel(kernel)
     with current_tracer().span(
         "backend:python", n=int(np.asarray(x).shape[0]), k=len(bandwidths),
-        dense=dense,
+        dense=not kern.supports_fast_grid,
     ):
-        if dense:
-            return cv_scores_dense_grid(x, y, bandwidths, kernel)
-        return cv_scores_fastgrid_python(x, y, bandwidths, kernel)
+        return _serial_sweep(cv_scores_fastgrid_python, x, y, bandwidths, kern)
 
 
 def _numpy_backend(
@@ -128,19 +139,16 @@ def _numpy_backend(
         raise BackendError(
             "the numpy backend's chunk_rows= option is now block_rows="
         )
-    dense = _wants_dense(kernel)
+    kern = get_kernel(kernel)
     with current_tracer().span(
         "backend:numpy", n=int(np.asarray(x).shape[0]), k=len(bandwidths),
-        dense=dense,
+        dense=not kern.supports_fast_grid,
     ):
-        if dense:
-            return cv_scores_dense_grid(
-                x, y, bandwidths, kernel, chunk_rows=block_rows
-            )
-        return cv_scores_fastgrid(
-            x, y, bandwidths, kernel, block_rows=block_rows,
+        fast = partial(
+            cv_scores_fastgrid, block_rows=block_rows,
             memory_budget=memory_budget, dtype=dtype,
         )
+        return _serial_sweep(fast, x, y, bandwidths, kern, block_rows)
 
 
 def _blocked_shm_backend(
@@ -155,15 +163,13 @@ def _blocked_shm_backend(
     dtype: str = "float64",
     **_: object,
 ) -> np.ndarray:
-    dense = _wants_dense(kernel)
+    kern = get_kernel(kernel)
     with current_tracer().span(
         "backend:blocked-shm", n=int(np.asarray(x).shape[0]),
-        k=len(bandwidths), dense=dense,
+        k=len(bandwidths), dense=not kern.supports_fast_grid,
     ):
-        if dense:
-            return cv_scores_dense_grid(x, y, bandwidths, kernel)
         return cv_scores_blocked_shm(
-            x, y, bandwidths, get_kernel(kernel).name,
+            x, y, bandwidths, kern.name,
             memory_budget=memory_budget, block_rows=block_rows,
             workers=workers, dtype=dtype,
         )

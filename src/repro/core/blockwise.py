@@ -1,49 +1,49 @@
-"""The shared-memory blocked sweep: row blocks fanned over a worker pool.
+"""The shared-memory row executor: row blocks fanned over a worker pool.
 
-The paper's CUDA program stores two n×n float32 matrices in device
-memory and therefore "cannot exceed n = 20,000" on its 4 GB Tesla.  The
-host sweep never materialises anything n×n: it walks row blocks sized by
-:func:`~repro.core.fastgrid.plan_fastgrid_blocks` — the one rule every
-executor of the row seam shares, which fits a ``memory_budget`` when one
-is given.  This module is the parallel executor of that seam
-(``blocked-shm``; the serial one is the ``numpy`` backend):
-
-1. the blocks fan out over a :class:`~repro.parallel.WorkerPool` whose
-   workers attach X, Y, the grid and the n×k contribution matrix by
-   segment name (:mod:`repro.parallel.shm`) — per-block IPC is a
-   ``(start, stop)`` pair;
-2. each worker fills its rows of the shared matrix with the
-   partition-invariant per-observation contributions
-   (:func:`~repro.core.fastgrid.fastgrid_row_contributions`);
-3. the parent folds the finished matrix in global row order with the
-   canonical strict fold (:func:`~repro.utils.numeric.fold_rows`), so the
-   CV curve is **bit-for-bit identical** to the ``numpy`` backend at any
-   block size and any worker count.
+The host sweeps never materialise anything n×n (the paper's CUDA program
+stops at n = 20,000 for that): they walk row blocks of the fast rows
+(:func:`~repro.core.fastgrid.fastgrid_row_contributions`) or the dense
+rows (:func:`~repro.core.loocv.dense_row_contributions`), both
+partition-invariant.  This is the parallel executor, for ``blocked-shm``
+and the numerical optimiser's objective: X, Y and an n×k row matrix in
+one :class:`~repro.parallel.ShmWorkspace`, one
+:class:`~repro.parallel.WorkerPool` attached to it, both open across
+calls, and per block only the grid and ``(start, stop)`` on the pipe.
+The parent folds the rows in global order
+(:func:`~repro.utils.numeric.fold_rows`): the serial executor's bits at
+any block size and worker count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core.fastgrid import (
-    fastgrid_row_contributions,
-    plan_fastgrid_blocks,
-    require_fast_grid_kernel,
+from repro.core.fastgrid import fastgrid_row_contributions, plan_fastgrid_blocks
+from repro.core.grid import ensure_bandwidth_grid
+from repro.core.loocv import (
+    DENSE_WORKING_ARRAYS,
+    dense_block_rows,
+    dense_row_contributions,
 )
+from repro.kernels import get_kernel
 from repro.obs.tracer import current_tracer
 from repro.parallel.pool import WorkerPool, available_workers
 from repro.parallel.shm import ShmWorkspace, attach_workspace, current_workspace
 from repro.resilience import faults
 from repro.utils.membudget import BlockPlan, requested_budget
 from repro.utils.numeric import fold_rows
-from repro.core.grid import ensure_bandwidth_grid
 from repro.utils.validation import check_paired_samples
 
 __all__ = [
+    "ShmRowExecutor",
     "cv_scores_blocked_shm",
+    "plan_dense_blocks",
     "shm_block_rows",
+    "shm_row_executor",
 ]
 
 
@@ -51,33 +51,117 @@ __all__ = [
 
 
 def shm_block_rows(
-    kernel_name: str, start: int, stop: int, dtype: str = "float64"
-) -> tuple[int, int]:
+    dense: bool,
+    kernel_name: str,
+    grid: np.ndarray,
+    start: int,
+    stop: int,
+    dtype: str = "float64",
+) -> np.ndarray | None:
     """Fill rows ``[start, stop)`` of the workspace's ``out`` matrix.
 
-    The blocked-shm work unit: inputs come from the attached workspace
-    (zero-copy), the contribution rows land in the shared n×k matrix,
-    and only the row range crosses the pipe.
+    The work unit: X and Y come from the attached workspace (zero-copy).
+    Returns the dense rows' empty-window counts, ``None`` for fast rows.
     """
     workspace = current_workspace()
-    contrib = fastgrid_row_contributions(
-        workspace["x"], workspace["y"], workspace["grid"],
-        kernel_name, start, stop, dtype,
+    x, y = workspace["x"], workspace["y"]
+    empty: np.ndarray | None = None
+    if dense:
+        rows, empty = dense_row_contributions(
+            x, y, grid, kernel_name, start, stop
+        )
+    else:
+        rows = fastgrid_row_contributions(
+            x, y, grid, kernel_name, start, stop, dtype
+        )
+    workspace["out"][start:stop, :] = rows
+    return empty
+
+
+class ShmRowExecutor:
+    """Row blocks of one sample on a pool attached to its shared ``out``.
+
+    :func:`shm_row_executor` owns both; a retry may rebuild :attr:`pool`.
+    """
+
+    def __init__(self, pool: WorkerPool, out: np.ndarray):
+        self.pool = pool
+        self.out = out
+
+    def fold(
+        self,
+        grid: np.ndarray,
+        kernel_name: str,
+        blocks: list[tuple[int, int]],
+        *,
+        dense: bool,
+        dtype: str = "float64",
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(Σ_i rows, empty-window counts)``; ``blocks`` partition ``range(n)``."""
+        tracer = current_tracer()
+        args_list = [
+            (dense, kernel_name, grid, bstart, bstop, dtype)
+            for bstart, bstop in blocks
+        ]
+        with tracer.span(
+            "block-sweep", blocks=len(blocks), workers=self.pool.workers
+        ):
+            empties = self.pool.starmap(shm_block_rows, args_list)
+        with tracer.span("reduce", rows=self.out.shape[0]):
+            total = fold_rows(self.out)
+        return total, (sum(empties) if dense else None)
+
+
+@contextmanager
+def shm_row_executor(
+    x: np.ndarray,
+    y: np.ndarray,
+    *,
+    k: int = 1,
+    workers: int | None = None,
+) -> Iterator[ShmRowExecutor]:
+    """X, Y and an n×``k`` row matrix in shared memory, and a pool on them.
+
+    Serves any number of ``k``-column folds; on exit the workers are
+    joined (terminated on error) and every segment is unlinked.
+    """
+    n = int(x.shape[0])
+    faults.fire("shm.segment", f"workspace[n={n},k={k}]")
+    workspace = ShmWorkspace.create(
+        inputs={"x": x, "y": y}, outputs={"out": ((n, k), "float64")}
     )
-    workspace["out"][start:stop, :] = contrib
-    return start, stop
+    try:
+        pool = WorkerPool(
+            workers, initializer=attach_workspace,
+            initargs=(workspace.manifest(),),
+        )
+        with pool:
+            executor = ShmRowExecutor(pool, workspace["out"])
+            yield executor
+    finally:
+        workspace.close()
 
 
 def _balanced(plan: BlockPlan, workers: int) -> BlockPlan:
     """Shrink ``plan``'s blocks until every worker gets as many as the rest.
 
-    The block count rounds up to a multiple of ``workers`` (one sample
-    small enough for a single block becomes one block per worker).  Rows
-    only ever shrink, so the plan still fits its budget, and the strict
-    row fold keeps the curve's bits.
+    The block count rounds up to a multiple of ``workers``; rows only
+    shrink, so the plan still fits its budget.
     """
     waves = -(-plan.n_blocks // workers)
     return replace(plan, block_rows=-(-plan.n // (waves * workers)))
+
+
+def plan_dense_blocks(
+    n: int, k: int, workers: int, *, max_rows: int | None = None
+) -> BlockPlan:
+    """The dense rows' blocks: :func:`dense_block_rows`, balanced over workers."""
+    plan = BlockPlan(
+        n=n, k=k, block_rows=dense_block_rows(n, max_rows),
+        bytes_per_row=DENSE_WORKING_ARRAYS * 8 * n,
+        fixed_bytes=8 * n * (k + 2), budget_bytes=None,
+    )
+    return _balanced(plan, workers)
 
 
 def cv_scores_blocked_shm(
@@ -91,19 +175,17 @@ def cv_scores_blocked_shm(
     workers: int | None = None,
     dtype: str = "float64",
 ) -> np.ndarray:
-    """Blockwise sweep fanned over a shared-memory worker pool.
+    """One CV curve on the executor, bit-for-bit the ``numpy`` backend's.
 
-    Workers attach the inputs and the n×k contribution matrix by
-    segment name; the parent folds the finished matrix in global row
-    order, so the scores are bit-for-bit the ``numpy`` backend's for any
-    block size *and* any worker count.  ``block_rows`` caps the blocks
-    :func:`~repro.core.fastgrid.plan_fastgrid_blocks` plans, which are
-    then shrunk to a whole number of blocks per worker (:func:`_balanced`).
-    ``memory_budget`` defaults to ``$REPRO_MEM_BUDGET``.
+    Polynomial kernels take the fast rows, every other kernel the dense
+    rows.  ``block_rows`` caps the planned blocks, which are then shrunk
+    to a whole number per worker (:func:`_balanced`); ``memory_budget``
+    (default ``$REPRO_MEM_BUDGET``) fits the fast rows' blocks only.
     """
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)
-    kern = require_fast_grid_kernel(kernel)
+    kern = get_kernel(kernel)
+    dense = not kern.supports_fast_grid
     n = int(x.shape[0])
     k = int(grid.shape[0])
     n_workers = available_workers(workers)
@@ -112,37 +194,17 @@ def cv_scores_blocked_shm(
         "blocked-shm-sweep", n=n, k=k, kernel=kern.name, dtype=dtype
     ):
         with tracer.span("plan") as pspan:
-            plan = plan_fastgrid_blocks(
-                n,
-                grid,
-                kern,
-                dtype,
-                memory_budget=requested_budget(memory_budget),
-                max_rows=block_rows,
-                output_matrix=True,
-            )
-            plan = _balanced(plan, n_workers)
+            if dense:
+                plan = plan_dense_blocks(n, k, n_workers, max_rows=block_rows)
+            else:
+                plan = _balanced(plan_fastgrid_blocks(
+                    n, grid, kern, dtype, max_rows=block_rows,
+                    memory_budget=requested_budget(memory_budget),
+                    output_matrix=True,
+                ), n_workers)
             pspan.set(**plan.to_dict())
-        faults.fire("shm.segment", f"workspace[n={n},k={k}]")
-        workspace = ShmWorkspace.create(
-            inputs={"x": x, "y": y, "grid": grid},
-            outputs={"out": ((n, k), "float64")},
-        )
-        try:
-            blocks = plan.blocks()
-            args_list = [
-                (kern.name, bstart, bstop, dtype) for bstart, bstop in blocks
-            ]
-            with WorkerPool(
-                n_workers,
-                initializer=attach_workspace,
-                initargs=(workspace.manifest(),),
-            ) as pool, tracer.span(
-                "block-sweep", blocks=len(blocks), workers=pool.workers
-            ):
-                pool.starmap(shm_block_rows, args_list)
-            with tracer.span("reduce", rows=n):
-                total = fold_rows(workspace["out"])
-        finally:
-            workspace.close()
+        with shm_row_executor(x, y, k=k, workers=n_workers) as executor:
+            total, _ = executor.fold(
+                grid, kern.name, plan.blocks(), dense=dense, dtype=dtype
+            )
     return total / n

@@ -7,18 +7,18 @@ Implements ``CV_lc(h)`` of paper eq. (1)/(2) (Li & Racine eq. 3.20):
 with ĝ₋ᵢ the leave-one-out Nadaraya–Watson estimator and ``M(X_i)`` the
 indicator that its denominator is non-zero.
 
-Three implementations, slowest to fastest:
-
-* :func:`cv_score_reference` — transparently literal triple loop, the
+* :func:`cv_score_reference` — transparently literal double loop, the
   ground truth for unit tests (use only for tiny n).
-* :func:`loo_estimates` / :func:`cv_score` — dense vectorised single-``h``
-  evaluation, chunked over rows so the n×n weight matrix never
-  materialises whole.  This is the objective the numerical-optimisation
-  selector (the R ``np`` analogue) calls repeatedly.
-* :func:`cv_scores_dense_grid` — the naive O(k·n²) grid evaluation the
-  paper's complexity analysis starts from: an honest baseline for the
-  fast-grid ablation, and the only grid path for kernels without a
-  polynomial form (Cosine, Gaussian).
+* :func:`dense_row_contributions` — the dense O(k·n²) rows, one
+  observation's squared leave-one-out residual per grid bandwidth, as
+  partition-invariant as the fast rows: the grid path for kernels
+  without a polynomial form (Cosine, Gaussian), the fast grid's ablation
+  baseline, and the numerical optimiser's objective (serially or on the
+  ``blocked-shm`` executor).  :func:`cv_scores_dense_grid` and
+  :func:`cv_score` fold them in row order
+  (:func:`~repro.utils.numeric.fold_rows`), so their bits do not depend
+  on the row blocks or the worker count.
+* :func:`loo_estimates` — the estimates ``ĝ₋ᵢ(X_i)`` from the same sums.
 """
 
 from __future__ import annotations
@@ -27,15 +27,26 @@ import numpy as np
 
 from repro.kernels import Kernel, get_kernel
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
-from repro.utils.validation import check_paired_samples, ensure_bandwidths
+from repro.utils.numeric import fold_rows
+from repro.utils.validation import (
+    check_bandwidth,
+    check_paired_samples,
+    ensure_bandwidths,
+)
 
 __all__ = [
     "cv_score_reference",
     "loo_estimates",
     "cv_score",
     "cv_scores_dense_grid",
-    "dense_cv_block_stats",
+    "dense_block_rows",
+    "dense_cv_sums",
+    "dense_row_contributions",
 ]
+
+#: Row-block-shaped temporaries a dense block keeps alive (differences,
+#: scaled differences, weights, and the kernel's own scratch).
+DENSE_WORKING_ARRAYS = 4
 
 
 def cv_score_reference(
@@ -50,8 +61,7 @@ def cv_score_reference(
     """
     x, y = check_paired_samples(x, y)
     kern = get_kernel(kernel)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    h = check_bandwidth(h)
     n = x.shape[0]
     total = 0.0
     for i in range(n):
@@ -67,6 +77,85 @@ def cv_score_reference(
             resid = y[i] - num / den
             total += resid * resid
     return total / n
+
+
+def dense_block_rows(n: int, block_rows: int | None = None) -> int:
+    """Rows per dense block: the 256 MiB chunk rule, capped by ``block_rows``."""
+    rows = suggest_chunk_rows(n, working_arrays=DENSE_WORKING_ARRAYS)
+    return rows if block_rows is None else min(rows, block_rows)
+
+
+def _loo_window_sums(
+    w: np.ndarray, y: np.ndarray, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(Σ_l w_il·y_l, Σ_l w_il)`` for weight rows ``start, start + 1, ...``.
+
+    Zeroes each row's own weight (the "leave one out") in place first.
+    Both sums run row by row — ``einsum`` and ``sum(axis=1)``, never a
+    BLAS ``w @ y``, whose per-row bits depend on how many rows share the
+    call — so a row's sums do not depend on the block it sits in.
+    """
+    m = w.shape[0]
+    w[np.arange(m), np.arange(start, start + m)] = 0.0
+    return np.einsum("ij,j->i", w, y), w.sum(axis=1)
+
+
+def dense_row_contributions(
+    x: np.ndarray,
+    y: np.ndarray,
+    bandwidths: np.ndarray,
+    kernel: str | Kernel,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense squared leave-one-out residual rows for ``[start, stop)``.
+
+    Returns ``(rows, empty)``: the float64 ``(stop - start, k)`` matrix
+    whose row ``i`` is observation ``start + i``'s contribution to
+    ``n · CV_lc(h)`` per grid bandwidth (0 where its window is empty,
+    ``M(X_i) = 0``), and the int64 count of empty windows per column.
+    Each row depends only on its observation and the whole sample, so
+    the rows are **partition-invariant**.  Inputs are taken as validated.
+    """
+    kern = get_kernel(kernel)
+    grid = np.asarray(bandwidths, dtype=np.float64)
+    diff = x[start:stop, None] - x[None, :]
+    ys = y[start:stop]
+    m = stop - start
+    rows = np.empty((m, grid.shape[0]), dtype=np.float64)
+    empty = np.empty(grid.shape[0], dtype=np.int64)
+    for j, h in enumerate(grid):
+        w = kern(diff / h)
+        num, den = _loo_window_sums(w, y, start)
+        ok = den > 0.0
+        resid = np.where(ok, ys - num / np.where(ok, den, 1.0), 0.0)
+        rows[:, j] = resid * resid
+        empty[j] = m - np.count_nonzero(ok)
+    return rows, empty
+
+
+def dense_cv_sums(
+    x: np.ndarray,
+    y: np.ndarray,
+    grid: np.ndarray,
+    kern: Kernel,
+    rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(n · CV_lc(h), empty-window count)`` per column, folded serially.
+
+    Bit-identical to the ``blocked-shm`` executor's fold of the same
+    rows at any ``rows`` per block.  Inputs are taken as validated.
+    """
+    n = x.shape[0]
+    total = np.zeros(grid.shape[0], dtype=np.float64)
+    empty = np.zeros(grid.shape[0], dtype=np.int64)
+    for sl in chunk_slices(n, rows):
+        block, block_empty = dense_row_contributions(
+            x, y, grid, kern, sl.start, sl.stop
+        )
+        fold_rows(block, total)
+        empty += block_empty
+    return total, empty
 
 
 def loo_estimates(
@@ -87,22 +176,14 @@ def loo_estimates(
     """
     x, y = check_paired_samples(x, y)
     kern = get_kernel(kernel)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    h = check_bandwidth(h)
     n = x.shape[0]
-    rows = chunk_rows or suggest_chunk_rows(n, working_arrays=3)
-    g_loo = np.full(n, np.nan, dtype=float)
+    g_loo = np.full(n, np.nan, dtype=np.float64)
     valid = np.zeros(n, dtype=bool)
-    base = np.arange(n, dtype=np.int64)
-    for sl in chunk_slices(n, rows):
-        u = (x[sl, None] - x[None, :]) / h
-        w = kern(u)
-        # Zero out the diagonal (the "leave one out"): row i of the chunk
-        # corresponds to global observation sl.start + i.
-        idx = base[sl]
-        w[base[: idx.shape[0]], idx] = 0.0
-        den = w.sum(axis=1)
-        num = w @ y
+    for sl in chunk_slices(n, dense_block_rows(n, chunk_rows)):
+        num, den = _loo_window_sums(
+            kern((x[sl, None] - x[None, :]) / h), y, sl.start
+        )
         ok = den > 0.0
         g_loo[sl] = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
         valid[sl] = ok
@@ -117,44 +198,11 @@ def cv_score(
     *,
     chunk_rows: int | None = None,
 ) -> float:
-    """``CV_lc(h)`` for a single bandwidth (dense vectorised path)."""
-    g_loo, valid = loo_estimates(x, y, h, kernel, chunk_rows=chunk_rows)
-    resid = np.where(valid, y - np.where(valid, g_loo, 0.0), 0.0)
-    return float(np.dot(resid, resid) / x.shape[0])
-
-
-def dense_cv_block_stats(
-    x: np.ndarray,
-    y: np.ndarray,
-    h: float,
-    kernel_name: str,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Squared-residual sum and invalid count for one ``h``.
-
-    Returns ``array([sq_residual_sum, invalid_count])`` for observations
-    ``[start, stop)`` — a summable pair, so parallel reducers can add
-    block results directly: the full ``CV_lc(h)`` is the first entry
-    summed over a partition of ``range(n)``, divided by n.  Top-level and
-    picklable, it is the parallel unit of work for the multicore
-    numerical-optimisation selector (the paper's "Multicore R" program
-    2).  The invalid count (observations whose leave-one-out window is
-    empty, ``M(X_i) = 0``) lets optimisation-based selectors apply the R
-    ``np`` convention of treating an undefined CV function as +infinity
-    instead of silently dropping terms.
-    """
-    kern = get_kernel(kernel_name)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = kern((x[start:stop, None] - x[None, :]) / h)
-    idx = np.arange(start, stop)
-    w[np.arange(idx.shape[0]), idx] = 0.0
-    den = w.sum(axis=1)
-    num = w @ y
-    ok = den > 0.0
-    resid = np.where(ok, y[start:stop] - num / np.where(ok, den, 1.0), 0.0)
-    return np.array([float(np.dot(resid, resid)), float((~ok).sum())])
+    """``CV_lc(h)`` for a single bandwidth (the dense rows, folded)."""
+    h = check_bandwidth(h)
+    return float(
+        cv_scores_dense_grid(x, y, np.array([h]), kernel, chunk_rows=chunk_rows)[0]
+    )
 
 
 def cv_scores_dense_grid(
@@ -169,29 +217,11 @@ def cv_scores_dense_grid(
 
     O(k·n²) work — this is exactly the complexity the paper's sorted
     algorithm removes, kept as (a) the ablation baseline and (b) the grid
-    path for non-polynomial kernels.
-
-    To avoid paying the pairwise-difference construction k times, each row
-    chunk's difference matrix is formed once and rescaled per bandwidth.
+    path for non-polynomial kernels.  The bits ignore ``chunk_rows``.
     """
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidths(bandwidths)
-    kern = get_kernel(kernel)
-    n = x.shape[0]
-    k = grid.shape[0]
-    rows = chunk_rows or suggest_chunk_rows(n, working_arrays=4)
-    sq_sums = np.zeros(k, dtype=float)
-    base = np.arange(n, dtype=np.int64)
-    for sl in chunk_slices(n, rows):
-        diff = x[sl, None] - x[None, :]
-        idx = base[sl]
-        local = base[: idx.shape[0]]
-        for j, h in enumerate(grid):
-            w = kern(diff / h)
-            w[local, idx] = 0.0
-            den = w.sum(axis=1)
-            num = w @ y
-            ok = den > 0.0
-            resid = np.where(ok, y[sl] - num / np.where(ok, den, 1.0), 0.0)
-            sq_sums[j] += float(np.dot(resid, resid))
-    return sq_sums / n
+    total, _ = dense_cv_sums(
+        x, y, grid, get_kernel(kernel), dense_block_rows(x.shape[0], chunk_rows)
+    )
+    return total / x.shape[0]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from contextlib import AbstractContextManager, nullcontext
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -31,10 +33,14 @@ from repro.exceptions import EmptyWindowError, SelectionError, ValidationError
 from repro.kernels import Kernel, get_kernel
 from repro.core.backends import get_backend
 from repro.core.grid import BandwidthGrid, GridLike, as_bandwidth_grid
-from repro.core.loocv import cv_score, dense_cv_block_stats, loo_estimates
+from repro.core.blockwise import (
+    ShmRowExecutor,
+    plan_dense_blocks,
+    shm_row_executor,
+)
+from repro.core.loocv import cv_score, dense_block_rows, dense_cv_sums
 from repro.core.result import SelectionResult
 from repro.obs.tracer import current_tracer
-from repro.parallel import WorkerPool
 from repro.utils.validation import check_paired_samples, check_positive_int
 
 __all__ = [
@@ -355,7 +361,9 @@ class NumericalOptimizationSelector(BandwidthSelector):
     bounds:
         ``(h_min, h_max)``; defaults to ``[domain/1000, domain]``.
     workers:
-        Process count for the parallel objective (1 = serial).
+        Process count for the parallel objective (1 = serial).  Every
+        evaluation folds the same dense rows in the same order, so any
+        worker count selects the serial bandwidth and score bit for bit.
     seed:
         Seed for the restart initial values.
     maxiter:
@@ -364,8 +372,9 @@ class NumericalOptimizationSelector(BandwidthSelector):
         ``True``, a :class:`~repro.resilience.engine.ResilienceConfig`,
         or ``None``.  With ``workers > 1``, each parallel objective
         evaluation is retried (with pool rebuild) on worker crashes and
-        timeouts; a work unit that keeps failing degrades that evaluation
-        to the serial path instead of aborting the optimisation.
+        timeouts; a work unit that keeps failing sends that evaluation
+        to the serial rows — the same bits — instead of aborting the
+        optimisation.
     """
 
     method = "numerical-optimization"
@@ -401,12 +410,18 @@ class NumericalOptimizationSelector(BandwidthSelector):
         self,
         x: np.ndarray,
         y: np.ndarray,
-        pool: WorkerPool | None,
+        executor: ShmRowExecutor | None,
         trace: list[tuple[float, float]],
         engine: "ResilientEngine | None" = None,
     ) -> Callable[[float], float]:
         n = x.shape[0]
-        kern_name = self.kernel.name
+        kern = self.kernel
+        rows = dense_block_rows(n)
+        blocks = (
+            []
+            if executor is None
+            else plan_dense_blocks(n, 1, executor.pool.workers).blocks()
+        )
 
         # R np convention: a bandwidth at which any leave-one-out
         # denominator vanishes makes the CV function undefined, and the
@@ -415,43 +430,33 @@ class NumericalOptimizationSelector(BandwidthSelector):
         # the optimiser runs to a degenerate bandwidth.
         penalty = np.finfo(np.float64).max / 1e6
 
-        def serial_value(h: float) -> float:
-            g_loo, valid = loo_estimates(x, y, h, self.kernel)
-            if not valid.all():
-                return penalty
-            resid = y - g_loo
-            return float(np.dot(resid, resid)) / n
-
-        def parallel_stats(h: float) -> Any:
-            assert pool is not None
-            shared = (x, y, h, kern_name)
-            if engine is None:
-                return pool.sum_over_blocks(
-                    dense_cv_block_stats, n, shared_args=shared
+        def sums(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+            # The executor's fold (under the engine's retries when
+            # resilient); the serial fold of the same rows, the same bits,
+            # without one or once an evaluation's retries are spent.
+            if executor is not None:
+                attempt = partial(
+                    executor.fold, grid, kern.name, blocks, dense=True
                 )
-            from repro.resilience.policy import RetryBudgetExceeded
+                if engine is None:
+                    return attempt()
+                from repro.resilience.policy import RetryBudgetExceeded
 
-            try:
-                return engine.parallel_sum(
-                    pool, dense_cv_block_stats, n, shared_args=shared
-                )
-            except RetryBudgetExceeded as exc:
-                # This evaluation degrades to the serial path rather than
-                # aborting the whole optimisation.
-                engine.report.record_fault("objective:serial-fallback", exc)
-                return None
+                try:
+                    return engine.retry(
+                        attempt, site="objective", pool=executor.pool,
+                        label="parallel objective evaluation",
+                    )
+                except RetryBudgetExceeded as exc:
+                    engine.report.record_fault("objective:serial-fallback", exc)
+            return dense_cv_sums(x, y, grid, kern, rows)
 
         def cv(h: float) -> float:
             if h <= 0.0 or not np.isfinite(h):
                 return penalty
-            value: float | None = None
-            if pool is not None:
-                stats = parallel_stats(float(h))
-                if stats is not None:
-                    sq_sum, invalid = float(stats[0]), float(stats[1])
-                    value = penalty if invalid > 0 else sq_sum / n
-            if value is None:
-                value = serial_value(float(h))
+            total, empty = sums(np.array([float(h)]))
+            assert empty is not None  # dense rows always count them
+            value = penalty if empty[0] > 0 else float(total[0] / n)
             trace.append((float(h), value))
             return value
 
@@ -480,19 +485,23 @@ class NumericalOptimizationSelector(BandwidthSelector):
         start_time = time.perf_counter()
 
         trace: list[tuple[float, float]] = []
-        pool = WorkerPool(self.workers) if self.workers > 1 else None
         engine = _engine_for(
-            self.resilience, "multicore" if pool is not None else "scipy"
+            self.resilience, "multicore" if self.workers > 1 else "scipy"
         )
         best_h = np.nan
         best_score = np.inf
         all_converged = True
         restart_results: list[dict[str, float]] = []
         tracer = current_tracer()
-        try:
-            if pool is not None:
-                pool.open()
-            cv = self._objective(x, y, pool, trace, engine)
+        # Multicore R: one executor (x and y in shared memory, one pool)
+        # serves every evaluation of every restart.
+        executor_scope: AbstractContextManager[ShmRowExecutor | None] = (
+            shm_row_executor(x, y, workers=self.workers)
+            if self.workers > 1
+            else nullcontext()
+        )
+        with executor_scope as executor:
+            cv = self._objective(x, y, executor, trace, engine)
             inits = np.exp(rng.uniform(np.log(lo), np.log(hi), size=self.n_restarts))
             with tracer.span(
                 "numerical-optimization",
@@ -541,9 +550,6 @@ class NumericalOptimizationSelector(BandwidthSelector):
                     if score < best_score:
                         best_score = score
                         best_h = h_opt
-        finally:
-            if pool is not None:
-                pool.close()
 
         if not np.isfinite(best_h):
             raise SelectionError("numerical optimisation produced no finite optimum")

@@ -20,7 +20,7 @@ from repro.core.result import SelectionResult
 from repro.kde.lscv import lscv_scores_fastgrid, lscv_scores_grid, supports_fast_lscv
 from repro.kde.rot import scott_bandwidth, silverman_bandwidth
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
-from repro.utils.validation import as_float_array
+from repro.utils.validation import as_float_array, check_bandwidth
 
 __all__ = ["KernelDensity", "kde_evaluate", "select_kde_bandwidth"]
 
@@ -37,8 +37,7 @@ def kde_evaluate(
     x = as_float_array(x, name="x")
     at = as_float_array(at, name="at")
     kern = get_kernel(kernel)
-    if h <= 0.0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
+    h = check_bandwidth(h)
     n = x.shape[0]
     out = np.empty(at.shape[0], dtype=np.float64)
     rows = chunk_rows or suggest_chunk_rows(n, working_arrays=2)
@@ -143,8 +142,8 @@ class KernelDensity:
         **select_options: Any,
     ):
         self.kernel = get_kernel(kernel)
-        if bandwidth is not None and bandwidth <= 0.0:
-            raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+        if bandwidth is not None:
+            bandwidth = check_bandwidth(bandwidth)
         self.bandwidth: float | None = bandwidth
         self.method = method
         self.select_options = select_options

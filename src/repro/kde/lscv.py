@@ -38,7 +38,11 @@ from repro.kernels import Kernel, get_kernel
 from repro.kde.convolution import ConvolutionKernel, self_convolution
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
 from repro.utils.numeric import fold_rows
-from repro.utils.validation import as_float_array, ensure_bandwidths
+from repro.utils.validation import (
+    as_float_array,
+    check_bandwidth,
+    ensure_bandwidths,
+)
 
 __all__ = [
     "lscv_score",
@@ -101,8 +105,7 @@ def lscv_score(
     x = as_float_array(x, name="x")
     if x.size < 2:
         raise ValidationError("LSCV needs at least 2 observations")
-    if h <= 0.0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
+    h = check_bandwidth(h)
     kern = get_kernel(kernel)
     conv = self_convolution(kern)
     n = x.shape[0]

@@ -1,6 +1,6 @@
 """Process-pool parallel substrate (the paper's "Multicore R" analogue)."""
 
-from repro.parallel.pool import WorkerPool, available_workers, parallel_sum
+from repro.parallel.pool import WorkerPool, available_workers
 from repro.parallel.partition import balanced_blocks
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
@@ -21,5 +21,4 @@ __all__ = [
     "balanced_blocks",
     "current_workspace",
     "detach_workspace",
-    "parallel_sum",
 ]

@@ -1,9 +1,10 @@
 """A small process-pool wrapper for embarrassingly parallel row sweeps.
 
 This substrate plays the role of the paper's "Multicore R" program
-(data.table + parallel): it fans the per-observation leave-one-out work
-out over OS processes and sums the partial results.  Three properties
-drive the design:
+(data.table + parallel): it fans row blocks of the per-observation
+leave-one-out work out over OS processes, and its caller folds what they
+return (:mod:`repro.core.blockwise`).  Three properties drive the
+design:
 
 * **Reusability.**  A numerical optimiser calls the CV objective dozens of
   times; forking a fresh pool per call would swamp the computation (and is
@@ -25,8 +26,8 @@ pre-draws a per-unit directive and ships it with the unit, so injected
 worker crashes/timeouts are raised *inside the child* and replay
 deterministically regardless of worker scheduling.  When the parent is
 tracing, :meth:`WorkerPool.starmap` also ships each unit's span tree home
-and grafts it under the caller's active span, so pool users only open
-their own span around the call.
+and grafts it under the caller's active span, so a caller only opens
+its own span around the call.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from repro.obs.tracer import (
     reset_worker_context,
     use_tracer,
 )
-from repro.parallel.partition import balanced_blocks
 from repro.resilience import faults
 
-__all__ = ["WorkerPool", "available_workers", "parallel_sum"]
+__all__ = ["WorkerPool", "available_workers"]
 
 
 def traced_work_unit(func: Callable, *args: Any) -> tuple:
@@ -98,7 +98,7 @@ def available_workers(requested: int | None = None) -> int:
 
 
 class WorkerPool:
-    """Long-lived process pool with a sum-reduce convenience.
+    """Long-lived process pool with serial fallback and fault hooks.
 
     Example
     -------
@@ -266,42 +266,3 @@ class WorkerPool:
             (kind, func, *args) for kind, args in zip(directives, args_list)
         ]
         return faults.faulty_call, wrapped
-
-    def sum_over_blocks(
-        self,
-        func: Callable,
-        total: int,
-        *,
-        shared_args: tuple = (),
-    ) -> Any:
-        """Sum ``func(*shared_args, start, stop)`` over a row partition.
-
-        ``total`` rows are split into one balanced block per worker.
-        """
-        blocks = balanced_blocks(total, self.workers)
-        with current_tracer().span(
-            "pool.sum_over_blocks", blocks=len(blocks), workers=self.workers
-        ):
-            partials = self.starmap(
-                func, [shared_args + (start, stop) for start, stop in blocks]
-            )
-        result = partials[0]
-        for part in partials[1:]:
-            result = result + part
-        return result
-
-
-def parallel_sum(
-    func: Callable,
-    total: int,
-    *,
-    shared_args: tuple = (),
-    workers: int | None = None,
-) -> Any:
-    """One-shot :meth:`WorkerPool.sum_over_blocks` with pool lifecycle.
-
-    Convenience for single grid searches; optimisation loops should hold a
-    :class:`WorkerPool` open across objective calls instead.
-    """
-    with WorkerPool(workers) as pool:
-        return pool.sum_over_blocks(func, total, shared_args=shared_args)

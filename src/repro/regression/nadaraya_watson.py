@@ -13,27 +13,23 @@ can be given explicitly or chosen at fit time by any
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
 
-from repro.exceptions import SelectionError, ValidationError
+from repro.exceptions import SelectionError
 from repro.kernels import Kernel, get_kernel
 from repro.core.result import SelectionResult
 from repro.core.selectors import BandwidthSelector, GridSearchSelector
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
 from repro.utils.numeric import is_zero
-from repro.utils.validation import as_float_array, check_paired_samples
+from repro.utils.validation import (
+    as_float_array,
+    check_bandwidth,
+    check_paired_samples,
+)
 
 __all__ = ["NadarayaWatson", "nw_estimate"]
-
-
-def _check_bandwidth(h: float) -> float:
-    """``h`` as a float, if it is finite and positive (NaN fails ``h > 0``)."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValidationError(f"bandwidth must be finite and positive, got {h}")
-    return float(h)
 
 
 def nw_estimate(
@@ -54,7 +50,7 @@ def nw_estimate(
     x, y = check_paired_samples(x, y)
     at = as_float_array(at, name="at")
     kern = get_kernel(kernel)
-    h = _check_bandwidth(h)
+    h = check_bandwidth(h)
     m = at.shape[0]
     out = np.full(m, np.nan, dtype=np.float64)
     valid = np.zeros(m, dtype=bool)
@@ -105,7 +101,7 @@ class NadarayaWatson:
     ):
         self.kernel = get_kernel(kernel)
         if bandwidth is not None:
-            bandwidth = _check_bandwidth(bandwidth)
+            bandwidth = check_bandwidth(bandwidth)
         self.bandwidth: float | None = bandwidth
         self.selector = selector or (
             None

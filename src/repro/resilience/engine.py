@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "ResilientEngine",
     "resilient_cv_scores",
 ]
+
+T = TypeVar("T")
 
 #: Codes after which a pool must be reforked before retrying.
 _POOL_FATAL_CODES = frozenset({"REPRO_WORKER_CRASH", "REPRO_BLOCK_TIMEOUT"})
@@ -195,42 +197,30 @@ class ResilientEngine:
                 )
             return checked
 
-        def on_retry(exc: BaseException, attempt_no: int) -> None:
-            self.report.record_fault(f"{candidate}:sweep", exc)
-            self.report.retries += 1
-            current_tracer().counter("resilience.retries")
-
-        return run_with_retry(
-            attempt,
-            max_retries=self.config.max_retries,
-            retryable=is_retryable,
-            on_retry=on_retry,
-            sleep=self._sleep,
-            label=f"backend {candidate!r}",
+        return self.retry(
+            attempt, site=f"{candidate}:sweep", label=f"backend {candidate!r}"
         )
 
-    def parallel_sum(
+    def retry(
         self,
-        pool: WorkerPool,
-        func: Callable[..., Any],
-        total: int,
+        attempt: Callable[[], T],
         *,
-        shared_args: tuple = (),
-    ) -> Any:
-        """:meth:`WorkerPool.sum_over_blocks` under retry + pool rebuild.
+        site: str,
+        label: str,
+        pool: WorkerPool | None = None,
+    ) -> T:
+        """``attempt()`` under the retry policy, each fault recorded at ``site``.
 
-        The numerical optimiser's objective calls this instead of the bare
-        pool method, so a crashed or hung worker costs one retry rather
-        than the whole optimisation.
+        The one retry owner of sweeps and of the parallel objective: a
+        crashed or hung worker first has ``pool`` rebuilt, and a spent
+        budget raises :class:`~repro.resilience.policy.RetryBudgetExceeded`.
         """
 
-        def attempt() -> Any:
-            return pool.sum_over_blocks(func, total, shared_args=shared_args)
-
         def on_retry(exc: BaseException, attempt_no: int) -> None:
-            self.report.record_fault("objective", exc)
+            self.report.record_fault(site, exc)
             self.report.retries += 1
-            if error_code(exc) in _POOL_FATAL_CODES:
+            current_tracer().counter("resilience.retries")
+            if pool is not None and error_code(exc) in _POOL_FATAL_CODES:
                 pool.rebuild()
                 self.report.pool_rebuilds += 1
 
@@ -240,7 +230,7 @@ class ResilientEngine:
             retryable=is_retryable,
             on_retry=on_retry,
             sleep=self._sleep,
-            label="parallel objective evaluation",
+            label=label,
         )
 
     def _sleep(self, seconds: float) -> None:

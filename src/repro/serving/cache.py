@@ -63,7 +63,9 @@ __all__ = [
 #: their rows in rank order, so every sorted-path curve changed bits.
 #: v4: resilient sweeps return their backend's own bits (they were the
 #: engine's block sums), so curves served with resilience on changed.
-_FORMAT_VERSION = 4
+#: v5: dense curves (Gaussian, cosine) fold partition-invariant rows in
+#: row order, so every dense curve changed bits.
+_FORMAT_VERSION = 5
 
 #: Artifact namespaces (file prefixes / stats keys).
 _KINDS = ("selection", "curve")

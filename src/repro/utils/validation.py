@@ -8,6 +8,7 @@ the boundary, compute without checks in the hot loops).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.exceptions import (
 
 __all__ = [
     "as_float_array",
+    "check_bandwidth",
     "check_paired_samples",
     "check_positive_int",
     "ensure_bandwidths",
@@ -93,6 +95,17 @@ def check_paired_samples(
             f"need at least {min_size} observations, got {x_arr.shape[0]}"
         )
     return x_arr, y_arr
+
+
+def check_bandwidth(h: float) -> float:
+    """``h`` as a float, if it is finite and positive (NaN fails ``h > 0``).
+
+    The one scalar-bandwidth guard: a NaN ``h`` would empty every window
+    and score 0, the best CV score possible.
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValidationError(f"bandwidth must be finite and positive, got {h}")
+    return float(h)
 
 
 def check_positive_int(value: Any, *, name: str, maximum: int | None = None) -> int:

@@ -1,7 +1,7 @@
 # lint-fixture: rel=bench/programs.py expect=PAR001
 """Deliberate violation: unpicklable work units go to the pool."""
 
-from repro.parallel import WorkerPool, parallel_sum
+from repro.parallel import WorkerPool
 
 
 def run(items, n):
@@ -10,6 +10,5 @@ def run(items, n):
 
     with WorkerPool(workers=2) as pool:
         squares = pool.map(lambda v: v * v, items)
-        blocks = pool.sum_over_blocks(block, n)
-    closure_total = parallel_sum(block, n)
-    return squares, blocks, closure_total
+        blocks = pool.starmap(block, [(0, n // 2), (n // 2, n)])
+    return squares, blocks

@@ -1,7 +1,7 @@
 # lint-fixture: rel=bench/programs.py expect=none
 """Clean counterpart: module-level (picklable) work units."""
 
-from repro.parallel import WorkerPool, parallel_sum
+from repro.parallel import WorkerPool
 
 
 def square(v):
@@ -15,6 +15,5 @@ def block_sum(items, start, stop):
 def run(items, n):
     with WorkerPool(workers=2) as pool:
         squares = pool.map(square, items)
-        blocks = pool.sum_over_blocks(block_sum, n, shared_args=(items,))
-    total = parallel_sum(block_sum, n, shared_args=(items,))
-    return squares, blocks, total
+        blocks = pool.starmap(block_sum, [(items, 0, n // 2), (items, n // 2, n)])
+    return squares, blocks

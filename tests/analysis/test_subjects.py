@@ -92,13 +92,13 @@ SUBJECTS = [
     ),
     Subject(
         "CON001", "core/blockwise.py",
-        "        finally:\n            workspace.close()\n",
-        "        finally:\n            pass\n",
+        "    finally:\n        workspace.close()\n",
+        "    finally:\n        pass\n",
     ),
     Subject(
-        "CON002", "core/selectors.py",
-        "            if pool is not None:\n                pool.close()\n",
-        "            if pool is not None:\n                pass\n",
+        "CON002", "core/blockwise.py",
+        "        with pool:\n",
+        "        pool.open()\n        if pool:\n",
     ),
 ]
 

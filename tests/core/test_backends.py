@@ -73,8 +73,8 @@ class TestDispatchSemantics:
     def test_multicore_backend_dense_fallback_for_cosine(
         self, paper_sample_small, small_grid
     ):
-        # blocked-shm, the multi-core backend, evaluates dense kernels
-        # serially: they have no row-contribution form to fan out.
+        # blocked-shm, the multi-core backend, fans the dense rows over
+        # its pool and folds them like numpy does.
         backend = get_backend("blocked-shm")
         s = paper_sample_small
         scores = backend(s.x, s.y, small_grid.values, "cosine", workers=2)

@@ -328,3 +328,55 @@ class TestMemoryWall:
         )
         assert peak <= 1.5 * predicted, (peak, predicted)
         assert peak < 128 * 1024**2
+
+
+class TestDenseRowsOnTheExecutor:
+    """Kernels without fast rows fold partition-invariant dense rows."""
+
+    GRID = np.linspace(0.01, 0.2, 20)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "cosine"])
+    def test_dense_curve_bytes_ignore_the_partition(self, kernel) -> None:
+        from repro.core.loocv import cv_scores_dense_grid
+
+        x, y = _sample(157, seed=4)
+        ref = cv_scores_dense_grid(x, y, self.GRID, kernel)
+        for rows in (1, 7, 23, 157):
+            got = cv_scores_dense_grid(x, y, self.GRID, kernel, chunk_rows=rows)
+            assert got.tobytes() == ref.tobytes(), f"B={rows}"
+        for workers in (2, 3):
+            for rows in (None, 7):
+                got = cv_scores_blocked_shm(
+                    x, y, self.GRID, kernel, workers=workers, block_rows=rows
+                )
+                assert got.tobytes() == ref.tobytes(), f"w={workers}, B={rows}"
+
+    def test_dense_blocks_are_balanced_over_the_workers(self) -> None:
+        from repro.core.blockwise import plan_dense_blocks
+
+        plan = plan_dense_blocks(1000, 5, 3, max_rows=64)
+        assert plan.n_blocks % 3 == 0
+        assert plan.block_rows <= 64
+        assert plan.blocks()[-1][1] == 1000
+
+    def test_cache_serves_the_default_curve_after_a_row_capped_sweep(
+        self,
+    ) -> None:
+        # The curve key leaves block_rows out, so a capped sweep's curve
+        # must be the default sweep's bytes.
+        from repro.core.selectors import GridSearchSelector
+        from repro.data import paper_dgp
+        from repro.serving.cache import ArtifactCache
+
+        s = paper_dgp(400, seed=5)
+        grid = np.linspace(0.01, 0.2, 30)
+        fresh = GridSearchSelector("gaussian", grid=grid).select(s.x, s.y)
+        cache = ArtifactCache()
+        GridSearchSelector(
+            "gaussian", grid=grid, cache=cache, block_rows=7
+        ).select(s.x, s.y)
+        served = GridSearchSelector(
+            "gaussian", grid=grid, cache=cache
+        ).select(s.x, s.y)
+        assert cache.stats.hits_by_kind.get("curve", 0) >= 1
+        assert served.scores.tobytes() == fresh.scores.tobytes()

@@ -7,10 +7,11 @@ from repro.core.loocv import (
     cv_score,
     cv_score_reference,
     cv_scores_dense_grid,
-    dense_cv_block_stats,
+    dense_row_contributions,
     loo_estimates,
 )
 from repro.data import paper_dgp
+from repro.utils.numeric import fold_rows
 
 
 class TestGoldenValues:
@@ -75,7 +76,7 @@ class TestLooEstimates:
         s = paper_sample_medium
         full, _ = loo_estimates(s.x, s.y, 0.1)
         chunked, _ = loo_estimates(s.x, s.y, 0.1, chunk_rows=17)
-        np.testing.assert_allclose(full, chunked)
+        np.testing.assert_array_equal(full, chunked)
 
     def test_nonpositive_bandwidth_rejected(self, paper_sample_small):
         s = paper_sample_small
@@ -108,13 +109,13 @@ class TestDenseGrid:
         s = paper_sample_small
         grid_scores = cv_scores_dense_grid(s.x, s.y, small_grid.values)
         singles = [cv_score(s.x, s.y, h) for h in small_grid.values]
-        np.testing.assert_allclose(grid_scores, singles)
+        np.testing.assert_array_equal(grid_scores, singles)
 
     def test_chunking_invariance(self, paper_sample_medium, medium_grid):
         s = paper_sample_medium
         a = cv_scores_dense_grid(s.x, s.y, medium_grid.values)
         b = cv_scores_dense_grid(s.x, s.y, medium_grid.values, chunk_rows=23)
-        np.testing.assert_allclose(a, b)
+        np.testing.assert_array_equal(a, b)
 
     def test_cosine_kernel_grid(self, paper_sample_small, small_grid):
         s = paper_sample_small
@@ -122,20 +123,40 @@ class TestDenseGrid:
         assert np.isfinite(scores).all()
 
 
-class TestDenseBlockStats:
+class TestDenseRows:
     # At h = 0.0005 some leave-one-out windows of the n = 400 sample are
-    # empty, so the invalid counts have something to add up.
+    # empty, so the empty counts have something to add up.
     @pytest.mark.parametrize("h", [0.15, 0.0005])
-    def test_blocks_sum_to_full_score(self, paper_sample_medium, h):
+    def test_blocks_fold_to_the_full_score(self, paper_sample_medium, h):
         s = paper_sample_medium
         n = s.n
-        total = sum(
-            dense_cv_block_stats(s.x, s.y, h, "epanechnikov", lo, hi)
+        grid = np.array([h])
+        parts = [
+            dense_row_contributions(s.x, s.y, grid, "epanechnikov", lo, hi)
             for lo, hi in [(0, 100), (100, 250), (250, n)]
+        ]
+        whole, empty = dense_row_contributions(
+            s.x, s.y, grid, "epanechnikov", 0, n
         )
-        whole = dense_cv_block_stats(s.x, s.y, h, "epanechnikov", 0, n)
-        assert total[0] / n == pytest.approx(cv_score(s.x, s.y, h))
-        assert total[1] == whole[1]
+        assert np.vstack([rows for rows, _ in parts]).tobytes() == whole.tobytes()
+        assert sum(count for _, count in parts) == empty
+        assert fold_rows(whole)[0] / n == cv_score(s.x, s.y, h)
         _, valid = loo_estimates(s.x, s.y, h)
-        assert whole[1] == float((~valid).sum())
-        assert (whole[1] > 0) == (h < 0.01)
+        assert empty[0] == int((~valid).sum())
+        assert (empty[0] > 0) == (h < 0.01)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "cosine"])
+    def test_rows_do_not_depend_on_the_block(self, paper_sample_medium, kernel):
+        # BLAS ``w @ y`` changes a row's bits with the rows sharing the
+        # call; the dense rows must not.
+        s = paper_sample_medium
+        grid = np.linspace(0.01, 0.2, 7)
+        whole, _ = dense_row_contributions(s.x, s.y, grid, kernel, 0, s.n)
+        for rows in (1, 7, 23):
+            blocks = [
+                dense_row_contributions(
+                    s.x, s.y, grid, kernel, lo, min(lo + rows, s.n)
+                )[0]
+                for lo in range(0, s.n, rows)
+            ]
+            assert np.vstack(blocks).tobytes() == whole.tobytes(), rows

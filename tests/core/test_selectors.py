@@ -248,16 +248,51 @@ class TestNumericalOptimizationSelector:
         with pytest.raises(ValidationError):
             sel.select(s.x, s.y)
 
-    def test_parallel_objective_matches_serial(self, paper_sample_small):
-        s = paper_sample_small
-        serial = NumericalOptimizationSelector(
-            n_restarts=1, seed=3, workers=1, maxiter=40
-        ).select(s.x, s.y)
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("method", ["nelder-mead", "brent"])
+    def test_parallel_objective_matches_serial(self, method, workers):
+        # Multicore R is program 1's objective split across processes:
+        # the same rows folded in the same order, so the same bits.  The
+        # partial sums the workers used to add gave brent a different h.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=300)
+        y = rng.normal(size=300)
+        serial = NumericalOptimizationSelector(method=method).select(x, y)
         parallel = NumericalOptimizationSelector(
-            n_restarts=1, seed=3, workers=2, maxiter=40
-        ).select(s.x, s.y)
-        assert serial.bandwidth == pytest.approx(parallel.bandwidth, rel=1e-6)
+            method=method, workers=workers
+        ).select(x, y)
         assert parallel.backend == "multicore"
+        assert parallel.bandwidth == serial.bandwidth
+        assert parallel.score == serial.score
+        assert parallel.bandwidths.tobytes() == serial.bandwidths.tobytes()
+        assert parallel.scores.tobytes() == serial.scores.tobytes()
+        assert parallel.score == cv_score(x, y, parallel.bandwidth)
+        # Every evaluation outside the empty-window penalty is CV_lc(h).
+        defined = parallel.scores < 1e300
+        assert defined.sum() > 10
+        for h, score in zip(parallel.bandwidths[defined], parallel.scores[defined]):
+            assert score == cv_score(x, y, h)
+
+    def test_traced_parallel_objective_runs_on_the_executor(self):
+        from repro.obs import Tracer, use_tracer
+
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=120)
+        y = np.sin(6 * x) + rng.normal(0.0, 0.3, 120)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = NumericalOptimizationSelector(
+                n_restarts=1, workers=2, maxiter=10
+            ).select(x, y)
+        names = [span.name for span in tracer.spans()]
+        assert "pool.sum_over_blocks" not in names
+        # One executor pass (its block sweep and its fold) per evaluation.
+        assert names.count("block-sweep") == traced.n_evaluations
+        assert names.count("reduce") == traced.n_evaluations
+        plain = NumericalOptimizationSelector(
+            n_restarts=1, workers=2, maxiter=10
+        ).select(x, y)
+        assert traced.scores.tobytes() == plain.scores.tobytes()
 
 
 class TestRuleOfThumb:

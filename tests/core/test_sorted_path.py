@@ -560,6 +560,7 @@ class TestPinnedCurveBytes:
     PINS_BY_CACHE_FORMAT = {
         3: "4cd38391937a55379db03570156055cb907969903f5f238e9e2118c2618d234b",
         4: "4cd38391937a55379db03570156055cb907969903f5f238e9e2118c2618d234b",
+        5: "4cd38391937a55379db03570156055cb907969903f5f238e9e2118c2618d234b",
     }
 
     @staticmethod

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PoolStateError, ValidationError
-from repro.parallel import WorkerPool, available_workers, parallel_sum
+from repro.parallel import WorkerPool, available_workers
 
 
 def _square(v):
@@ -136,35 +136,6 @@ class TestExecution:
             got = pool.starmap(_block_vector, [(2.0, 0, 3), (3.0, 3, 5)])
         np.testing.assert_array_equal(got[0], [0.0, 2.0, 4.0])
         np.testing.assert_array_equal(got[1], [9.0, 12.0])
-
-    def test_sum_over_blocks_reduces_vectors(self):
-        # 2 equal blocks of 5 rows: the reduce adds the two 5-vectors.
-        with WorkerPool(2) as pool:
-            total = pool.sum_over_blocks(_block_vector, 10, shared_args=(1.0,))
-        np.testing.assert_array_equal(
-            total, np.arange(0, 5, dtype=float) + np.arange(5, 10, dtype=float)
-        )
-
-    def test_sum_over_blocks_scalar(self):
-        with WorkerPool(2) as pool:
-            total = pool.sum_over_blocks(
-                _scalar_block, 100, shared_args=(1.0,)
-            )
-        assert total == sum(range(100))
-
-
-def _scalar_block(scale, start, stop):
-    return scale * sum(range(start, stop))
-
-
-class TestParallelSum:
-    def test_one_shot_helper(self):
-        total = parallel_sum(_scalar_block, 50, shared_args=(2.0,), workers=2)
-        assert total == 2.0 * sum(range(50))
-
-    def test_single_worker_path(self):
-        total = parallel_sum(_scalar_block, 50, shared_args=(1.0,), workers=1)
-        assert total == sum(range(50))
 
 
 def _traced_unit(value):

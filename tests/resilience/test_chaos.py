@@ -394,6 +394,34 @@ class TestSelectorEndToEnd:
                 x, y, method="numeric", workers=2, resilience=fast_config
             )
         assert chaotic.bandwidth == baseline.bandwidth
+        assert chaotic.score == baseline.score
+        assert chaotic.scores.tobytes() == baseline.scores.tobytes()
         assert chaotic.resilience.retries >= 1
+        assert chaotic.resilience.pool_rebuilds == chaotic.resilience.retries
         assert len(chaotic.resilience.sleeps) == chaotic.resilience.retries
+
+    def test_spent_retry_budget_runs_the_same_rows_serially(
+        self, chaos_sample, chaos_seed
+    ) -> None:
+        from repro import select_bandwidth
+        from repro.resilience.engine import ResilienceConfig
+
+        x, y = chaos_sample
+        serial = select_bandwidth(x, y, method="numeric", workers=1)
+        no_retries = ResilienceConfig(max_retries=0, sleep=lambda _s: None)
+        storm = FaultInjector(
+            [FaultSpec(site="pool.worker", kind="crash", at=(0,))],
+            seed=chaos_seed,
+        )
+        with inject_faults(storm):
+            chaotic = select_bandwidth(
+                x, y, method="numeric", workers=2, resilience=no_retries
+            )
+        stages = [fault["stage"] for fault in chaotic.resilience.faults]
+        assert stages == ["objective:serial-fallback"]
+        assert chaotic.resilience.retries == 0
+        assert chaotic.bandwidth == serial.bandwidth
+        assert chaotic.score == serial.score
+        assert chaotic.bandwidths.tobytes() == serial.bandwidths.tobytes()
+        assert chaotic.scores.tobytes() == serial.scores.tobytes()
 

@@ -73,24 +73,24 @@ class TestFingerprints:
         x, y = _stable_sample()
         grid = GRID.values
         assert curve_fingerprint(x, y, grid, "epanechnikov") == (
-            "46f98cde511d344641cd38a45ff79a1a25a2cdbdcdfae02848f31b9b99e858b9"
+            "1d008fc01d168526cff2d8ad7426d35b8fd6f889cfb8803c460a4b74968e7bfe"
         )
         assert curve_fingerprint(x[:40], y[:40], grid, "epanechnikov") == (
-            "be2fd1968c40c79d99edcd7da976829e9d3c09a1096ac6f0406fa52ac681a934"
+            "a1dd5dc419e9b89e3bcc481e8c13e3aac82514141b9dbd8e20c85f4d925e3b2c"
         )
         assert curve_fingerprint(
             x, y, grid, "epanechnikov", dtype="float32"
-        ) == "61c79b6aa8e2f7ae9f4aa97331262a55bdc990ee890ed977154462b353d545cb"
+        ) == "33d4a0a683ce3e7d9eee3c85afb705b10764d51294582c175ee37faeaf6a65d5"
         assert curve_fingerprint(
             x, y, grid, "epanechnikov", backend="gpusim"
-        ) == "972f1f2848ba9f5409feb69565973aaa0e980d699fc5024e357b4283087e633e"
+        ) == "3e595bcbcd9862c421c9b67895956a315a7126bf68f6b8e4355d0126f2f3c107"
         assert selection_fingerprint(x, y, grid, "epanechnikov") == (
-            "f35a19960838f9e059261565b9ea27420f338f5a190c48a98af16796eb6c0057"
+            "efd135ef5bbd3031f350cd702fbaa8ee7f020ab17d556eac42326d7b95d3aafa"
         )
         assert selection_fingerprint(
             x, y, grid, "epanechnikov", backend="blocked-shm",
             options={"refine_rounds": 1},
-        ) == "999b67b3f8386c4a5359dbd2e54b2e573feb8b7cb5f56f853df6c994420a502b"
+        ) == "38f25ea6efff81ff7f8acff44ba428d086379307c64f4c07d7e3522ede194277"
 
     def test_bagged_key_follows_the_subsample_size(self, monkeypatch):
         x, y = _stable_sample()
@@ -105,10 +105,10 @@ class TestFingerprints:
         # m = 560 sweeps sorted, m = 250 binned.
         sorted_key = key(560)
         assert sorted_key == (
-            "9fa4ca443d82e531fd98b94bcadefb5538f25e8d9c09fe4f99ef61e22122a1f1"
+            "96cbab2ed118119d11521e65b18091675aae5bd244dcbabd37884a5891d65178"
         )
         assert key(250) == (
-            "79add27c9d90bc583ff1a6d6cb789b6f040e0c06ee2a81197f7d7ecbc42c64e5"
+            "c9d732726324d51566da5a6447afa27bb3fe00bf589fd8f26c7d79a8ac38798c"
         )
         # Move the crossover: the same m now sweeps binned, under a new key.
         monkeypatch.setattr(fastgrid, "SORTED_MIN_N", 10**18)

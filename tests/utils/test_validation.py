@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import BandwidthGridError, DataShapeError, ValidationError
 from repro.utils.validation import (
     as_float_array,
+    check_bandwidth,
     check_paired_samples,
     check_positive_int,
     ensure_bandwidths,
@@ -115,3 +116,40 @@ class TestEnsureBandwidths:
     def test_duplicates_rejected(self):
         with pytest.raises(BandwidthGridError, match="increasing"):
             ensure_bandwidths([0.1, 0.1, 0.2])
+
+
+def _bandwidth_entry_points():
+    from repro.core.loocv import cv_score, cv_score_reference, loo_estimates
+    from repro.kde import KernelDensity, kde_evaluate, lscv_score
+    from repro.regression.nadaraya_watson import NadarayaWatson, nw_estimate
+
+    x = np.linspace(0.0, 1.0, 20)
+    y = x * x
+    return {
+        "cv_score": lambda h: cv_score(x, y, h),
+        "cv_score_reference": lambda h: cv_score_reference(x, y, h),
+        "loo_estimates": lambda h: loo_estimates(x, y, h),
+        "lscv_score": lambda h: lscv_score(x, h),
+        "kde_evaluate": lambda h: kde_evaluate(x, x, h),
+        "KernelDensity": lambda h: KernelDensity(bandwidth=h),
+        "nw_estimate": lambda h: nw_estimate(x, y, x, h),
+        "NadarayaWatson": lambda h: NadarayaWatson(bandwidth=h),
+    }
+
+
+ENTRY_POINTS = sorted(_bandwidth_entry_points())
+
+
+class TestCheckBandwidth:
+    def test_finite_positive_passes_as_float(self):
+        assert check_bandwidth(np.float32(0.5)) == 0.5
+        assert type(check_bandwidth(2)) is float
+
+    # NaN used to score 0.0 (every window empty), the best score possible.
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_entry_point_raises_the_typed_error(self, entry, h):
+        call = _bandwidth_entry_points()[entry]
+        with pytest.raises(ValidationError) as info:
+            call(h)
+        assert info.value.code == "REPRO_VALIDATION"
